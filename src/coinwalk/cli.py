@@ -118,15 +118,12 @@ def _cmd_synthesize(args) -> None:
         prog = _built_in_program(args.target, args.steps, not args.no_final_layer)
     else:
         sched = fileio.schedule_targets_from_text(_read(args.schedule))
-        plan = synth.plan_amplitudes(sched)
-        prog = synth.synthesize_coins(plan)
-        if not args.no_final_layer:
-            prog = CoinProgram(
-                steps=prog.steps,
-                cells=prog.cells,
-                initial=prog.initial,
-                final_layer=synth._final_layer_from_plan(plan),
-            )
+        if args.no_final_layer:
+            # Skip the layer rather than strip it: the final layer has no
+            # coin for an empty cell, but the bare program needs none.
+            prog = synth.synthesize_coins(synth.plan_amplitudes(sched))
+        else:
+            prog = synth.schedule_program(sched)
     args.output.write_text(fileio.program_to_text(prog))
 
 

@@ -1,10 +1,10 @@
 """Analysis of walk outcomes: overlap, entropy, purity, bit extraction.
 
-The purity check follows the two-position tomography route: for each pair
-of neighboring occupied positions {x, x+2}, the 2x2 reduced density matrix
-must satisfy |rho_{x,x+2}|^2 = rho_{x,x} rho_{x+2,x+2} for a coherent
-(pure) multi-path state. The matrix can be built directly from amplitudes
-or through an emulation of the merged-pulse polarization tomography.
+The purity check works on pairs of neighboring occupied positions
+{x, x+2}: their 2x2 reduced density matrix, built from the walker
+amplitudes with an optional dephasing factor on the coherences, must
+satisfy |rho_{x,x+2}|^2 = rho_{x,x} rho_{x+2,x+2} for a coherent (pure)
+multi-path state.
 """
 
 from __future__ import annotations
@@ -79,55 +79,26 @@ def _walker_amplitudes(source) -> dict[int, complex]:
     return {int(x): complex(a) for x, a in source.items()}
 
 
-def pair_density(source, x: int, gamma: float = 1.0, via: str = "direct") -> PairDensity:
+def pair_density(source, x: int, gamma: float = 1.0) -> PairDensity:
     """Density matrix of the pair {x, x+2} of a disentangled state.
 
     ``source`` is a WalkerState with the coin factored to |0>, or a map
     from position to walker amplitude. ``gamma`` scales the off-diagonal
     coherence (1 = pure, the ensemble-averaged dephasing factor
-    otherwise). ``via`` selects the construction: "direct" algebra or the
-    "tomography" emulation of the merged-pulse polarization measurement.
+    otherwise).
     """
     amps = _walker_amplitudes(source)
     if x not in amps and x + 2 not in amps:
         raise DomainError(f"neither {x} nor {x + 2} is occupied")
     c1 = amps.get(x, 0j)
     c2 = amps.get(x + 2, 0j)
-    if via == "direct":
-        rho = np.array(
-            [
-                [abs(c1) ** 2, gamma * c1 * c2.conjugate()],
-                [gamma * c2 * c1.conjugate(), abs(c2) ** 2],
-            ]
-        )
-    elif via == "tomography":
-        rho = _tomography_pair_density(c1, c2, gamma)
-    else:
-        raise DomainError(f"unknown construction {via!r}")
+    rho = np.array(
+        [
+            [abs(c1) ** 2, gamma * c1 * c2.conjugate()],
+            [gamma * c2 * c1.conjugate(), abs(c2) ** 2],
+        ]
+    )
     return PairDensity(x=x, rho=rho)
-
-
-def _tomography_pair_density(c1: complex, c2: complex, gamma: float) -> np.ndarray:
-    """Reconstruct the pair density matrix from four projection outcomes.
-
-    Emulates the experimental route: a NOT on the earlier pulse maps
-    |x> to the V polarization and |x+2> stays H, the shift merges both
-    into one pulse, and polarization tomography on the four bases
-    {H, V, H+V, H-iV} recovers the matrix.
-    """
-    # Polarization-encoded pair state: alpha_H carries x+2, alpha_V carries x.
-    rho_hh = abs(c2) ** 2
-    rho_vv = abs(c1) ** 2
-    rho_hv = gamma * c2 * c1.conjugate()
-    s = rho_hh + rho_vv
-    # Born-rule outcomes of the four projections (unnormalized counts).
-    p_h = rho_hh
-    p_v = rho_vv
-    p_d = 0.5 * s + rho_hv.real  # project onto (|H> + |V>)/sqrt(2)
-    p_l = 0.5 * s + rho_hv.imag  # project onto (|H> - i|V>)/sqrt(2)
-    # Invert: the four outcomes determine the polarization matrix.
-    off = (p_d - 0.5 * s) + 1j * (p_l - 0.5 * s)
-    return np.array([[p_v, off.conjugate()], [off, p_h]])
 
 
 @dataclass(frozen=True)
@@ -145,7 +116,6 @@ def purity_criterion(
     source,
     gamma: float = 1.0,
     tol: float = 1e-9,
-    via: str = "direct",
 ) -> list[PurityRecord]:
     """Evaluate the pairwise purity equality over all neighboring pairs.
 
@@ -158,7 +128,7 @@ def purity_criterion(
     for x in sorted(amps)[:-1]:
         if x + 2 not in amps:
             continue
-        pd = pair_density(amps, x, gamma=gamma, via=via)
+        pd = pair_density(amps, x, gamma=gamma)
         lhs = float(abs(pd.rho[0, 1]) ** 2)
         rhs = float(abs(pd.rho[0, 0]) * abs(pd.rho[1, 1]))
         records.append(PurityRecord(x=x, lhs=lhs, rhs=rhs, passed=lhs >= rhs - tol))

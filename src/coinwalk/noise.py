@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import shannon_entropy, similarity
-from .state import CoinOp, CoinProgram, WalkerState
-from .walk import run_program
+from .state import CoinOp, CoinProgram, position_distribution
+from .walk import _damped_step, run_program
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,11 @@ class NoiseModel:
     round_trip_survival: float = 0.43  # detection probability per round trip
     outcoupling_fraction: float = 0.01  # tap ratio toward the detector
     coin_angle_jitter_rad: float = 0.0
-    dephasing_gamma: float = 1.0  # off-diagonal retention per analysis
     right_move_loss: float = 0.0  # asymmetric per-right-move loss, off by default
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("round_trip_survival", "outcoupling_fraction",
-                     "dephasing_gamma", "right_move_loss"):
+        for name in ("round_trip_survival", "outcoupling_fraction", "right_move_loss"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
@@ -49,9 +47,10 @@ def expected_counts(
     """
     if total_events < 0:
         raise DomainError("total_events must be >= 0")
-    dist = run_program(p)[step].distribution
     if nm.right_move_loss > 0.0:
         dist = lossy_distribution(p, step, nm.right_move_loss)
+    else:
+        dist = run_program(p)[step].distribution
     return {x: prob * total_events for x, prob in dist.items()}
 
 
@@ -71,19 +70,8 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
     damp = math.sqrt(1.0 - right_move_loss)
     s = p.initial
     for t in range(step):
-        amps = {}
-        for x, pair in s.amplitudes.items():
-            amps[x] = p.cells[(t, x)].apply(pair)
-        shifted: dict[int, list[complex]] = {}
-        for x, (a, b) in amps.items():
-            shifted.setdefault(x + 1, [0j, 0j])[0] = damp * a
-            shifted.setdefault(x - 1, [0j, 0j])[1] = b
-        s = WalkerState(
-            step=t + 1,
-            amplitudes={x: (a, b) for x, (a, b) in shifted.items()},
-            require_normalized=False,
-        )
-    raw = {x: abs(a) ** 2 + abs(b) ** 2 for x, (a, b) in sorted(s.amplitudes.items())}
+        s = _damped_step(s, p.layer(t), damp)
+    raw = position_distribution(s)
     total = sum(raw.values())
     return {x: v / total for x, v in raw.items()}
 

@@ -28,6 +28,9 @@ ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
 # Time (ns) tolerance when matching an event to its (t, x, arm) slot.
 ALIGNMENT_TOL_NS = 0.05
 
+# Colliding pairs named in a CollisionError message; the error keeps them all.
+REPORTED_COLLISIONS = 5
+
 
 @dataclass(frozen=True)
 class PhaseCell:
@@ -163,10 +166,6 @@ def arrival_time(
     return time
 
 
-def phase_to_voltage(phi: float, cal: Calibration) -> float:
-    return cal.phase_to_voltage(phi)
-
-
 def compile_schedule(
     p: CoinProgram,
     tm: TimingModel | None = None,
@@ -200,8 +199,10 @@ def compile_schedule(
         if b.time_ns < a.time_ns + a.width_ns
     ]
     if collisions:
+        more = " ..." if len(collisions) > REPORTED_COLLISIONS else ""
         raise CollisionError(
-            f"{len(collisions)} overlapping pulse pair(s): {collisions}",
+            f"{len(collisions)} overlapping pulse pair(s): "
+            f"{collisions[:REPORTED_COLLISIONS]}{more}",
             collisions=collisions,
         )
     return PulseSchedule(events=tuple(events))

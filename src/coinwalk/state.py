@@ -146,11 +146,6 @@ class GeneralCoinOp:
     def matrix(self) -> np.ndarray:
         return np.array([[self.m00, self.m01], [self.m10, self.m11]])
 
-    @classmethod
-    def from_matrix(cls, m) -> "GeneralCoinOp":
-        m = np.asarray(m, dtype=float)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
     def apply(self, pair: AmplitudePair) -> AmplitudePair:
         a, b = pair
         return (self.m00 * a + self.m01 * b, self.m10 * a + self.m11 * b)
@@ -167,7 +162,7 @@ def reachable_positions(initial: WalkerState, t: int) -> list[int]:
 class CoinProgram:
     """Full assignment of a coin to every (step, position) cell.
 
-    ``cells`` covers every position reachable at each step t < steps;
+    ``cells`` covers exactly the positions reachable at each step t < steps;
     ``final_layer``, when present, is the coin-only disentangling layer
     applied after the last shift.
     """
@@ -182,18 +177,29 @@ class CoinProgram:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
         if self.initial.step != 0:
             raise DomainError("initial state must be at step 0")
+        expected = 0
         for t in range(self.steps):
             for x in reachable_positions(self.initial, t):
                 if (t, x) not in self.cells:
                     raise IncompleteLayerError(
                         f"program is missing a coin at step {t}, position {x}"
                     )
+                expected += 1
+        if len(self.cells) != expected:
+            t, x = min(
+                (t, x) for t, x in self.cells
+                if not (0 <= t < self.steps and x in reachable_positions(self.initial, t))
+            )
+            raise DomainError(
+                f"program has a coin at step {t}, position {x}, outside its "
+                f"{self.steps}-step support"
+            )
 
     def layer(self, t: int) -> dict[int, CoinOp]:
         """The coins of step t, keyed by position."""
         if not 0 <= t < self.steps:
             raise DomainError(f"step {t} outside program range [0, {self.steps})")
-        return {x: op for (tt, x), op in self.cells.items() if tt == t}
+        return {x: self.cells[(t, x)] for x in reachable_positions(self.initial, t)}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ coin out to |0>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     ClosureError,
@@ -189,6 +189,13 @@ def _final_layer_from_plan(plan: AmplitudePlan) -> dict[int, GeneralCoinOp]:
     return layer
 
 
+def schedule_program(sched: DistributionSchedule) -> CoinProgram:
+    """Synthesized program realizing a schedule, ending in the
+    disentangling layer that leaves walker amplitudes sqrt(P(x, steps))."""
+    plan = plan_amplitudes(sched)
+    return replace(synthesize_coins(plan), final_layer=_final_layer_from_plan(plan))
+
+
 def binomial_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = C(t, (t+x)/2) / 2^t, the classical-walk profile."""
     rows = {}
@@ -231,8 +238,7 @@ def _closed_form_program(steps: int, closed_form) -> CoinProgram:
         sched = binomial_schedule(steps)
     else:
         sched = uniform_schedule(steps)
-    plan = plan_amplitudes(sched)
-    synthesized = synthesize_coins(plan)
+    synthesized = schedule_program(sched)
     cells = {(0, 0): CoinOp(math.pi / 4)}
     for t in range(1, steps):
         for x in range(-t, t + 1, 2):
@@ -241,12 +247,7 @@ def _closed_form_program(steps: int, closed_form) -> CoinProgram:
                 cells[(t, x)] = CoinOp(_angle_from_pair(c, s))
             else:
                 cells[(t, x)] = synthesized.cells[(t, x)]
-    return CoinProgram(
-        steps=steps,
-        cells=cells,
-        initial=synthesized.initial,
-        final_layer=_final_layer_from_plan(plan),
-    )
+    return replace(synthesized, cells=cells)
 
 
 def gaussian_program(steps: int) -> CoinProgram:

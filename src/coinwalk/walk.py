@@ -63,6 +63,16 @@ def step(s: WalkerState, coins_at_t: dict[int, CoinOp]) -> WalkerState:
     return apply_shift(apply_coin_layer(s, coins_at_t))
 
 
+def _damped_step(
+    s: WalkerState, coins_at_t: dict[int, CoinOp], right_damping: float
+) -> WalkerState:
+    """:func:`step` with every right-moving (coin-|0>) amplitude scaled by
+    ``right_damping`` between the coin layer and the shift."""
+    s = apply_coin_layer(s, coins_at_t)
+    damped = {x: (right_damping * a, b) for x, (a, b) in s.amplitudes.items()}
+    return apply_shift(WalkerState(step=s.step, amplitudes=damped, require_normalized=False))
+
+
 def run_program(p: CoinProgram) -> list[StepReport]:
     """Run a program from its initial state, reporting every step.
 

@@ -8,12 +8,13 @@ sparse layer/shift machinery.
 import numpy as np
 
 
-def evolve(theta_of, initial_pair, steps):
+def evolve(theta_of, initial_pair, steps, right_damping=1.0):
     """Direct evaluation of the amplitude recursion.
 
     theta_of(t, x) returns the coin angle; initial_pair is the (a, b)
-    coin amplitude at x = 0, t = 0. Returns a list over t = 0..steps of
-    dicts x -> (a, b).
+    coin amplitude at x = 0, t = 0; every right-moving amplitude is
+    multiplied by right_damping as it moves. Returns a list over
+    t = 0..steps of dicts x -> (a, b).
     """
     a = np.array([initial_pair[0]], dtype=complex)
     b = np.array([initial_pair[1]], dtype=complex)
@@ -25,7 +26,7 @@ def evolve(theta_of, initial_pair, steps):
             x = 2 * i - t
             th = theta_of(t, x)
             c, s = np.cos(th), np.sin(th)
-            a_next[i + 1] = c * a[i] + s * b[i]
+            a_next[i + 1] = right_damping * (c * a[i] + s * b[i])
             b_next[i] = s * a[i] - c * b[i]
         a, b = a_next, b_next
         out.append(_to_dict(a, b, t + 1))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from coinwalk import fileio
+from coinwalk import fileio, walk
 from coinwalk.cli import (
     EXIT_COLLISION,
     EXIT_DOMAIN,
@@ -11,6 +11,7 @@ from coinwalk.cli import (
     EXIT_PARSE,
     main,
 )
+from coinwalk.errors import DomainError
 from coinwalk.synth import uniform_program
 
 
@@ -53,6 +54,20 @@ class TestSynthesizeSimulate:
         parsed = fileio.program_from_text(prog.read_text())
         assert parsed.steps == 4
         assert parsed.final_layer is not None
+        final = walk.run_program(parsed)[-1].state
+        for x, (a, b) in final.amplitudes.items():
+            assert abs(a - math.sqrt(1 / 5)) < 1e-12
+            assert abs(b) < 1e-12
+
+    def test_schedule_with_empty_final_cell(self, tmp_path):
+        sched = tmp_path / "targets.txt"
+        sched.write_text("0 0 1.0\n1 -1 1.0\n1 1 0.0\n")
+        prog = tmp_path / "p.prog"
+        # The final layer has no coin for the empty cell (1, 1); the bare
+        # program needs none.
+        assert run("synthesize", "--schedule", sched, "--no-final-layer",
+                   "-o", prog) == EXIT_OK
+        assert fileio.program_from_text(prog.read_text()).final_layer is None
 
 
 class TestCompileCommand:
@@ -93,6 +108,15 @@ class TestExitCodes:
         # Position 0 is outside the 7-step support parity.
         assert run("extract-bits", dist, "--steps", "7", "--events", "10",
                    "-o", tmp_path / "bits.txt") == EXIT_DOMAIN
+
+
+    def test_stray_program_cell(self, tmp_path):
+        text = fileio.program_to_text(uniform_program(1)) + "7 1 0.5\n"
+        with pytest.raises(DomainError, match="step 7, position 1"):
+            fileio.program_from_text(text)
+        prog = tmp_path / "stray.prog"
+        prog.write_text(text)
+        assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_DOMAIN
 
 
 class TestAnalysisCommands:

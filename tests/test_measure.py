@@ -90,16 +90,6 @@ class TestPairDensity:
         with pytest.raises(MustDisentangleError):
             pair_density(s, 0)
 
-    def test_tomography_equals_direct(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-            amps = {0: complex(raw[0]), 2: complex(raw[1])}
-            for gamma in (1.0, 0.7, 0.0):
-                direct = pair_density(amps, 0, gamma=gamma, via="direct").rho
-                tomo = pair_density(amps, 0, gamma=gamma, via="tomography").rho
-                assert np.allclose(direct, tomo, atol=1e-12)
-
 
 class TestPurityCriterion:
     @pytest.mark.parametrize("make", [uniform_program, gaussian_program])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracle
+from coinwalk import noise
 from coinwalk.errors import DomainError
 from coinwalk.measure import similarity
 from coinwalk.noise import (
@@ -14,6 +16,7 @@ from coinwalk.noise import (
     perturb_program,
     sample_counts,
 )
+from coinwalk.state import CoinOp, CoinProgram, localized_state
 from coinwalk.synth import uniform_program
 from coinwalk.walk import run_program
 
@@ -23,7 +26,6 @@ class TestNoiseModel:
         nm = NoiseModel()
         assert nm.round_trip_survival == 0.43
         assert nm.outcoupling_fraction == 0.01
-        assert nm.dephasing_gamma == 1.0
 
     def test_rejects_bad_probability(self):
         with pytest.raises(DomainError):
@@ -58,6 +60,43 @@ class TestExpectedCounts:
         assert tilted[-5] > ideal[-5]
         assert tilted[5] < ideal[5]
         assert sum(tilted.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("loss", [0.05, 0.3])
+    def test_lossy_matches_damped_recursion(self, loss):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            steps = int(rng.integers(1, 9))
+            thetas = {
+                (t, x): float(rng.uniform(0, math.pi))
+                for t in range(steps)
+                for x in range(-t, t + 1, 2)
+            }
+            a = math.cos(rng.uniform(0, math.pi / 2))
+            b = math.sqrt(1 - a * a) * complex(np.exp(1j * rng.uniform(0, 2 * math.pi)))
+            prog = CoinProgram(
+                steps=steps,
+                cells={key: CoinOp(th) for key, th in thetas.items()},
+                initial=localized_state(a, b),
+            )
+            ref = oracle.distribution(oracle.evolve(
+                lambda t, x: thetas[(t, x)], (a, b), steps, math.sqrt(1 - loss)
+            )[steps])
+            total = sum(ref.values())
+            got = lossy_distribution(prog, steps, loss)
+            assert got.keys() == ref.keys()
+            for x, v in ref.items():
+                assert abs(got[x] - v / total) < 1e-12
+
+    def test_lossy_counts_run_one_walk(self, monkeypatch):
+        prog = uniform_program(5)
+        expected = lossy_distribution(prog, 5, 0.3)
+
+        def no_lossless_walk(p):
+            raise AssertionError("lossless walk run for a lossy count")
+
+        monkeypatch.setattr(noise, "run_program", no_lossless_walk)
+        counts = expected_counts(prog, NoiseModel(right_move_loss=0.3), 5, 1000)
+        assert counts == {x: v * 1000 for x, v in expected.items()}
 
 
 class TestSampleCounts:

@@ -138,6 +138,16 @@ class TestCompile:
             compile_schedule(hadamard_program(2, circular_initial()), tm)
         assert err.value.collisions
 
+    def test_collision_message_is_bounded(self):
+        with pytest.raises(CollisionError) as err:
+            compile_schedule(hadamard_program(40, circular_initial()))
+        assert len(err.value.collisions) == 576
+        message = str(err.value)
+        assert len(message.encode()) < 1024
+        assert message.startswith("576 overlapping pulse pair(s): ")
+        assert str(err.value.collisions[4]) in message
+        assert str(err.value.collisions[5]) not in message
+
     def test_determinism_byte_identical(self):
         p = gaussian_program(7)
         a = pulse_schedule_to_text(compile_schedule(p))

@@ -106,6 +106,34 @@ class TestCoinProgram:
                 initial=localized_state(1, 0),
             )
 
+    @pytest.mark.parametrize("stray", [(7, 1), (1, 3), (0, 1), (-1, 1)])
+    def test_rejects_stray_cell(self, stray):
+        cells = {(0, 0): CoinOp(0.3), (1, -1): CoinOp(0.4), (1, 1): CoinOp(0.5)}
+        cells[stray] = CoinOp(0.6)
+        with pytest.raises(DomainError, match=f"step {stray[0]}, position {stray[1]}"):
+            CoinProgram(steps=2, cells=cells, initial=localized_state(1, 0))
+
+    def test_names_first_stray_cell(self):
+        cells = {(0, 0): CoinOp(0.3), (5, 1): CoinOp(0.1), (2, 0): CoinOp(0.2)}
+        with pytest.raises(DomainError, match="step 2, position 0"):
+            CoinProgram(steps=1, cells=cells, initial=localized_state(1, 0))
+
+    def test_layer_is_row_t(self):
+        rng = np.random.default_rng(8)
+        steps = 9
+        cells = {
+            (t, x): CoinOp(float(rng.uniform(0, math.pi)))
+            for t in rng.permutation(steps).tolist()
+            for x in range(-t, t + 1, 2)
+        }
+        p = CoinProgram(steps=steps, cells=cells, initial=localized_state(1, 0))
+        for t in range(steps):
+            row = {x: op for (tt, x), op in cells.items() if tt == t}
+            assert p.layer(t) == row
+            assert sorted(p.layer(t)) == list(range(-t, t + 1, 2))
+        with pytest.raises(DomainError):
+            p.layer(steps)
+
 
 class TestDistributionSchedule:
     def test_rejects_unnormalized_row(self):
