@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fileio, measure, noise, pulses, synth, walk
@@ -95,15 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _built_in_program(target: str, steps: int, final_layer: bool) -> CoinProgram:
+def _built_in_program(target: str, steps: int) -> CoinProgram:
     if steps is None or steps < 1:
         raise ParseError("--steps must be a positive integer for built-in targets")
     if target == "hadamard":
         return walk.hadamard_program(steps, walk.circular_initial())
-    prog = synth.gaussian_program(steps) if target == "gaussian" else synth.uniform_program(steps)
-    if not final_layer:
-        prog = CoinProgram(steps=prog.steps, cells=prog.cells, initial=prog.initial)
-    return prog
+    return synth.gaussian_program(steps) if target == "gaussian" else synth.uniform_program(steps)
 
 
 def _read(path: Path) -> str:
@@ -115,15 +113,11 @@ def _read(path: Path) -> str:
 
 def _cmd_synthesize(args) -> None:
     if args.target is not None:
-        prog = _built_in_program(args.target, args.steps, not args.no_final_layer)
+        prog = _built_in_program(args.target, args.steps)
     else:
-        sched = fileio.schedule_targets_from_text(_read(args.schedule))
-        if args.no_final_layer:
-            # Skip the layer rather than strip it: the final layer has no
-            # coin for an empty cell, but the bare program needs none.
-            prog = synth.synthesize_coins(synth.plan_amplitudes(sched))
-        else:
-            prog = synth.schedule_program(sched)
+        prog = synth.schedule_program(fileio.schedule_targets_from_text(_read(args.schedule)))
+    if args.no_final_layer:
+        prog = replace(prog, final_layer=None)
     args.output.write_text(fileio.program_to_text(prog))
 
 
@@ -169,7 +163,7 @@ def _cmd_sample(args, seed: int) -> None:
 
 
 def _cmd_verify_purity(args) -> None:
-    prog = _built_in_program(args.target, args.steps, final_layer=True)
+    prog = _built_in_program(args.target, args.steps)
     final = walk.run_program(prog)[-1].state
     records = measure.purity_criterion(final, gamma=args.gamma)
     lines = ["# x  |rho_x,x+2|^2  rho_xx*rho_x+2,x+2  pass"]
@@ -247,7 +241,7 @@ def _cmd_reproduce(args, seed: int) -> None:
 
     # Pairwise purity tables for the ideal 9-step walks.
     for name, table in (("uniform", "table1"), ("gaussian", "table2")):
-        prog = _built_in_program(name, 9, final_layer=True)
+        prog = _built_in_program(name, 9)
         final = walk.run_program(prog)[-1].state
         lines = [f"# {name} 9-step: x |rho_x,x+2|^2 rho_xx*rho_x+2,x+2"]
         for r in measure.purity_criterion(final):

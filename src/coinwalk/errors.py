@@ -51,10 +51,6 @@ class UnsupportedStateError(CoinWalkError):
     """The operation requires real amplitudes but got complex ones."""
 
 
-class DegenerateCellError(CoinWalkError):
-    """A disentangling coin was requested for a zero-norm amplitude pair."""
-
-
 class UnsupportedCoinError(CoinWalkError):
     """The compiler only handles angle-parametrized coins in stepped layers."""
 

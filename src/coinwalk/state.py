@@ -23,6 +23,11 @@ EVOLUTION_TOL = 1e-12
 AmplitudePair = tuple[complex, complex]
 
 
+def support(t: int) -> range:
+    """Positions -t, -t+2, ..., t the walker can occupy after t steps."""
+    return range(-t, t + 1, 2)
+
+
 def _require_finite(z: complex, what: str) -> None:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{what} must have finite components, got {z!r}")
@@ -46,10 +51,11 @@ class WalkerState:
             raise DomainError(f"step must be >= 0, got {self.step}")
         amps = {int(x): (complex(a), complex(b)) for x, (a, b) in self.amplitudes.items()}
         object.__setattr__(self, "amplitudes", amps)
+        positions = support(self.step)
         for x, (a, b) in amps.items():
             _require_finite(a, f"amplitude a({x},{self.step})")
             _require_finite(b, f"amplitude b({x},{self.step})")
-            if abs(x) > self.step or (x - self.step) % 2 != 0:
+            if x not in positions:
                 raise DomainError(
                     f"position {x} is outside the step-{self.step} support "
                     f"{{-t, -t+2, ..., t}}"
@@ -151,20 +157,13 @@ class GeneralCoinOp:
         return (self.m00 * a + self.m01 * b, self.m10 * a + self.m11 * b)
 
 
-def reachable_positions(initial: WalkerState, t: int) -> list[int]:
-    """Positions the walker can occupy after t steps from ``initial``."""
-    support = initial.positions()
-    lo, hi = min(support) - t, max(support) + t
-    return list(range(lo, hi + 1, 2))
-
-
 @dataclass(frozen=True)
 class CoinProgram:
     """Full assignment of a coin to every (step, position) cell.
 
     ``cells`` covers exactly the positions reachable at each step t < steps;
     ``final_layer``, when present, is the coin-only disentangling layer
-    applied after the last shift.
+    applied after the last shift and covers exactly ``support(steps)``.
     """
 
     steps: int
@@ -179,7 +178,7 @@ class CoinProgram:
             raise DomainError("initial state must be at step 0")
         expected = 0
         for t in range(self.steps):
-            for x in reachable_positions(self.initial, t):
+            for x in support(t):
                 if (t, x) not in self.cells:
                     raise IncompleteLayerError(
                         f"program is missing a coin at step {t}, position {x}"
@@ -188,18 +187,31 @@ class CoinProgram:
         if len(self.cells) != expected:
             t, x = min(
                 (t, x) for t, x in self.cells
-                if not (0 <= t < self.steps and x in reachable_positions(self.initial, t))
+                if not (0 <= t < self.steps and x in support(t))
             )
             raise DomainError(
                 f"program has a coin at step {t}, position {x}, outside its "
                 f"{self.steps}-step support"
             )
+        if self.final_layer is not None:
+            last = support(self.steps)
+            for x in last:
+                if x not in self.final_layer:
+                    raise IncompleteLayerError(
+                        f"final layer is missing a coin at position {x}"
+                    )
+            if len(self.final_layer) != len(last):
+                x = min(x for x in self.final_layer if x not in last)
+                raise DomainError(
+                    f"final layer has a coin at position {x}, outside the "
+                    f"step-{self.steps} support"
+                )
 
     def layer(self, t: int) -> dict[int, CoinOp]:
         """The coins of step t, keyed by position."""
         if not 0 <= t < self.steps:
             raise DomainError(f"step {t} outside program range [0, {self.steps})")
-        return {x: self.cells[(t, x)] for x in reachable_positions(self.initial, t)}
+        return {x: self.cells[(t, x)] for x in support(t)}
 
 
 @dataclass(frozen=True)
@@ -220,10 +232,11 @@ class DistributionSchedule:
             if row is None:
                 raise DomainError(f"schedule is missing the row for step {t}")
             total = 0.0
+            positions = support(t)
             for x, p in row.items():
                 if not math.isfinite(p) or p < -CONSTRUCTION_TOL:
                     raise DomainError(f"P({x},{t}) = {p!r} is not a probability")
-                if p > CONSTRUCTION_TOL and (abs(x) > t or (x - t) % 2 != 0):
+                if p > CONSTRUCTION_TOL and x not in positions:
                     raise DomainError(
                         f"P({x},{t}) = {p!r} lies outside the step-{t} support"
                     )

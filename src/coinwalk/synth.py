@@ -7,10 +7,11 @@ amplitudes obey flux conservation:
     a^2(x+1, t+1) + b^2(x-1, t+1) = a^2(x, t) + b^2(x, t) = P(x, t).
 
 That identity forces a unique nonnegative amplitude plan for any feasible
-schedule (left-to-right sweep), from which the coin angles follow in
-closed form. Closed-form Gaussian (binomial) and uniform programs are
-provided as built-ins, with a final disentangling layer that factors the
-coin out to |0>.
+schedule. Rows are dense arrays indexed by i = (x + t) / 2: each row of
+b^2 is one prefix sum of target differences, and the coin angles of all
+cells follow from one arctan2. The built-in Gaussian (binomial) and uniform programs are
+synthesized from their schedules like any other, and every schedule
+program ends in a disentangling layer that factors the coin out to |0>.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     ClosureError,
-    DegenerateCellError,
+    DomainError,
     InconsistentPlanError,
     InfeasibleScheduleError,
     UnsupportedStateError,
@@ -33,12 +36,12 @@ from .state import (
     GeneralCoinOp,
     WalkerState,
     localized_state,
+    support,
 )
 
 PLAN_TOL = 1e-12
 CLOSURE_TOL = 1e-9
 PYTHAGOREAN_TOL = 1e-6
-UNITARITY_TOL = 1e-9
 
 # Coin assigned to cells carrying zero probability: any unitary acts
 # trivially there, a fixed choice keeps outputs byte-stable.
@@ -47,77 +50,86 @@ ZERO_CELL_ANGLE = math.pi / 4
 
 @dataclass(frozen=True)
 class AmplitudePlan:
-    """Real amplitude pair (a, b) per (t, x) cell with a^2 + b^2 = P(x, t)."""
+    """Real amplitude rows a[t][i], b[t][i] at x = 2i - t, t = 0..steps,
+    with a^2 + b^2 = P(x, t)."""
 
     steps: int
-    cells: dict[tuple[int, int], tuple[float, float]]
+    a: tuple[np.ndarray, ...]
+    b: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        a = tuple(np.asarray(row, dtype=float) for row in self.a)
+        b = tuple(np.asarray(row, dtype=float) for row in self.b)
+        shapes = [(t + 1,) for t in range(self.steps + 1)]
+        if [r.shape for r in a] != shapes or [r.shape for r in b] != shapes:
+            raise DomainError(f"plan rows must have lengths 1..{self.steps + 1}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def pair(self, t: int, x: int) -> tuple[float, float]:
-        return self.cells.get((t, x), (0.0, 0.0))
+        if not (0 <= t <= self.steps and x in support(t)):
+            return (0.0, 0.0)
+        i = (x + t) // 2
+        return (float(self.a[t][i]), float(self.b[t][i]))
 
     def mass(self, t: int, x: int) -> float:
         a, b = self.pair(t, x)
         return a * a + b * b
 
 
+def _row(sched: DistributionSchedule, t: int) -> np.ndarray:
+    return np.array([sched.prob(t, x) for x in support(t)])
+
+
 def plan_amplitudes(sched: DistributionSchedule) -> AmplitudePlan:
     """Solve the unique nonnegative amplitude flow realizing a schedule.
 
-    Sweeps each row left to right: the leftmost position of step t+1 is
-    reachable only by left-movers, fixing b there; flux conservation at
-    each parent then fixes the next a, and the target row fixes the next
-    b. Raises InfeasibleScheduleError at the first negative square, or
-    ClosureError if the right edge misses the target row.
+    The leftmost position of step t+1 is reachable only by left-movers,
+    and flux conservation at each parent fixes the next a and the target
+    row the next b, so each row of b^2 is one prefix sum of differences:
+
+        b^2 = cumsum(q - [0, p]),   a^2 = [0, p - b^2[:-1]]
+
+    with p, q the target rows of steps t and t+1. Raises
+    InfeasibleScheduleError at the first negative square in (t, x)
+    order, or ClosureError if the right edge misses the target row.
     """
-    cells: dict[tuple[int, int], tuple[float, float]] = {}
     # Step 0 is localized at x = 0 with the coin in |0>; the entry angle
     # theta(0, 0) absorbs any split, so a = sqrt(P(0,0)) = 1, b = 0.
-    cells[(0, 0)] = (math.sqrt(sched.prob(0, 0)), 0.0)
-
-    for t in range(sched.steps):
-        a_sq: dict[int, float] = {}
-        b_sq: dict[int, float] = {-t - 1: sched.prob(t + 1, -t - 1)}
-        a_sq[-t - 1] = 0.0
-        for x in range(-t, t + 1, 2):  # parent positions at step t
-            asq = sched.prob(t, x) - b_sq[x - 1]
-            if asq < -PLAN_TOL:
-                raise InfeasibleScheduleError(
-                    f"no nonnegative flow: a^2({x + 1},{t + 1}) = {asq!r}",
-                    cell=(t + 1, x + 1),
-                )
-            a_sq[x + 1] = max(asq, 0.0)
-            if x + 1 <= t:
-                bsq = sched.prob(t + 1, x + 1) - a_sq[x + 1]
-                if bsq < -PLAN_TOL:
-                    raise InfeasibleScheduleError(
-                        f"no nonnegative flow: b^2({x + 1},{t + 1}) = {bsq!r}",
-                        cell=(t + 1, x + 1),
-                    )
-                b_sq[x + 1] = max(bsq, 0.0)
-            else:
-                # Rightmost position is reachable only by right-movers.
-                if abs(a_sq[x + 1] - sched.prob(t + 1, x + 1)) > CLOSURE_TOL:
-                    raise ClosureError(
-                        f"right-edge closure at step {t + 1}: "
-                        f"a^2({t + 1},{t + 1}) = {a_sq[x + 1]!r} but "
-                        f"P = {sched.prob(t + 1, x + 1)!r}",
-                        cell=(t + 1, t + 1),
-                    )
-                b_sq[x + 1] = 0.0
-        for x in range(-t - 1, t + 2, 2):
-            cells[(t + 1, x)] = (math.sqrt(a_sq.get(x, 0.0)), math.sqrt(b_sq.get(x, 0.0)))
-    return AmplitudePlan(steps=sched.steps, cells=cells)
-
-
-def _angle_from_pair(c: float, s: float) -> float:
-    theta = math.atan2(s, c)
-    return min(max(theta, 0.0), math.pi)
+    p = _row(sched, 0)
+    a_rows, b_rows = [np.sqrt(p)], [np.zeros(1)]
+    for t in range(1, sched.steps + 1):
+        q = _row(sched, t)
+        b_sq = np.cumsum(q - np.concatenate(([0.0], p)))
+        a_sq = np.concatenate(([0.0], p - b_sq[:-1]))
+        # Rightmost position is reachable only by right-movers.
+        b_sq[-1] = 0.0
+        if min(a_sq.min(), b_sq.min()) < -PLAN_TOL:
+            i = int(np.argmax((a_sq < -PLAN_TOL) | (b_sq < -PLAN_TOL)))
+            name, value = ("a", a_sq[i]) if a_sq[i] < -PLAN_TOL else ("b", b_sq[i])
+            x = 2 * i - t
+            raise InfeasibleScheduleError(
+                f"no nonnegative flow: {name}^2({x},{t}) = {float(value)!r}",
+                cell=(t, x),
+            )
+        a_sq = np.maximum(a_sq, 0.0)
+        if abs(a_sq[-1] - q[-1]) > CLOSURE_TOL:
+            raise ClosureError(
+                f"right-edge closure at step {t}: "
+                f"a^2({t},{t}) = {float(a_sq[-1])!r} but P = {float(q[-1])!r}",
+                cell=(t, t),
+            )
+        a_rows.append(np.sqrt(a_sq))
+        b_rows.append(np.sqrt(np.maximum(b_sq, 0.0)))
+        p = q
+    return AmplitudePlan(steps=sched.steps, a=tuple(a_rows), b=tuple(b_rows))
 
 
 def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
     """Coin program reproducing an amplitude plan under the forward walk.
 
-    Each cell angle follows from the plan and its two child amplitudes:
+    Each cell angle follows from the plan and its two child amplitudes,
+    one vectorized formula over every cell:
 
         cos theta = (a a' - b b'') / (a^2 + b^2),
         sin theta = (b a' + a b'') / (a^2 + b^2),
@@ -128,39 +140,44 @@ def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
     """
     a0, b0 = plan.pair(0, 0)
     initial = localized_state(a0, b0)
-    cells: dict[tuple[int, int], CoinOp] = {}
-    for t in range(plan.steps):
-        for x in range(-t, t + 1, 2):
-            a, b = plan.pair(t, x)
-            m = a * a + b * b
-            a_child, _ = plan.pair(t + 1, x + 1)
-            _, b_child = plan.pair(t + 1, x - 1)
-            if m < 1e-15:
-                if abs(a_child) > 1e-9 or abs(b_child) > 1e-9:
-                    raise ZeroCellError(
-                        f"cell ({t},{x}) carries no probability but feeds "
-                        f"nonzero children"
-                    )
-                cells[(t, x)] = CoinOp(ZERO_CELL_ANGLE)
-                continue
-            c = (a * a_child - b * b_child) / m
-            s = (b * a_child + a * b_child) / m
-            r = c * c + s * s
-            if abs(r - 1.0) > PYTHAGOREAN_TOL:
-                raise InconsistentPlanError(
-                    f"cell ({t},{x}): cos^2 + sin^2 = {r!r}; the plan "
-                    f"violates flux conservation"
-                )
-            cells[(t, x)] = CoinOp(_angle_from_pair(c, s))
+    keys = [(t, x) for t in range(plan.steps) for x in support(t)]
+    # Every cell of steps 0..steps-1 next to its children, row after row.
+    a, b = np.concatenate(plan.a[:-1]), np.concatenate(plan.b[:-1])
+    a_child = np.concatenate([row[1:] for row in plan.a[1:]])
+    b_child = np.concatenate([row[:-1] for row in plan.b[1:]])
+    m = a * a + b * b
+    empty = m < 1e-15
+    m[empty] = 1.0
+    c = (a * a_child - b * b_child) / m
+    s = (b * a_child + a * b_child) / m
+    r = c * c + s * s
+    orphan = empty & ((np.abs(a_child) > 1e-9) | (np.abs(b_child) > 1e-9))
+    bad = orphan | (~empty & (np.abs(r - 1.0) > PYTHAGOREAN_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        t, x = keys[i]
+        if orphan[i]:
+            raise ZeroCellError(
+                f"cell ({t},{x}) carries no probability but feeds "
+                f"nonzero children"
+            )
+        raise InconsistentPlanError(
+            f"cell ({t},{x}): cos^2 + sin^2 = {float(r[i])!r}; the plan "
+            f"violates flux conservation"
+        )
+    theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
+    theta[empty] = ZERO_CELL_ANGLE
+    cells = {key: CoinOp(th) for key, th in zip(keys, theta.tolist())}
     return CoinProgram(steps=plan.steps, cells=cells, initial=initial)
 
 
 def disentangle_layer(s: WalkerState) -> dict[int, GeneralCoinOp]:
     """Per-position coins (1/N)[[a, b], [b, -a]] sending each pair to (N, 0).
 
-    Requires real amplitudes (within 1e-9) and nonzero norm at every
-    occupied position. Applying the layer leaves walker-only amplitudes
-    sqrt(P(x, t)).
+    Requires real amplitudes (within 1e-9). A zero-norm position
+    (N <= 1e-12) gets the diagonal coin diag(1, -1), since any orthogonal
+    coin leaves a zero pair at zero. Applying the layer leaves walker-only
+    amplitudes sqrt(P(x, t)).
     """
     layer = {}
     for x, (a, b) in s.amplitudes.items():
@@ -172,20 +189,9 @@ def disentangle_layer(s: WalkerState) -> dict[int, GeneralCoinOp]:
         ar, br = a.real, b.real
         n = math.hypot(ar, br)
         if n <= 1e-12:
-            raise DegenerateCellError(f"position {x} has zero norm")
-        layer[x] = GeneralCoinOp(ar / n, br / n, br / n, -ar / n)
-    return layer
-
-
-def _final_layer_from_plan(plan: AmplitudePlan) -> dict[int, GeneralCoinOp]:
-    t = plan.steps
-    layer = {}
-    for x in range(-t, t + 1, 2):
-        a, b = plan.pair(t, x)
-        n = math.hypot(a, b)
-        if n <= 1e-12:
-            raise DegenerateCellError(f"final-row cell ({t},{x}) has zero norm")
-        layer[x] = GeneralCoinOp(a / n, b / n, b / n, -a / n)
+            layer[x] = GeneralCoinOp(1.0, 0.0, 0.0, -1.0)
+        else:
+            layer[x] = GeneralCoinOp(ar / n, br / n, br / n, -ar / n)
     return layer
 
 
@@ -193,7 +199,13 @@ def schedule_program(sched: DistributionSchedule) -> CoinProgram:
     """Synthesized program realizing a schedule, ending in the
     disentangling layer that leaves walker amplitudes sqrt(P(x, steps))."""
     plan = plan_amplitudes(sched)
-    return replace(synthesize_coins(plan), final_layer=_final_layer_from_plan(plan))
+    t = plan.steps
+    last = WalkerState(
+        step=t,
+        amplitudes=dict(zip(support(t), zip(plan.a[t].tolist(), plan.b[t].tolist()))),
+        require_normalized=False,
+    )
+    return replace(synthesize_coins(plan), final_layer=disentangle_layer(last))
 
 
 def binomial_schedule(steps: int) -> DistributionSchedule:
@@ -213,48 +225,11 @@ def uniform_schedule(steps: int) -> DistributionSchedule:
     return DistributionSchedule(steps=steps, rows=rows)
 
 
-def gaussian_closed_form(t: int, x: int) -> tuple[float, float]:
-    """Closed-form (cos, sin) of the binomial-target coin at (t >= 1, x)."""
-    u = math.sqrt(1.0 + x / t)
-    v = math.sqrt(1.0 - x / t)
-    return 0.5 * (u - v), 0.5 * (u + v)
-
-
-def uniform_closed_form(t: int, x: int) -> tuple[float, float]:
-    """Closed-form (cos, sin) of the uniform-target coin at (t >= 1, x).
-
-    Non-unitary at |x| = t (sum of squares exceeds 1); callers must fall
-    back to the synthesized value there.
-    """
-    d = t * (t + 2)
-    u = math.sqrt((t + x) * (t + x + 2) / d)
-    v = math.sqrt((t - x) * (t - x + 2) / d)
-    return 0.5 * (u - v), 0.5 * (u + v)
-
-
-def _closed_form_program(steps: int, closed_form) -> CoinProgram:
-    """Closed-form cells where unitary, synthesized cells elsewhere."""
-    if closed_form is gaussian_closed_form:
-        sched = binomial_schedule(steps)
-    else:
-        sched = uniform_schedule(steps)
-    synthesized = schedule_program(sched)
-    cells = {(0, 0): CoinOp(math.pi / 4)}
-    for t in range(1, steps):
-        for x in range(-t, t + 1, 2):
-            c, s = closed_form(t, x)
-            if abs(c * c + s * s - 1.0) <= UNITARITY_TOL:
-                cells[(t, x)] = CoinOp(_angle_from_pair(c, s))
-            else:
-                cells[(t, x)] = synthesized.cells[(t, x)]
-    return replace(synthesized, cells=cells)
-
-
 def gaussian_program(steps: int) -> CoinProgram:
     """Program steering |0>|0> to the binomial distribution at every step."""
-    return _closed_form_program(steps, gaussian_closed_form)
+    return schedule_program(binomial_schedule(steps))
 
 
 def uniform_program(steps: int) -> CoinProgram:
     """Program steering |0>|0> to the flat distribution 1/(t+1) at every step."""
-    return _closed_form_program(steps, uniform_closed_form)
+    return schedule_program(uniform_schedule(steps))

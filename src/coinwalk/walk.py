@@ -18,6 +18,7 @@ from .state import (
     WalkerState,
     localized_state,
     position_distribution,
+    support,
 )
 
 
@@ -93,11 +94,7 @@ def run_program(p: CoinProgram) -> list[StepReport]:
 def hadamard_program(steps: int, initial: WalkerState) -> CoinProgram:
     """Homogeneous walk with theta = pi/4 everywhere, no final layer."""
     theta = math.pi / 4
-    cells = {}
-    support = initial.positions()
-    for t in range(steps):
-        for x in range(min(support) - t, max(support) + t + 1, 2):
-            cells[(t, x)] = CoinOp(theta)
+    cells = {(t, x): CoinOp(theta) for t in range(steps) for x in support(t)}
     return CoinProgram(steps=steps, cells=cells, initial=initial)
 
 

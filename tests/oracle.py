@@ -2,8 +2,13 @@
 
 Evolves the walk by evaluating the amplitude recursion directly on dense
 arrays indexed by (x + t) / 2, with no shared code with the package's
-sparse layer/shift machinery.
+sparse layer/shift machinery. Also holds the closed-form Gaussian and
+uniform coins and an exact-arithmetic amplitude plan, so synthesis is
+checked against references that share none of its code.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,3 +44,44 @@ def _to_dict(a, b, t):
 
 def distribution(amps):
     return {x: abs(p[0]) ** 2 + abs(p[1]) ** 2 for x, p in amps.items()}
+
+
+def gaussian_closed_form(t, x):
+    """Closed-form (cos, sin) of the binomial-target coin at (t >= 1, x)."""
+    u = math.sqrt(1.0 + x / t)
+    v = math.sqrt(1.0 - x / t)
+    return 0.5 * (u - v), 0.5 * (u + v)
+
+
+def uniform_closed_form(t, x):
+    """Closed-form (cos, sin) of the uniform-target coin at (t >= 1, x).
+
+    Non-unitary at |x| > 0 (sum of squares 1 + x^2 / (t (t + 2))).
+    """
+    d = t * (t + 2)
+    u = math.sqrt((t + x) * (t + x + 2) / d)
+    v = math.sqrt((t - x) * (t - x + 2) / d)
+    return 0.5 * (u - v), 0.5 * (u + v)
+
+
+def closed_form_angle(c, s):
+    """Coin angle in [0, pi] of a (cos, sin) pair."""
+    return min(max(math.atan2(s, c), 0.0), math.pi)
+
+
+def exact_plan_squares(prob, steps):
+    """Exact (a^2, b^2) per (t, x) of the left-to-right flux sweep.
+
+    prob(t, x) gives the target as a float; every float is taken exactly
+    as a Fraction, so the only difference from a floating-point plan is
+    the plan's own rounding. Returns a dict (t, x) -> (a^2, b^2).
+    """
+    out = {(0, 0): (Fraction(prob(0, 0)), Fraction(0))}
+    for t in range(steps):
+        b_sq = Fraction(prob(t + 1, -t - 1))
+        out[(t + 1, -t - 1)] = (Fraction(0), b_sq)
+        for x in range(-t, t + 1, 2):
+            a_sq = Fraction(prob(t, x)) - b_sq
+            b_sq = Fraction(prob(t + 1, x + 1)) - a_sq if x < t else Fraction(0)
+            out[(t + 1, x + 1)] = (a_sq, b_sq)
+    return out

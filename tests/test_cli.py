@@ -11,7 +11,7 @@ from coinwalk.cli import (
     EXIT_PARSE,
     main,
 )
-from coinwalk.errors import DomainError
+from coinwalk.errors import DomainError, IncompleteLayerError
 from coinwalk.synth import uniform_program
 
 
@@ -63,11 +63,15 @@ class TestSynthesizeSimulate:
         sched = tmp_path / "targets.txt"
         sched.write_text("0 0 1.0\n1 -1 1.0\n1 1 0.0\n")
         prog = tmp_path / "p.prog"
-        # The final layer has no coin for the empty cell (1, 1); the bare
-        # program needs none.
         assert run("synthesize", "--schedule", sched, "--no-final-layer",
                    "-o", prog) == EXIT_OK
         assert fileio.program_from_text(prog.read_text()).final_layer is None
+        # The empty cell (1, 1) gets a coin too: any orthogonal coin
+        # disentangles a zero pair.
+        assert run("synthesize", "--schedule", sched, "-o", prog) == EXIT_OK
+        final = walk.run_program(fileio.program_from_text(prog.read_text()))[-1].state
+        assert final.pair(-1) == pytest.approx((1, 0), abs=1e-12)
+        assert final.pair(1) == pytest.approx((0, 0), abs=1e-12)
 
 
 class TestCompileCommand:
@@ -116,6 +120,25 @@ class TestExitCodes:
             fileio.program_from_text(text)
         prog = tmp_path / "stray.prog"
         prog.write_text(text)
+        assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_DOMAIN
+
+    def test_stray_final_coin(self, tmp_path):
+        text = fileio.program_to_text(uniform_program(1)) + "F 3 1.0 0.0 0.0 -1.0\n"
+        with pytest.raises(DomainError, match="position 3"):
+            fileio.program_from_text(text)
+        prog = tmp_path / "stray.prog"
+        prog.write_text(text)
+        assert run("simulate", prog, "--out-dir", tmp_path / "o") == EXIT_DOMAIN
+        assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_DOMAIN
+
+    def test_missing_final_coin(self, tmp_path):
+        lines = fileio.program_to_text(uniform_program(1)).splitlines()
+        text = "\n".join(ln for ln in lines if not ln.startswith("F 1 ")) + "\n"
+        with pytest.raises(IncompleteLayerError, match="position 1"):
+            fileio.program_from_text(text)
+        prog = tmp_path / "missing.prog"
+        prog.write_text(text)
+        assert run("simulate", prog, "--out-dir", tmp_path / "o") == EXIT_DOMAIN
         assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_DOMAIN
 
 

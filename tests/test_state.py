@@ -11,6 +11,7 @@ from coinwalk.state import (
     CoinProgram,
     DistributionSchedule,
     GeneralCoinOp,
+    HADAMARD,
     WalkerState,
     localized_state,
     norm,
@@ -117,6 +118,11 @@ class TestCoinProgram:
         cells = {(0, 0): CoinOp(0.3), (5, 1): CoinOp(0.1), (2, 0): CoinOp(0.2)}
         with pytest.raises(DomainError, match="step 2, position 0"):
             CoinProgram(steps=1, cells=cells, initial=localized_state(1, 0))
+
+    def test_empty_initial_state(self):
+        empty = WalkerState(step=0, amplitudes={}, require_normalized=False)
+        p = CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=empty)
+        assert p.layer(0) == {0: HADAMARD}
 
     def test_layer_is_row_t(self):
         rng = np.random.default_rng(8)

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle import gaussian_closed_form, uniform_closed_form
 from coinwalk.errors import (
+    InconsistentPlanError,
     InfeasibleScheduleError,
     UnsupportedStateError,
+    ZeroCellError,
 )
-from coinwalk.state import DistributionSchedule, WalkerState, localized_state
+from coinwalk.state import DistributionSchedule, GeneralCoinOp, WalkerState, localized_state
 from coinwalk.synth import (
     AmplitudePlan,
     binomial_schedule,
     disentangle_layer,
-    gaussian_closed_form,
     gaussian_program,
     plan_amplitudes,
     synthesize_coins,
-    uniform_closed_form,
     uniform_program,
     uniform_schedule,
 )
@@ -98,7 +99,29 @@ class TestPlanAmplitudes:
         )
         with pytest.raises(InfeasibleScheduleError) as err:
             plan_amplitudes(sched)
-        assert err.value.cell is not None
+        assert err.value.cell == (2, 0)
+        assert "-0.8" in str(err.value)
+
+    def test_negative_left_edge_target_names_cell(self):
+        # Schedules accept P >= -1e-9; the plan needs b^2 >= -1e-12.
+        sched = DistributionSchedule(
+            steps=1, rows={0: {0: 1.0}, 1: {-1: -5e-10, 1: 1.0 + 5e-10}}
+        )
+        with pytest.raises(InfeasibleScheduleError) as err:
+            plan_amplitudes(sched)
+        assert err.value.cell == (1, -1)
+
+    def test_matches_exact_sweep(self):
+        # The difference form cumsum(q - [0, p]) keeps every square at the
+        # exact sweep's value to rounding; cumsum(q) - [0, cumsum(p)] does not.
+        steps = 100
+        sched = uniform_schedule(steps)
+        exact = oracle.exact_plan_squares(sched.prob, steps)
+        plan = plan_amplitudes(sched)
+        for (t, x), (a_sq, b_sq) in exact.items():
+            a, b = plan.pair(t, x)
+            assert abs(a * a - float(a_sq)) <= 1e-15
+            assert abs(b * b - float(b_sq)) <= 1e-15
 
 
 class TestSynthesizeCoins:
@@ -106,14 +129,32 @@ class TestSynthesizeCoins:
         alpha = 0.7
         plan = AmplitudePlan(
             steps=1,
-            cells={
-                (0, 0): (1.0, 0.0),
-                (1, 1): (math.cos(alpha), 0.0),
-                (1, -1): (0.0, math.sin(alpha)),
-            },
+            a=[[1.0], [0.0, math.cos(alpha)]],
+            b=[[0.0], [math.sin(alpha), 0.0]],
         )
         prog = synthesize_coins(plan)
         assert prog.cells[(0, 0)].theta == pytest.approx(alpha, abs=1e-12)
+
+    def test_zero_cell_with_nonzero_child_names_cell(self):
+        # Cell (1,-1) is empty but its left child b(2,-2) is not.
+        plan = AmplitudePlan(
+            steps=2,
+            a=[[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+            b=[[0.0], [0.0, 0.0], [0.6, 0.0, 0.0]],
+        )
+        with pytest.raises(ZeroCellError, match=r"cell \(1,-1\)"):
+            synthesize_coins(plan)
+
+    def test_inconsistent_plan_names_cell(self):
+        # Row 1 splits by alpha; cell (1,1) then feeds twice its amplitude.
+        c, s = math.cos(0.7), math.sin(0.7)
+        plan = AmplitudePlan(
+            steps=2,
+            a=[[1.0], [0.0, c], [0.0, 0.0, 2 * c]],
+            b=[[0.0], [s, 0.0], [s, 0.0, 0.0]],
+        )
+        with pytest.raises(InconsistentPlanError, match=r"cell \(1,1\)"):
+            synthesize_coins(plan)
 
     def test_uniform_boundary_cell(self):
         plan = plan_amplitudes(uniform_schedule(2))
@@ -236,6 +277,23 @@ class TestBuiltInPrograms:
             assert abs(a - target) < 1e-9
             assert abs(b) < 1e-9
 
+    @pytest.mark.parametrize(
+        "program, closed_form",
+        [(gaussian_program, gaussian_closed_form), (uniform_program, uniform_closed_form)],
+    )
+    def test_angles_match_closed_forms(self, program, closed_form):
+        steps = 50
+        prog = program(steps)
+        checked = 0
+        for t in range(1, steps):
+            for x in range(-t, t + 1, 2):
+                c, s = closed_form(t, x)
+                if abs(c * c + s * s - 1.0) <= 1e-9:
+                    expected = oracle.closed_form_angle(c, s)
+                    assert abs(prog.cells[(t, x)].theta - expected) <= 1e-13
+                    checked += 1
+        assert checked >= (steps - 1) // 2  # uniform: only x = 0 at even t
+
     def test_initial_cell_is_pi_over_4(self):
         assert gaussian_program(3).cells[(0, 0)].theta == math.pi / 4
         assert uniform_program(3).cells[(0, 0)].theta == math.pi / 4
@@ -275,6 +333,12 @@ class TestDisentangleLayer:
             a, b = out.pair(x)
             assert abs(a - 1 / math.sqrt(10)) < 1e-9
             assert abs(b) < 1e-9
+
+    def test_zero_pair_gets_diagonal_coin(self):
+        s = WalkerState(step=1, amplitudes={-1: (1.0, 0.0), 1: (0.0, 0.0)})
+        layer = disentangle_layer(s)
+        assert layer[1] == GeneralCoinOp(1.0, 0.0, 0.0, -1.0)
+        assert apply_coin_layer(s, layer).pair(1) == (0j, 0j)
 
     def test_rejects_complex_amplitudes(self):
         s = localized_state(1 / math.sqrt(2), 1j / math.sqrt(2))
