@@ -1,8 +1,9 @@
 """Text file formats: programs, distributions, schedules, calibrations.
 
-All formats are plain text, deterministic, and round-trip exactly:
-floats serialize via repr (shortest exact decimal), except pulse times
-and voltages which are fixed to 4 decimals to match the hardware's
+All formats are plain text and deterministic; target schedules and
+calibrations are only read, the others round-trip exactly: floats
+serialize via repr (shortest exact decimal), except pulse times and
+voltages which are fixed to 4 decimals to match the hardware's
 resolution.
 """
 
@@ -114,14 +115,6 @@ def distribution_from_text(text: str) -> dict[int, float]:
     return out
 
 
-def schedule_targets_to_text(sched: DistributionSchedule) -> str:
-    lines = []
-    for t in range(sched.steps + 1):
-        for x in sorted(sched.rows[t]):
-            lines.append(f"{t} {x} {_f(sched.rows[t][x])}")
-    return "\n".join(lines) + "\n"
-
-
 def schedule_targets_from_text(text: str) -> DistributionSchedule:
     rows: dict[int, dict[int, float]] = {}
     for ln in text.splitlines():
@@ -140,10 +133,6 @@ def schedule_targets_from_text(text: str) -> DistributionSchedule:
         raise ParseError("empty schedule file")
     rows.setdefault(0, {0: 1.0})
     return DistributionSchedule(steps=max(rows), rows=rows)
-
-
-def calibration_to_text(cal: Calibration) -> str:
-    return "\n".join(f"{_f(p)} {_f(v)}" for p, v in cal.anchors) + "\n"
 
 
 def calibration_from_text(text: str) -> Calibration:

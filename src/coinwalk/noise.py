@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import shannon_entropy, similarity
-from .state import CoinOp, CoinProgram, position_distribution
-from .walk import _damped_step, run_program
+from .state import CoinOp, CoinProgram, support
+from .walk import _rows, run_program
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ def expected_counts(
     """
     if total_events < 0:
         raise DomainError("total_events must be >= 0")
+    _require_step(p, step)
     if nm.right_move_loss > 0.0:
         dist = lossy_distribution(p, step, nm.right_move_loss)
     else:
@@ -64,16 +65,25 @@ def detected_event_budget(nm: NoiseModel, launches: float, step: int) -> float:
     return launches * nm.round_trip_survival ** step * nm.outcoupling_fraction
 
 
+def _require_step(p: CoinProgram, step: int) -> None:
+    if not 0 <= step <= p.steps:
+        raise DomainError(f"step must lie in [0, {p.steps}], got {step!r}")
+
+
 def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dict[int, float]:
     """Distribution at a step with amplitude damping on every right-move,
     renormalized at detection."""
-    damp = math.sqrt(1.0 - right_move_loss)
-    s = p.initial
-    for t in range(step):
-        s = _damped_step(s, p.layer(t), damp)
-    raw = position_distribution(s)
-    total = sum(raw.values())
-    return {x: v / total for x, v in raw.items()}
+    _require_step(p, step)
+    if not 0.0 <= right_move_loss <= 1.0:
+        raise DomainError(f"right_move_loss must lie in [0, 1], got {right_move_loss!r}")
+    *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
+    raw = [abs(u) ** 2 + abs(v) ** 2 for u, v in zip(a.tolist(), b.tolist())]
+    total = sum(raw)
+    if total == 0.0:
+        raise DomainError(
+            f"no amplitude survives {step} steps at right_move_loss {right_move_loss!r}"
+        )
+    return {x: v / total for x, v in zip(support(step), raw)}
 
 
 def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:

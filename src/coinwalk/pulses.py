@@ -174,8 +174,9 @@ def compile_schedule(
 ) -> PulseSchedule:
     """Emit one time-sorted electrical pulse per (cell, arm).
 
-    Raises CollisionError when any two pulses overlap in time; overlaps
-    are reported, never silently merged.
+    Raises CollisionError when any two pulses overlap in time, or when the
+    last pulse ends after the laser period that starts at the launch offset;
+    overlaps are reported, never silently merged.
     """
     tm = tm or TimingModel()
     cal = cal or Calibration()
@@ -204,6 +205,14 @@ def compile_schedule(
             f"{len(collisions)} overlapping pulse pair(s): "
             f"{collisions[:REPORTED_COLLISIONS]}{more}",
             collisions=collisions,
+        )
+    # Events are time-sorted and share one width, so the last one ends last.
+    last = events[-1]
+    end, period_end = last.time_ns + last.width_ns, launch_offset_ns + tm.rep_period_ns
+    if end > period_end:
+        raise CollisionError(
+            f"pulse ({last.step},{last.position},{last.arm}) ends at {end:.1f} ns, "
+            f"after the laser period ends at {period_end:.1f} ns"
         )
     return PulseSchedule(events=tuple(events))
 

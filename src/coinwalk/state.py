@@ -10,6 +10,7 @@ evolution invariants are asserted at 1e-12.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import InitVar, dataclass
 
@@ -53,8 +54,9 @@ class WalkerState:
         object.__setattr__(self, "amplitudes", amps)
         positions = support(self.step)
         for x, (a, b) in amps.items():
-            _require_finite(a, f"amplitude a({x},{self.step})")
-            _require_finite(b, f"amplitude b({x},{self.step})")
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                _require_finite(a, f"amplitude a({x},{self.step})")
+                _require_finite(b, f"amplitude b({x},{self.step})")
             if x not in positions:
                 raise DomainError(
                     f"position {x} is outside the step-{self.step} support "
@@ -142,11 +144,14 @@ class GeneralCoinOp:
     m11: float
 
     def __post_init__(self):
-        m = self.matrix
-        if not np.all(np.isfinite(m)):
+        m00, m01, m10, m11 = self.m00, self.m01, self.m10, self.m11
+        if not all(map(math.isfinite, (m00, m01, m10, m11))):
             raise DomainError("coin entries must be finite")
-        if not np.allclose(m.T @ m, np.eye(2), atol=EVOLUTION_TOL, rtol=0.0):
-            raise DomainError(f"coin matrix {m.tolist()} is not orthogonal")
+        # The entries of m^T m - I: column norms minus one and the column product.
+        residuals = (m00 * m00 + m10 * m10 - 1.0, m01 * m01 + m11 * m11 - 1.0,
+                     m00 * m01 + m10 * m11)
+        if max(map(abs, residuals)) > EVOLUTION_TOL:
+            raise DomainError(f"coin matrix {self.matrix.tolist()} is not orthogonal")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 Shift convention: the coin-|0> amplitude a(x, t) feeds position x+1 and the
 coin-|1> amplitude b(x, t) feeds x-1. The mirror convention (a moves left)
-is available through :func:`mirror_program`.
+is available through :func:`mirror_program`. Programs run on dense rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import IncompleteLayerError
 from .state import (
@@ -64,14 +66,15 @@ def step(s: WalkerState, coins_at_t: dict[int, CoinOp]) -> WalkerState:
     return apply_shift(apply_coin_layer(s, coins_at_t))
 
 
-def _damped_step(
-    s: WalkerState, coins_at_t: dict[int, CoinOp], right_damping: float
-) -> WalkerState:
-    """:func:`step` with every right-moving (coin-|0>) amplitude scaled by
-    ``right_damping`` between the coin layer and the shift."""
-    s = apply_coin_layer(s, coins_at_t)
-    damped = {x: (right_damping * a, b) for x, (a, b) in s.amplitudes.items()}
-    return apply_shift(WalkerState(step=s.step, amplitudes=damped, require_normalized=False))
+def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0):
+    """Rows a, b at x = 2i - t for t = 0..steps, every right-move scaled by ``right_damping``."""
+    a, b = np.array([p.initial.pair(0)]).T
+    yield a, b
+    for t in range(steps):
+        theta = np.array([op.theta for op in p.layer(t).values()])
+        c, s = np.cos(theta), np.sin(theta)
+        a, b = np.append(0j, right_damping * (c * a + s * b)), np.append(s * a - c * b, 0j)
+        yield a, b
 
 
 def run_program(p: CoinProgram) -> list[StepReport]:
@@ -81,13 +84,13 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     final disentangling layer, it is applied (coin only, no shift) before
     the last report, so the last state has every pair of the form (r, 0).
     """
-    s = p.initial
-    reports = [StepReport(0, s, position_distribution(s))]
-    for t in range(p.steps):
-        s = step(s, p.layer(t))
-        if t == p.steps - 1 and p.final_layer is not None:
+    reports = []
+    for t, (a, b) in enumerate(_rows(p, p.steps)):
+        amps = dict(zip(support(t), zip(a.tolist(), b.tolist())))
+        s = WalkerState(t, amps, require_normalized=False) if t else p.initial
+        if t == p.steps and p.final_layer is not None:
             s = apply_coin_layer(s, p.final_layer)
-        reports.append(StepReport(t + 1, s, position_distribution(s)))
+        reports.append(StepReport(t, s, position_distribution(s)))
     return reports
 
 

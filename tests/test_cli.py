@@ -92,6 +92,12 @@ class TestCompileCommand:
         assert code == EXIT_COLLISION
 
 
+    def test_pulse_past_laser_period_exit_code(self, tmp_path):
+        prog = tmp_path / "u.prog"
+        run("synthesize", "--target", "uniform", "--steps", "14", "-o", prog)
+        assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_COLLISION
+
+
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.prog"

@@ -87,6 +87,18 @@ class TestExpectedCounts:
             for x, v in ref.items():
                 assert abs(got[x] - v / total) < 1e-12
 
+    def test_lossy_t300_matches_damped_recursion(self):
+        steps, loss = 300, 0.3
+        prog = uniform_program(steps)
+        ref = oracle.distribution(oracle.evolve(
+            lambda t, x: prog.cells[(t, x)].theta, (1.0, 0.0), steps, math.sqrt(1 - loss)
+        )[steps])
+        total = sum(ref.values())
+        got = lossy_distribution(prog, steps, loss)
+        assert got.keys() == ref.keys()
+        for x, v in ref.items():
+            assert abs(got[x] - v / total) < 1e-12
+
     def test_lossy_counts_run_one_walk(self, monkeypatch):
         prog = uniform_program(5)
         expected = lossy_distribution(prog, 5, 0.3)
@@ -97,6 +109,32 @@ class TestExpectedCounts:
         monkeypatch.setattr(noise, "run_program", no_lossless_walk)
         counts = expected_counts(prog, NoiseModel(right_move_loss=0.3), 5, 1000)
         assert counts == {x: v * 1000 for x, v in expected.items()}
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("loss", [0.0, 0.05])
+    @pytest.mark.parametrize("step", [-1, 6])
+    def test_expected_counts_rejects_step_outside_program(self, step, loss):
+        with pytest.raises(DomainError, match=rf"\[0, 5\], got {step}"):
+            expected_counts(uniform_program(5), NoiseModel(right_move_loss=loss), step, 100)
+
+    @pytest.mark.parametrize("step", [-1, 6])
+    def test_lossy_rejects_step_outside_program(self, step):
+        with pytest.raises(DomainError, match=rf"\[0, 5\], got {step}"):
+            lossy_distribution(uniform_program(5), step, 0.05)
+
+    @pytest.mark.parametrize("loss", [1.5, -0.5, math.nan])
+    def test_lossy_rejects_loss_outside_unit_interval(self, loss):
+        with pytest.raises(DomainError, match=f"got {loss}"):
+            lossy_distribution(uniform_program(3), 3, loss)
+
+    def test_lossy_rejects_zero_surviving_mass(self):
+        # theta = 0 keeps the coin in |0>, so every amplitude moves right.
+        cells = {(t, x): CoinOp(0.0) for t in range(3) for x in range(-t, t + 1, 2)}
+        prog = CoinProgram(steps=3, cells=cells, initial=localized_state(1, 0))
+        with pytest.raises(DomainError, match="no amplitude survives 3 steps"):
+            lossy_distribution(prog, 3, 1.0)
+        assert lossy_distribution(prog, 0, 1.0) == {0: 1.0}
 
 
 class TestSampleCounts:

@@ -148,6 +148,12 @@ class TestCompile:
         assert str(err.value.collisions[4]) in message
         assert str(err.value.collisions[5]) not in message
 
+    def test_last_pulse_must_end_within_the_laser_period(self):
+        last = compile_schedule(uniform_program(13)).events[-1]
+        assert last.time_ns + last.width_ns == pytest.approx(942.5)
+        with pytest.raises(CollisionError, match="ends at 1017.7 ns"):
+            compile_schedule(uniform_program(14))
+
     def test_determinism_byte_identical(self):
         p = gaussian_program(7)
         a = pulse_schedule_to_text(compile_schedule(p))

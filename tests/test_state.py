@@ -55,6 +55,10 @@ class TestWalkerState:
         with pytest.raises(DomainError):
             WalkerState(step=1, amplitudes={3: (1 + 0j, 0j)})
 
+    def test_nonfinite_amplitude_named(self):
+        with pytest.raises(DomainError, match=r"amplitude b\(2,2\) must have finite"):
+            WalkerState(step=2, amplitudes={0: (0j, 0j), 2: (1 + 0j, complex(math.inf))})
+
     def test_norm_of_localized(self):
         assert norm(localized_state(1, 0)) == 1.0
 
@@ -96,6 +100,11 @@ class TestGeneralCoinOp:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(DomainError):
             GeneralCoinOp(1.0, 1.0, 0.0, 1.0)
+
+    def test_orthogonality_tolerance_edge(self):
+        with pytest.raises(DomainError, match="is not orthogonal"):
+            GeneralCoinOp(1.0, 2e-12, 0.0, -1.0)
+        GeneralCoinOp(1.0, 5e-13, 0.0, -1.0)
 
 
 class TestCoinProgram:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,16 @@ from hypothesis import strategies as st
 
 import oracle
 from coinwalk.errors import IncompleteLayerError
-from coinwalk.state import CoinOp, GeneralCoinOp, WalkerState, localized_state, norm
+from coinwalk.state import (
+    HADAMARD,
+    CoinOp,
+    CoinProgram,
+    GeneralCoinOp,
+    WalkerState,
+    localized_state,
+    norm,
+)
+from coinwalk.synth import uniform_program
 from coinwalk.walk import (
     apply_coin_layer,
     apply_shift,
@@ -116,6 +126,39 @@ class TestRunProgram:
             assert len(r.state.positions()) <= r.step + 1
 
 
+    def test_empty_initial_state_reports_zero_pairs(self):
+        empty = WalkerState(step=0, amplitudes={}, require_normalized=False)
+        cells = {(t, x): HADAMARD for t in range(3) for x in range(-t, t + 1, 2)}
+        reports = run_program(CoinProgram(steps=3, cells=cells, initial=empty))
+        assert reports[0].state is empty
+        for r in reports[1:]:
+            assert r.state.amplitudes == {x: (0j, 0j) for x in range(-r.step, r.step + 1, 2)}
+            assert r.distribution == {x: 0.0 for x in range(-r.step, r.step + 1, 2)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_iterated_public_step(self, seed):
+        rng = np.random.default_rng(seed)
+        steps = int(rng.integers(1, 10))
+        cells = {
+            (t, x): CoinOp(float(rng.uniform(0, math.pi)))
+            for t in range(steps)
+            for x in range(-t, t + 1, 2)
+        }
+        a = math.cos(rng.uniform(0, math.pi / 2))
+        b = math.sqrt(1 - a * a) * complex(np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        p = CoinProgram(steps=steps, cells=cells, initial=localized_state(a, b))
+        s = p.initial
+        for r in run_program(p):
+            assert r.step == s.step
+            assert r.state.amplitudes.keys() == s.amplitudes.keys()
+            for x, (ea, eb) in s.amplitudes.items():
+                ga, gb = r.state.pair(x)
+                assert abs(ga - ea) <= 1e-15
+                assert abs(gb - eb) <= 1e-15
+            if s.step < steps:
+                s = step(s, p.layer(s.step))
+
+
 class TestOracleEquivalence:
     def test_hadamard_matches_direct_recursion(self):
         steps = 11
@@ -125,6 +168,19 @@ class TestOracleEquivalence:
             got = reports[t].state.amplitudes
             for x, (ea, eb) in ref[t].items():
                 ga, gb = got.get(x, (0j, 0j))
+                assert abs(ga - ea) < 1e-12
+                assert abs(gb - eb) < 1e-12
+
+    def test_uniform_t300_matches_direct_recursion(self):
+        steps = 300
+        p = replace(uniform_program(steps), final_layer=None)
+        reports = run_program(p)
+        ref = oracle.evolve(lambda t, x: p.cells[(t, x)].theta, (1.0, 0.0), steps)
+        for t in range(steps + 1):
+            got = reports[t].state.amplitudes
+            assert got.keys() == ref[t].keys()
+            for x, (ea, eb) in ref[t].items():
+                ga, gb = got[x]
                 assert abs(ga - ea) < 1e-12
                 assert abs(gb - eb) < 1e-12
 
