@@ -40,10 +40,10 @@ class NoiseModel:
 def expected_counts(
     p: CoinProgram, nm: NoiseModel, step: int, total_events: int
 ) -> dict[int, float]:
-    """Ideal P(x, step) scaled to ``total_events`` detected events.
+    """P(x, step) scaled to ``total_events`` detected events.
 
-    Flat losses rescale the budget, not the shape, so the shape here is
-    the noiseless one; see detected_event_budget for the budget itself.
+    Flat losses rescale the budget, not the shape (see detected_event_budget);
+    only a right-move loss, when set, reshapes it (see lossy_distribution).
     """
     if total_events < 0:
         raise DomainError("total_events must be >= 0")

@@ -91,7 +91,6 @@ class TestCompileCommand:
                    "--dt-ns", "1.8", "--sagnac-ns", "0.9")
         assert code == EXIT_COLLISION
 
-
     def test_pulse_past_laser_period_exit_code(self, tmp_path):
         prog = tmp_path / "u.prog"
         run("synthesize", "--target", "uniform", "--steps", "14", "-o", prog)

@@ -125,7 +125,6 @@ class TestRunProgram:
         for r in reports:
             assert len(r.state.positions()) <= r.step + 1
 
-
     def test_empty_initial_state_reports_zero_pairs(self):
         empty = WalkerState(step=0, amplitudes={}, require_normalized=False)
         cells = {(t, x): HADAMARD for t in range(3) for x in range(-t, t + 1, 2)}
