@@ -34,6 +34,14 @@ EXIT_INFEASIBLE = 3
 EXIT_COLLISION = 4
 EXIT_DOMAIN = 5
 
+# Exit code of an error: the first class in this order that it is an instance of.
+EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (InfeasibleScheduleError, EXIT_INFEASIBLE),
+    (CollisionError, EXIT_COLLISION),
+    (CoinWalkError, EXIT_DOMAIN),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coinwalk", description=__doc__)
@@ -277,18 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "reproduce":
             print(f"seed {args.seed}", file=sys.stderr)
             _cmd_reproduce(args, args.seed)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasibleScheduleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CollisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
     except CoinWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
     return EXIT_OK
 
 

@@ -51,10 +51,6 @@ class UnsupportedStateError(CoinWalkError):
     """The operation requires real amplitudes but got complex ones."""
 
 
-class UnsupportedCoinError(CoinWalkError):
-    """The compiler only handles angle-parametrized coins in stepped layers."""
-
-
 class CollisionError(CoinWalkError):
     """Two electrical pulses overlap at the modulator.
 

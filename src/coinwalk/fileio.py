@@ -69,11 +69,15 @@ def program_from_text(text: str) -> CoinProgram:
                 if len(parts) != 6:
                     raise ValueError("expected 6 fields")
                 x = int(parts[1])
+                if x in final:
+                    raise ValueError(f"final coin at position {x} repeated")
                 final[x] = GeneralCoinOp(*(float(v) for v in parts[2:6]))
             else:
                 if len(parts) != 3:
                     raise ValueError("expected 3 fields")
                 t, x = int(parts[0]), int(parts[1])
+                if (t, x) in cells:
+                    raise ValueError(f"cell ({t},{x}) repeated")
                 cells[(t, x)] = CoinOp(float(parts[2]))
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad program line {ln!r}: {exc}") from exc
@@ -107,9 +111,12 @@ def distribution_from_text(text: str) -> dict[int, float]:
         if len(parts) not in (2, 3):
             raise ParseError(f"bad distribution line {ln!r}")
         try:
-            out[int(parts[0])] = float(parts[1])
+            x, prob = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ParseError(f"bad distribution line {ln!r}: {exc}") from exc
+        if x in out:
+            raise ParseError(f"bad distribution line {ln!r}: position {x} repeated")
+        out[x] = prob
     if not out:
         raise ParseError("empty distribution file")
     return out
@@ -128,7 +135,10 @@ def schedule_targets_from_text(text: str) -> DistributionSchedule:
             t, x, prob = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(f"bad target line {ln!r}: {exc}") from exc
-        rows.setdefault(t, {})[x] = prob
+        row = rows.setdefault(t, {})
+        if x in row:
+            raise ParseError(f"bad target line {ln!r}: P({x},{t}) repeated")
+        row[x] = prob
     if not rows:
         raise ParseError("empty schedule file")
     rows.setdefault(0, {0: 1.0})

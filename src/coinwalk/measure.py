@@ -15,20 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, MustDisentangleError, NormalizationError
-from .state import WalkerState
-
-DIST_TOL = 1e-9
-
-
-def _check_distribution(p: Mapping[int, float], name: str) -> None:
-    total = 0.0
-    for x, v in p.items():
-        if v < -DIST_TOL:
-            raise NormalizationError(f"{name}[{x}] = {v!r} is negative")
-        total += v
-    if abs(total - 1.0) > DIST_TOL:
-        raise NormalizationError(f"{name} sums to {total!r}, expected 1")
+from .errors import DomainError, MustDisentangleError
+from .state import WalkerState, check_distribution, support
 
 
 def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
@@ -37,8 +25,8 @@ def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     Equals 1 exactly when the distributions match and 0 when their
     supports are disjoint.
     """
-    _check_distribution(p, "p")
-    _check_distribution(q, "q")
+    check_distribution(p, "p")
+    check_distribution(q, "q")
     f = sum(
         math.sqrt(max(p.get(x, 0.0), 0.0) * max(q.get(x, 0.0), 0.0))
         for x in set(p) | set(q)
@@ -48,7 +36,7 @@ def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
 
 def shannon_entropy(p: Mapping[int, float]) -> float:
     """Entropy -sum p log2 p in bits, with 0 log 0 = 0."""
-    _check_distribution(p, "p")
+    check_distribution(p, "p")
     total = 0.0
     for v in p.values():
         if v > 0.0:
@@ -157,8 +145,9 @@ def extract_bits(samples: Iterable[int], t: int) -> BitExtraction:
     cap = 1 << width
     chunks = []
     rejected = 0
+    positions = support(t)
     for x in samples:
-        if abs(x) > t or (x - t) % 2 != 0:
+        if x not in positions:
             raise DomainError(f"position {x} outside the step-{t} support")
         idx = (x + t) // 2
         if idx >= cap:

@@ -87,12 +87,20 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
 
 
 def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
-    """Multinomial draw of n events from a distribution, reproducible per seed."""
+    """Multinomial draw of n events from nonnegative weights, renormalized,
+    reproducible per seed."""
     if n < 0:
         raise DomainError("n must be >= 0")
     xs = sorted(p)
     probs = np.array([p[x] for x in xs], dtype=float)
-    probs = probs / probs.sum()
+    bad = ~np.isfinite(probs) | (probs < 0.0)
+    if bad.any():
+        x = xs[int(np.argmax(bad))]
+        raise DomainError(f"weight at x = {x} is {p[x]!r}, not finite and >= 0")
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise DomainError(f"weights sum to {float(total)!r}, need a positive finite total")
+    probs = probs / total
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, probs)
     return {x: int(c) for x, c in zip(xs, counts)}

@@ -13,14 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    AlignmentError,
-    CollisionError,
-    DomainError,
-    OrphanEventError,
-    UnsupportedCoinError,
-)
-from .state import CoinProgram
+from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError
+from .state import CoinProgram, support
 
 ARM_CCW = "ccw"  # horizontal polarization, undelayed
 ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
@@ -85,6 +79,8 @@ class Calibration:
     def __post_init__(self):
         if len(self.anchors) < 2:
             raise DomainError("calibration needs at least two anchors")
+        if not all(math.isfinite(p) and math.isfinite(v) for p, v in self.anchors):
+            raise DomainError(f"calibration anchors must be finite, got {self.anchors!r}")
         phases = [p for p, _ in self.anchors]
         volts = [v for _, v in self.anchors]
         if any(b <= a for a, b in zip(phases, phases[1:])):
@@ -137,15 +133,10 @@ def coin_to_phases(p: CoinProgram) -> list[PhaseCell]:
     The final disentangling layer is not compiled (it is realized by wave
     plates plus an extra walk step, not by the modulator path).
     """
-    out = []
-    for (t, x), op in sorted(p.cells.items()):
-        if not hasattr(op, "theta"):
-            raise UnsupportedCoinError(
-                f"cell ({t},{x}) is not angle-parametrized and cannot be "
-                f"phase-decomposed"
-            )
-        out.append(PhaseCell(t=t, x=x, phi_h=op.theta, phi_v=math.pi - op.theta))
-    return out
+    return [
+        PhaseCell(t=t, x=x, phi_h=op.theta, phi_v=math.pi - op.theta)
+        for (t, x), op in sorted(p.cells.items())
+    ]
 
 
 def arrival_time(
@@ -156,7 +147,7 @@ def arrival_time(
     Each step adds the base round-trip time; each right-move adds one bin
     delay; the clockwise arm adds the Sagnac delay.
     """
-    if abs(x) > t or (x - t) % 2 != 0:
+    if x not in support(t):
         raise DomainError(f"({t},{x}) is not a valid (step, position) pair")
     if arm not in (ARM_CCW, ARM_CW):
         raise DomainError(f"unknown arm {arm!r}")
@@ -225,7 +216,8 @@ def decompile_schedule(
     Pairs the two arm events of each cell, validates their times against
     the timing model (a common launch offset is inferred from the first
     event), and inverts the calibration. Raises OrphanEventError for a
-    cell missing an arm and AlignmentError for a time off its slot.
+    cell missing an arm, AlignmentError for a time off its slot and
+    DomainError for a non-finite voltage.
     """
     tm = tm or TimingModel()
     cal = cal or Calibration()
@@ -236,10 +228,15 @@ def decompile_schedule(
     by_cell: dict[tuple[int, int], dict[str, PulseEvent]] = {}
     for e in ps.events:
         expected = arrival_time(e.step, e.position, e.arm, tm, offset)
-        if abs(e.time_ns - expected) > ALIGNMENT_TOL_NS:
+        # Written so that a NaN time fails it.
+        if not abs(e.time_ns - expected) <= ALIGNMENT_TOL_NS:
             raise AlignmentError(
                 f"event ({e.step},{e.position},{e.arm}) at {e.time_ns} ns does "
                 f"not match its slot at {expected} ns"
+            )
+        if not math.isfinite(e.voltage_v):
+            raise DomainError(
+                f"event ({e.step},{e.position},{e.arm}) has voltage {e.voltage_v!r}"
             )
         slot = by_cell.setdefault((e.step, e.position), {})
         if e.arm in slot:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import InitVar, dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -27,6 +28,20 @@ AmplitudePair = tuple[complex, complex]
 def support(t: int) -> range:
     """Positions -t, -t+2, ..., t the walker can occupy after t steps."""
     return range(-t, t + 1, 2)
+
+
+def check_distribution(p: Mapping[int, float], name: str) -> None:
+    """Require a probability row: every entry finite and >= -1e-9
+    (DomainError), the entries summing to 1 within 1e-9 (NormalizationError)."""
+    total = 0.0
+    for x, v in p.items():
+        if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
+            raise DomainError(f"{name} at x = {x} is {v!r}, not a probability")
+        total += v
+    if abs(total - 1.0) > CONSTRUCTION_TOL:
+        raise NormalizationError(
+            f"{name} sums to {total!r}, expected 1 within {CONSTRUCTION_TOL}"
+        )
 
 
 def _require_finite(z: complex, what: str) -> None:
@@ -83,15 +98,7 @@ def localized_state(coin_amp0: complex, coin_amp1: complex) -> WalkerState:
     The coin starts in coin_amp0 |0> + coin_amp1 |1>; the pair must be
     normalized within 1e-9.
     """
-    a, b = complex(coin_amp0), complex(coin_amp1)
-    _require_finite(a, "coin_amp0")
-    _require_finite(b, "coin_amp1")
-    n = abs(a) ** 2 + abs(b) ** 2
-    if abs(n - 1.0) > CONSTRUCTION_TOL:
-        raise NormalizationError(
-            f"|amp0|^2 + |amp1|^2 = {n!r}, expected 1 within {CONSTRUCTION_TOL}"
-        )
-    return WalkerState(step=0, amplitudes={0: (a, b)})
+    return WalkerState(step=0, amplitudes={0: (coin_amp0, coin_amp1)})
 
 
 def norm(s: WalkerState) -> float:
@@ -166,9 +173,10 @@ class GeneralCoinOp:
 class CoinProgram:
     """Full assignment of a coin to every (step, position) cell.
 
-    ``cells`` covers exactly the positions reachable at each step t < steps;
-    ``final_layer``, when present, is the coin-only disentangling layer
-    applied after the last shift and covers exactly ``support(steps)``.
+    ``cells`` holds a CoinOp at exactly the positions reachable at each
+    step t < steps; ``final_layer``, when present, is the coin-only
+    disentangling layer applied after the last shift and holds a
+    GeneralCoinOp at exactly the positions of ``support(steps)``.
     """
 
     steps: int
@@ -184,9 +192,14 @@ class CoinProgram:
         expected = 0
         for t in range(self.steps):
             for x in support(t):
-                if (t, x) not in self.cells:
+                op = self.cells.get((t, x))
+                if op is None:
                     raise IncompleteLayerError(
                         f"program is missing a coin at step {t}, position {x}"
+                    )
+                if not isinstance(op, CoinOp):
+                    raise DomainError(
+                        f"cell ({t},{x}) holds a {type(op).__name__}, not a CoinOp"
                     )
                 expected += 1
         if len(self.cells) != expected:
@@ -201,9 +214,15 @@ class CoinProgram:
         if self.final_layer is not None:
             last = support(self.steps)
             for x in last:
-                if x not in self.final_layer:
+                op = self.final_layer.get(x)
+                if op is None:
                     raise IncompleteLayerError(
                         f"final layer is missing a coin at position {x}"
+                    )
+                if not isinstance(op, GeneralCoinOp):
+                    raise DomainError(
+                        f"final-layer coin at position {x} is a "
+                        f"{type(op).__name__}, not a GeneralCoinOp"
                     )
             if len(self.final_layer) != len(last):
                 x = min(x for x in self.final_layer if x not in last)
@@ -236,20 +255,12 @@ class DistributionSchedule:
             row = rows.get(t)
             if row is None:
                 raise DomainError(f"schedule is missing the row for step {t}")
-            total = 0.0
-            positions = support(t)
-            for x, p in row.items():
-                if not math.isfinite(p) or p < -CONSTRUCTION_TOL:
-                    raise DomainError(f"P({x},{t}) = {p!r} is not a probability")
-                if p > CONSTRUCTION_TOL and x not in positions:
+            check_distribution(row, f"row {t}")
+            for x in sorted(row.keys() - set(support(t))):
+                if row[x] > CONSTRUCTION_TOL:
                     raise DomainError(
-                        f"P({x},{t}) = {p!r} lies outside the step-{t} support"
+                        f"P({x},{t}) = {row[x]!r} lies outside the step-{t} support"
                     )
-                total += p
-            if abs(total - 1.0) > CONSTRUCTION_TOL:
-                raise NormalizationError(
-                    f"row {t} sums to {total!r}, expected 1 within {CONSTRUCTION_TOL}"
-                )
 
     def prob(self, t: int, x: int) -> float:
         return self.rows[t].get(x, 0.0)

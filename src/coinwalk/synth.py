@@ -211,9 +211,11 @@ def schedule_program(sched: DistributionSchedule) -> CoinProgram:
 def binomial_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = C(t, (t+x)/2) / 2^t, the classical-walk profile."""
     rows = {}
+    comb = [1]  # C(t, k) for k = 0..t, exact, one Pascal row per step
     for t in range(steps + 1):
-        rows[t] = {x: math.comb(t, (t + x) // 2) / 2.0 ** t
-                   for x in range(-t, t + 1, 2)}
+        # int / int is correctly rounded and, unlike 2.0 ** t, finite for t >= 1024.
+        rows[t] = {x: c / (1 << t) for x, c in zip(support(t), comb)}
+        comb = [a + b for a, b in zip([0, *comb], [*comb, 0])]
     return DistributionSchedule(steps=steps, rows=rows)
 
 
@@ -221,7 +223,7 @@ def uniform_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = 1/(t+1) over the t+1 admissible positions."""
     rows = {}
     for t in range(steps + 1):
-        rows[t] = {x: 1.0 / (t + 1) for x in range(-t, t + 1, 2)}
+        rows[t] = {x: 1.0 / (t + 1) for x in support(t)}
     return DistributionSchedule(steps=steps, rows=rows)
 
 

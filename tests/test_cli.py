@@ -11,7 +11,7 @@ from coinwalk.cli import (
     EXIT_PARSE,
     main,
 )
-from coinwalk.errors import DomainError, IncompleteLayerError
+from coinwalk.errors import DomainError, IncompleteLayerError, ParseError
 from coinwalk.synth import uniform_program
 
 
@@ -145,6 +145,87 @@ class TestExitCodes:
         prog.write_text(text)
         assert run("simulate", prog, "--out-dir", tmp_path / "o") == EXIT_DOMAIN
         assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_DOMAIN
+
+
+# Input files for the boundary cases: NaN, repeated and malformed lines.
+BOUNDARY_FILES = {
+    "one.txt": "0 1.0\n",
+    "nan.txt": "-1 nan\n1 1.0\n",
+    "negative.txt": "-1 -0.5\n1 1.5\n",
+    "repeated.txt": "0 0.5\n0 1.0\n",
+    "malformed.txt": "0 abc\n",
+    "u.prog": fileio.program_to_text(uniform_program(3)),
+    "repeated.prog": fileio.program_to_text(uniform_program(1)) + "0 0 0.1\n",
+    "nan_cal.txt": "nan 0.2\n1.5 0.3\n",
+    "malformed_cal.txt": "0.5\n1.5 0.3\n",
+    "repeated_sched.txt": "0 0 1.0\n1 -1 0.5\n1 1 0.5\n1 -1 0.75\n1 1 0.25\n",
+    "nan_sched.txt": "0 0 1.0\n1 -1 nan\n1 1 1.0\n",
+    "malformed_sched.txt": "0 0 1.0\n1 -1\n",
+}
+
+BOUNDARY_CASES = {
+    "similarity-nan": (["similarity", "nan.txt", "one.txt"], EXIT_DOMAIN),
+    "similarity-negative": (["similarity", "one.txt", "negative.txt"], EXIT_DOMAIN),
+    "similarity-repeated": (["similarity", "repeated.txt", "one.txt"], EXIT_PARSE),
+    "similarity-malformed": (["similarity", "one.txt", "malformed.txt"], EXIT_PARSE),
+    "entropy-nan": (["entropy", "nan.txt"], EXIT_DOMAIN),
+    "entropy-repeated": (["entropy", "repeated.txt"], EXIT_PARSE),
+    "sample-nan": (["sample", "nan.txt", "--events", "10", "-o", "out.txt"], EXIT_DOMAIN),
+    "sample-negative": (["sample", "negative.txt", "--events", "10", "-o", "out.txt"],
+                        EXIT_DOMAIN),
+    "extract-bits-nan": (["extract-bits", "nan.txt", "--steps", "1", "--events", "10",
+                          "-o", "out.txt"], EXIT_DOMAIN),
+    "extract-bits-repeated": (["extract-bits", "repeated.txt", "--steps", "2",
+                               "--events", "10", "-o", "out.txt"], EXIT_PARSE),
+    "compile-nan-calibration": (["compile", "u.prog", "--calibration", "nan_cal.txt",
+                                 "-o", "out.csv"], EXIT_DOMAIN),
+    "compile-malformed-calibration": (["compile", "u.prog", "--calibration",
+                                       "malformed_cal.txt", "-o", "out.csv"], EXIT_PARSE),
+    "compile-repeated-program": (["compile", "repeated.prog", "-o", "out.csv"], EXIT_PARSE),
+    "simulate-repeated-program": (["simulate", "repeated.prog", "--out-dir", "d"],
+                                  EXIT_PARSE),
+    "synthesize-repeated-schedule": (["synthesize", "--schedule", "repeated_sched.txt",
+                                      "-o", "out.prog"], EXIT_PARSE),
+    "synthesize-nan-schedule": (["synthesize", "--schedule", "nan_sched.txt",
+                                 "-o", "out.prog"], EXIT_DOMAIN),
+    "synthesize-malformed-schedule": (["synthesize", "--schedule", "malformed_sched.txt",
+                                       "-o", "out.prog"], EXIT_PARSE),
+    "synthesize-gaussian-1030": (["synthesize", "--target", "gaussian", "--steps", "1030",
+                                  "-o", "out.prog"], EXIT_DOMAIN),
+}
+
+
+@pytest.mark.parametrize("argv, code", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
+def test_bad_input_exits_with_one_error_line(tmp_path, capsys, monkeypatch, argv, code):
+    for name, text in BOUNDARY_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    # Any exception other than a CoinWalkError propagates and fails the case.
+    assert run(*argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [ln for ln in captured.err.splitlines() if not ln.startswith("seed ")]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestRepeatedLines:
+    def test_program_cell(self):
+        text = fileio.program_to_text(uniform_program(1)) + "0 0 0.1\n"
+        with pytest.raises(ParseError, match=r"'0 0 0.1': cell \(0,0\) repeated"):
+            fileio.program_from_text(text)
+
+    def test_program_final_coin(self):
+        text = fileio.program_to_text(uniform_program(1)) + "F 1 1.0 0.0 0.0 -1.0\n"
+        with pytest.raises(ParseError, match="final coin at position 1 repeated"):
+            fileio.program_from_text(text)
+
+    def test_distribution_position(self):
+        with pytest.raises(ParseError, match="'0 1.0': position 0 repeated"):
+            fileio.distribution_from_text("0 0.5\n0 1.0\n")
+
+    def test_schedule_cell(self):
+        with pytest.raises(ParseError, match=r"'1 1 0.25': P\(1,1\) repeated"):
+            fileio.schedule_targets_from_text("0 0 1.0\n1 -1 0.5\n1 1 0.5\n1 1 0.25\n")
 
 
 class TestAnalysisCommands:

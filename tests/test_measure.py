@@ -44,6 +44,11 @@ class TestSimilarity:
         with pytest.raises(NormalizationError):
             similarity({0: 0.6}, {0: 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_entry_that_is_not_a_probability_rejected(self, bad):
+        with pytest.raises(DomainError, match="q at x = 1"):
+            similarity({-1: 1.0}, {-1: 1.0, 1: bad})
+
 
 class TestShannonEntropy:
     def test_uniform_eight_is_three_bits(self):
@@ -52,6 +57,11 @@ class TestShannonEntropy:
 
     def test_point_mass(self):
         assert shannon_entropy({0: 1.0}) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_entry_that_is_not_a_probability_rejected(self, bad):
+        with pytest.raises(DomainError, match="p at x = 0"):
+            shannon_entropy({0: bad, 2: 1.0})
 
     @pytest.mark.parametrize("n", [2, 16, 64, 256, 1024])
     def test_uniform_is_log2_n(self, n):

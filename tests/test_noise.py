@@ -150,6 +150,21 @@ class TestSampleCounts:
         p = {x: 0.125 for x in range(-7, 8, 2)}
         assert sample_counts(p, 1000, seed=7) == sample_counts(p, 1000, seed=7)
 
+    def test_renormalizes_raw_counts(self):
+        counts = {-1: 3000, 1: 7000}
+        assert sample_counts(counts, 500, seed=4) == sample_counts(
+            {-1: 0.3, 1: 0.7}, 500, seed=4
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_rejects_weight_that_is_not_finite_and_nonnegative(self, bad):
+        with pytest.raises(DomainError, match=f"x = 1 is {bad!r}"):
+            sample_counts({-1: 0.5, 1: bad, 3: 0.5}, 10, seed=0)
+
+    def test_rejects_zero_total(self):
+        with pytest.raises(DomainError, match="sum to 0.0"):
+            sample_counts({-1: 0.0, 1: 0.0}, 10, seed=0)
+
     def test_uniform_within_five_sigma(self):
         p = {x: 0.125 for x in range(-7, 8, 2)}
         counts = sample_counts(p, 100_000, seed=3)

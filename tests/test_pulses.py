@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,6 @@ from coinwalk.errors import (
     CollisionError,
     DomainError,
     OrphanEventError,
-    UnsupportedCoinError,
 )
 from coinwalk.fileio import pulse_schedule_from_text, pulse_schedule_to_text
 from coinwalk.pulses import (
@@ -47,14 +47,11 @@ class TestCoinToPhases:
             assert c.phi_h + c.phi_v == pytest.approx(math.pi, abs=1e-12)
 
     def test_rejects_general_coin_cells(self):
-        prog = hadamard_program(1, circular_initial())
-        fake = object.__new__(CoinProgram)
-        object.__setattr__(fake, "steps", 1)
-        object.__setattr__(fake, "cells", {(0, 0): object()})
-        object.__setattr__(fake, "initial", prog.initial)
-        object.__setattr__(fake, "final_layer", None)
-        with pytest.raises(UnsupportedCoinError):
-            coin_to_phases(fake)
+        # A cell that is not a CoinOp never reaches the compiler: the
+        # program rejects it when it is built.
+        initial = circular_initial()
+        with pytest.raises(DomainError, match=r"cell \(0,0\)"):
+            CoinProgram(steps=1, cells={(0, 0): object()}, initial=initial)
 
 
 class TestArrivalTime:
@@ -106,6 +103,11 @@ class TestCalibration:
     def test_rejects_non_monotone_anchors(self):
         with pytest.raises(DomainError):
             Calibration(anchors=((0.1, 0.2), (0.2, 0.1)))
+
+    @pytest.mark.parametrize("anchor", [(math.nan, 0.2), (0.5, math.nan), (0.5, math.inf)])
+    def test_rejects_non_finite_anchor(self, anchor):
+        with pytest.raises(DomainError, match="must be finite"):
+            Calibration(anchors=((0.1, 0.1), anchor))
 
 
 class TestCompile:
@@ -213,6 +215,21 @@ class TestDecompile:
         )
         with pytest.raises(AlignmentError):
             decompile_schedule(PulseSchedule(events=tuple(moved)))
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_nan_time_fails_alignment(self, index):
+        events = list(compile_schedule(hadamard_program(2, circular_initial())).events)
+        events[index] = replace(events[index], time_ns=math.nan)
+        with pytest.raises(AlignmentError, match="at nan ns"):
+            decompile_schedule(PulseSchedule(events=tuple(events)))
+
+    @pytest.mark.parametrize("volts", [math.nan, math.inf])
+    def test_non_finite_voltage_names_event(self, volts):
+        events = list(compile_schedule(hadamard_program(2, circular_initial())).events)
+        e = events[2]
+        events[2] = replace(e, voltage_v=volts)
+        with pytest.raises(DomainError, match=rf"\({e.step},{e.position},{e.arm}\)"):
+            decompile_schedule(PulseSchedule(events=tuple(events)))
 
     def test_voltage_perturbation_linearity(self):
         sched = compile_schedule(hadamard_program(1, circular_initial()))

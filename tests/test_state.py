@@ -128,6 +128,12 @@ class TestCoinProgram:
         with pytest.raises(DomainError, match="step 2, position 0"):
             CoinProgram(steps=1, cells=cells, initial=localized_state(1, 0))
 
+    def test_rejects_angle_coin_in_final_layer(self):
+        final = {-1: CoinOp(0.3), 1: GeneralCoinOp(1.0, 0.0, 0.0, -1.0)}
+        with pytest.raises(DomainError, match="position -1 is a CoinOp"):
+            CoinProgram(steps=1, cells={(0, 0): HADAMARD},
+                        initial=localized_state(1, 0), final_layer=final)
+
     def test_empty_initial_state(self):
         empty = WalkerState(step=0, amplitudes={}, require_normalized=False)
         p = CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=empty)
@@ -158,6 +164,11 @@ class TestDistributionSchedule:
     def test_rejects_support_violation(self):
         with pytest.raises(DomainError):
             DistributionSchedule(steps=1, rows={0: {0: 1.0}, 1: {3: 1.0}})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_entry_that_is_not_a_probability(self, bad):
+        with pytest.raises(DomainError, match=f"row 1 at x = 1 is {bad!r}"):
+            DistributionSchedule(steps=1, rows={0: {0: 1.0}, 1: {-1: 1.0, 1: bad}})
 
     def test_rejects_missing_row(self):
         with pytest.raises(DomainError):

@@ -298,6 +298,19 @@ class TestBuiltInPrograms:
         assert gaussian_program(3).cells[(0, 0)].theta == math.pi / 4
         assert uniform_program(3).cells[(0, 0)].theta == math.pi / 4
 
+    def test_binomial_rows_past_the_float_exponent_range(self):
+        # 2.0 ** 1024 overflows; the rows must not.
+        row = binomial_schedule(1100).rows[1100]
+        assert row[0] == math.comb(1100, 550) / (1 << 1100)
+        assert row[-1100] == 0.0
+        assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_binomial_rows_match_float_power_formula(self):
+        sched = binomial_schedule(1023)
+        for t in (*range(0, 1023, 61), 1022, 1023):
+            for x, p in sched.rows[t].items():
+                assert p == math.comb(t, (t + x) // 2) / 2.0 ** t, (t, x)
+
     def test_matches_oracle(self):
         prog = gaussian_program(8)
         ref = oracle.evolve(
