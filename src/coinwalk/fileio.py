@@ -31,8 +31,8 @@ def program_to_text(p: CoinProgram) -> str:
         f"convention {SHIFT_CONVENTION}",
         f"initial {_f(a.real)} {_f(a.imag)} {_f(b.real)} {_f(b.imag)}",
     ]
-    for (t, x), op in sorted(p.cells.items()):
-        lines.append(f"{t} {x} {_f(op.theta)}")
+    for (t, x), theta in zip(p.cells, p.cells.theta.tolist()):
+        lines.append(f"{t} {x} {_f(theta)}")
     if p.final_layer is not None:
         for x, op in sorted(p.final_layer.items()):
             lines.append(

@@ -67,14 +67,20 @@ def _walker_amplitudes(source) -> dict[int, complex]:
     return {int(x): complex(a) for x, a in source.items()}
 
 
+def _require_retention(gamma: float) -> None:
+    if not 0.0 <= gamma <= 1.0:
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+
+
 def pair_density(source, x: int, gamma: float = 1.0) -> PairDensity:
     """Density matrix of the pair {x, x+2} of a disentangled state.
 
     ``source`` is a WalkerState with the coin factored to |0>, or a map
     from position to walker amplitude. ``gamma`` scales the off-diagonal
     coherence (1 = pure, the ensemble-averaged dephasing factor
-    otherwise).
+    otherwise), a retention in [0, 1].
     """
+    _require_retention(gamma)
     amps = _walker_amplitudes(source)
     if x not in amps and x + 2 not in amps:
         raise DomainError(f"neither {x} nor {x + 2} is occupied")
@@ -111,6 +117,7 @@ def purity_criterion(
     one-sided test captures equality). ``tol`` should be widened to three
     propagated standard errors when the matrix comes from finite counts.
     """
+    _require_retention(gamma)
     amps = _walker_amplitudes(source)
     records = []
     for x in sorted(amps)[:-1]:

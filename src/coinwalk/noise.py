@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import shannon_entropy, similarity
-from .state import CoinOp, CoinProgram, support
+from .state import AngleRows, CoinProgram, support
 from .walk import _rows, run_program
 
 
@@ -33,8 +33,9 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.coin_angle_jitter_rad < 0:
-            raise DomainError("coin_angle_jitter_rad must be >= 0")
+        if not 0.0 <= self.coin_angle_jitter_rad < math.inf:
+            raise DomainError(f"coin_angle_jitter_rad must be finite and >= 0, "
+                              f"got {self.coin_angle_jitter_rad!r}")
 
 
 def expected_counts(
@@ -45,8 +46,8 @@ def expected_counts(
     Flat losses rescale the budget, not the shape (see detected_event_budget);
     only a right-move loss, when set, reshapes it (see lossy_distribution).
     """
-    if total_events < 0:
-        raise DomainError("total_events must be >= 0")
+    if not 0 <= total_events < math.inf:
+        raise DomainError(f"total_events must be finite and >= 0, got {total_events!r}")
     _require_step(p, step)
     if nm.right_move_loss > 0.0:
         dist = lossy_distribution(p, step, nm.right_move_loss)
@@ -149,8 +150,6 @@ def perturb_program(p: CoinProgram, nm: NoiseModel) -> CoinProgram:
     if nm.coin_angle_jitter_rad == 0.0:
         return p
     rng = np.random.default_rng(nm.seed)
-    cells = {}
-    for key in sorted(p.cells):
-        theta = p.cells[key].theta + rng.normal(0.0, nm.coin_angle_jitter_rad)
-        cells[key] = CoinOp(min(max(theta, 0.0), math.pi))
-    return replace(p, cells=cells)
+    # One draw in (t, x) order: the same numbers as one scalar draw per cell.
+    theta = p.cells.theta + rng.normal(0.0, nm.coin_angle_jitter_rad, len(p.cells))
+    return replace(p, cells=AngleRows(np.clip(theta, 0.0, math.pi)))

@@ -134,8 +134,8 @@ def coin_to_phases(p: CoinProgram) -> list[PhaseCell]:
     plates plus an extra walk step, not by the modulator path).
     """
     return [
-        PhaseCell(t=t, x=x, phi_h=op.theta, phi_v=math.pi - op.theta)
-        for (t, x), op in sorted(p.cells.items())
+        PhaseCell(t=t, x=x, phi_h=theta, phi_v=math.pi - theta)
+        for (t, x), theta in zip(p.cells, p.cells.theta.tolist())
     ]
 
 
@@ -169,6 +169,8 @@ def compile_schedule(
     last pulse ends after the laser period that starts at the launch offset;
     overlaps are reported, never silently merged.
     """
+    if not math.isfinite(launch_offset_ns):
+        raise DomainError(f"launch offset must be finite, got {launch_offset_ns!r}")
     tm = tm or TimingModel()
     cal = cal or Calibration()
     events = []

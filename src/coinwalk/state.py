@@ -3,6 +3,9 @@
 The walker lives on the integer line; the coin is a two-level degree of
 freedom. Amplitudes are stored sparsely, keyed by position, so parity
 violations are detectable instead of silently absorbed by a dense array.
+Coin programs are held as read-only angle rows, row t holding the t+1
+angles at x = 2i - t, which synthesis, the walk, the compiler and the
+program file all read directly.
 
 Tolerance policy: user-facing construction checks run at 1e-9, internal
 evolution invariants are asserted at 1e-12.
@@ -12,8 +15,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
-from typing import Mapping
+from itertools import islice
 
 import numpy as np
 
@@ -169,18 +173,68 @@ class GeneralCoinOp:
         return (self.m00 * a + self.m01 * b, self.m10 * a + self.m11 * b)
 
 
+def cell_at(i: int) -> tuple[int, int]:
+    """Cell (t, x) at index i of the angle rows laid end to end."""
+    t = (math.isqrt(8 * i + 1) - 1) // 2
+    return t, 2 * (i - t * (t + 1) // 2) - t
+
+
+class AngleRows(Mapping):
+    """Read-only coin angles laid end to end in (t, x) order; ``rows[t]`` is a
+    view of the t+1 angles of step t at x = 2i - t. As a mapping, each cell
+    (t, x) gives its CoinOp."""
+
+    def __init__(self, theta):
+        self.theta = np.array(theta, dtype=float)
+        self.theta.flags.writeable = False
+        steps = cell_at(self.theta.size)[0]  # whole rows; CoinProgram checks the count
+        starts = [t * (t + 1) // 2 for t in range(steps + 1)]
+        self.rows = tuple(self.theta[i:j] for i, j in zip(starts, starts[1:]))
+
+    def __getitem__(self, key: tuple[int, int]) -> CoinOp:
+        t, x = key
+        if not (0 <= t < len(self.rows) and x in support(t)):
+            raise KeyError(key)
+        return CoinOp(float(self.rows[t][(x + t) // 2]))
+
+    def __iter__(self):
+        return ((t, x) for t in range(len(self.rows)) for x in support(t))
+
+    def __len__(self) -> int:
+        return self.theta.size
+
+
+def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> list:
+    """The coins of ``given`` at exactly ``keys``, in key order, each a ``kind``:
+    else IncompleteLayerError or DomainError naming the first bad key."""
+    coins = []
+    for key in keys:
+        coin = given.get(key)
+        if coin is None:
+            raise IncompleteLayerError(f"{owner} is missing the coin for {where(key)}")
+        if not isinstance(coin, kind):
+            raise DomainError(f"{owner} coin for {where(key)} is a "
+                              f"{type(coin).__name__}, not a {kind.__name__}")
+        coins.append(coin)
+    if len(given) != len(keys):
+        key = min(given.keys() - set(keys))
+        raise DomainError(f"{owner} has a coin for {where(key)}, outside its support")
+    return coins
+
+
 @dataclass(frozen=True)
 class CoinProgram:
     """Full assignment of a coin to every (step, position) cell.
 
-    ``cells`` holds a CoinOp at exactly the positions reachable at each
-    step t < steps; ``final_layer``, when present, is the coin-only
+    ``cells`` holds the angles of the positions reachable at each step
+    t < steps as AngleRows (a dict of CoinOps at exactly those cells is
+    converted once); ``final_layer``, when present, is the coin-only
     disentangling layer applied after the last shift and holds a
     GeneralCoinOp at exactly the positions of ``support(steps)``.
     """
 
     steps: int
-    cells: dict[tuple[int, int], CoinOp]
+    cells: Mapping[tuple[int, int], CoinOp]
     initial: WalkerState
     final_layer: dict[int, GeneralCoinOp] | None = None
 
@@ -189,47 +243,25 @@ class CoinProgram:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
         if self.initial.step != 0:
             raise DomainError("initial state must be at step 0")
-        expected = 0
-        for t in range(self.steps):
-            for x in support(t):
-                op = self.cells.get((t, x))
-                if op is None:
-                    raise IncompleteLayerError(
-                        f"program is missing a coin at step {t}, position {x}"
-                    )
-                if not isinstance(op, CoinOp):
-                    raise DomainError(
-                        f"cell ({t},{x}) holds a {type(op).__name__}, not a CoinOp"
-                    )
-                expected += 1
-        if len(self.cells) != expected:
-            t, x = min(
-                (t, x) for t, x in self.cells
-                if not (0 <= t < self.steps and x in support(t))
-            )
-            raise DomainError(
-                f"program has a coin at step {t}, position {x}, outside its "
-                f"{self.steps}-step support"
-            )
+        if isinstance(self.cells, AngleRows):
+            theta = self.cells.theta
+            if theta.size != self.steps * (self.steps + 1) // 2:
+                raise DomainError(f"{self.steps}-step program has {theta.size} coin angles")
+            bad = np.flatnonzero(~((theta >= 0.0) & (theta <= math.pi)))  # NaN fails both
+            if bad.size:
+                t, x = cell_at(int(bad[0]))
+                raise DomainError(f"coin angle at step {t}, position {x} is "
+                                  f"{float(theta[bad[0]])!r}, not in [0, pi]")
+        else:
+            # A cell past the dict's length is missing, so no more keys are needed.
+            keys = ((t, x) for t in range(self.steps) for x in support(t))
+            keys = list(islice(keys, len(self.cells) + 1))
+            coins = _coins_at(self.cells, keys, CoinOp, "program",
+                              "cell ({0[0]},{0[1]}) at step {0[0]}, position {0[1]}".format)
+            object.__setattr__(self, "cells", AngleRows([op.theta for op in coins]))
         if self.final_layer is not None:
-            last = support(self.steps)
-            for x in last:
-                op = self.final_layer.get(x)
-                if op is None:
-                    raise IncompleteLayerError(
-                        f"final layer is missing a coin at position {x}"
-                    )
-                if not isinstance(op, GeneralCoinOp):
-                    raise DomainError(
-                        f"final-layer coin at position {x} is a "
-                        f"{type(op).__name__}, not a GeneralCoinOp"
-                    )
-            if len(self.final_layer) != len(last):
-                x = min(x for x in self.final_layer if x not in last)
-                raise DomainError(
-                    f"final layer has a coin at position {x}, outside the "
-                    f"step-{self.steps} support"
-                )
+            _coins_at(self.final_layer, support(self.steps), GeneralCoinOp,
+                      "final layer", "position {}".format)
 
     def layer(self, t: int) -> dict[int, CoinOp]:
         """The coins of step t, keyed by position."""

@@ -30,11 +30,12 @@ from .errors import (
     ZeroCellError,
 )
 from .state import (
-    CoinOp,
+    AngleRows,
     CoinProgram,
     DistributionSchedule,
     GeneralCoinOp,
     WalkerState,
+    cell_at,
     localized_state,
     support,
 )
@@ -140,7 +141,6 @@ def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
     """
     a0, b0 = plan.pair(0, 0)
     initial = localized_state(a0, b0)
-    keys = [(t, x) for t in range(plan.steps) for x in support(t)]
     # Every cell of steps 0..steps-1 next to its children, row after row.
     a, b = np.concatenate(plan.a[:-1]), np.concatenate(plan.b[:-1])
     a_child = np.concatenate([row[1:] for row in plan.a[1:]])
@@ -155,7 +155,7 @@ def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
     bad = orphan | (~empty & (np.abs(r - 1.0) > PYTHAGOREAN_TOL))
     if bad.any():
         i = int(np.argmax(bad))
-        t, x = keys[i]
+        t, x = cell_at(i)
         if orphan[i]:
             raise ZeroCellError(
                 f"cell ({t},{x}) carries no probability but feeds "
@@ -167,8 +167,7 @@ def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
         )
     theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
     theta[empty] = ZERO_CELL_ANGLE
-    cells = {key: CoinOp(th) for key, th in zip(keys, theta.tolist())}
-    return CoinProgram(steps=plan.steps, cells=cells, initial=initial)
+    return CoinProgram(steps=plan.steps, cells=AngleRows(theta), initial=initial)
 
 
 def disentangle_layer(s: WalkerState) -> dict[int, GeneralCoinOp]:

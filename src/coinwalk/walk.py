@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import IncompleteLayerError
 from .state import (
+    AngleRows,
     CoinOp,
     CoinProgram,
     GeneralCoinOp,
@@ -71,7 +72,7 @@ def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0):
     a, b = np.array([p.initial.pair(0)]).T
     yield a, b
     for t in range(steps):
-        theta = np.array([op.theta for op in p.layer(t).values()])
+        theta = p.cells.rows[t]
         c, s = np.cos(theta), np.sin(theta)
         a, b = np.append(0j, right_damping * (c * a + s * b)), np.append(s * a - c * b, 0j)
         yield a, b
@@ -96,8 +97,7 @@ def run_program(p: CoinProgram) -> list[StepReport]:
 
 def hadamard_program(steps: int, initial: WalkerState) -> CoinProgram:
     """Homogeneous walk with theta = pi/4 everywhere, no final layer."""
-    theta = math.pi / 4
-    cells = {(t, x): CoinOp(theta) for t in range(steps) for x in support(t)}
+    cells = AngleRows(np.full(steps * (steps + 1) // 2, math.pi / 4))
     return CoinProgram(steps=steps, cells=cells, initial=initial)
 
 
@@ -122,7 +122,7 @@ def mirror_program(p: CoinProgram) -> CoinProgram:
     Running the mirrored program reproduces the original run with every
     position negated.
     """
-    cells = {(t, -x): CoinOp(math.pi - op.theta) for (t, x), op in p.cells.items()}
+    cells = AngleRows(np.concatenate([math.pi - row[::-1] for row in p.cells.rows]))
     final = None
     if p.final_layer is not None:
         final = {

@@ -161,6 +161,8 @@ BOUNDARY_FILES = {
     "repeated_sched.txt": "0 0 1.0\n1 -1 0.5\n1 1 0.5\n1 -1 0.75\n1 1 0.25\n",
     "nan_sched.txt": "0 0 1.0\n1 -1 nan\n1 1 1.0\n",
     "malformed_sched.txt": "0 0 1.0\n1 -1\n",
+    # Each row is normalized within 1e-9, but the rows differ in mass by 1.8e-9.
+    "closure_sched.txt": "0 0 1.0000000009\n1 -1 0.4999999996\n1 1 0.4999999995\n",
 }
 
 BOUNDARY_CASES = {
@@ -192,6 +194,16 @@ BOUNDARY_CASES = {
                                        "-o", "out.prog"], EXIT_PARSE),
     "synthesize-gaussian-1030": (["synthesize", "--target", "gaussian", "--steps", "1030",
                                   "-o", "out.prog"], EXIT_DOMAIN),
+    "synthesize-closure": (["synthesize", "--schedule", "closure_sched.txt",
+                            "-o", "out.prog"], EXIT_INFEASIBLE),
+    "compile-nan-launch-offset": (["compile", "u.prog", "-o", "out.csv",
+                                   "--launch-offset", "nan"], EXIT_DOMAIN),
+    "compile-inf-launch-offset": (["compile", "u.prog", "-o", "out.csv",
+                                   "--launch-offset", "inf"], EXIT_DOMAIN),
+    "verify-purity-nan-gamma": (["verify-purity", "--target", "uniform", "--steps", "3",
+                                 "--gamma", "nan"], EXIT_DOMAIN),
+    "verify-purity-gamma-2": (["verify-purity", "--target", "uniform", "--steps", "3",
+                               "--gamma", "2"], EXIT_DOMAIN),
 }
 
 

@@ -31,6 +31,11 @@ class TestNoiseModel:
         with pytest.raises(DomainError):
             NoiseModel(round_trip_survival=1.5)
 
+    @pytest.mark.parametrize("jitter", [math.inf, math.nan, -0.1])
+    def test_rejects_jitter_that_is_not_finite_and_nonnegative(self, jitter):
+        with pytest.raises(DomainError, match=f"coin_angle_jitter_rad .* got {jitter}"):
+            NoiseModel(coin_angle_jitter_rad=jitter)
+
 
 class TestExpectedCounts:
     def test_uniform_split(self):
@@ -117,6 +122,11 @@ class TestBoundaryChecks:
     def test_expected_counts_rejects_step_outside_program(self, step, loss):
         with pytest.raises(DomainError, match=rf"\[0, 5\], got {step}"):
             expected_counts(uniform_program(5), NoiseModel(right_move_loss=loss), step, 100)
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -1])
+    def test_expected_counts_rejects_total_that_is_not_finite_and_nonnegative(self, total):
+        with pytest.raises(DomainError, match=f"total_events .* got {total}"):
+            expected_counts(uniform_program(3), NoiseModel(), 3, total)
 
     @pytest.mark.parametrize("step", [-1, 6])
     def test_lossy_rejects_step_outside_program(self, step):
@@ -219,6 +229,19 @@ class TestPerturbProgram:
             noisy = run_program(perturb_program(p, nm))[-1].distribution
             sims.append(similarity(noisy, ideal))
         assert float(np.median(sims)) >= 0.98
+
+    @pytest.mark.parametrize("seed", [0, 3, 12345])
+    def test_matches_one_scalar_draw_per_cell_in_cell_order(self, seed):
+        p = uniform_program(40)
+        nm = NoiseModel(coin_angle_jitter_rad=0.5, seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = {}
+        for key in sorted(p.cells):
+            theta = p.cells[key].theta + rng.normal(0.0, 0.5)
+            expected[key] = CoinOp(min(max(theta, 0.0), math.pi))
+        out = perturb_program(p, nm)
+        assert dict(out.cells) == expected
+        assert out.initial == p.initial and out.final_layer == p.final_layer
 
     def test_degenerate_jitter_still_valid(self):
         p = uniform_program(4)

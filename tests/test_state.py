@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coinwalk import walk
 from coinwalk.errors import DomainError, IncompleteLayerError, NormalizationError
 from coinwalk.state import (
+    AngleRows,
     CoinOp,
     CoinProgram,
     DistributionSchedule,
@@ -17,6 +20,7 @@ from coinwalk.state import (
     norm,
     position_distribution,
 )
+from coinwalk.synth import uniform_program
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -116,6 +120,11 @@ class TestCoinProgram:
                 initial=localized_state(1, 0),
             )
 
+    def test_missing_cell_of_a_huge_program_is_named_at_once(self):
+        # The cells a huge step count would need are never listed in full.
+        with pytest.raises(IncompleteLayerError, match="step 1, position -1"):
+            CoinProgram(steps=10 ** 9, cells={(0, 0): HADAMARD}, initial=localized_state(1, 0))
+
     @pytest.mark.parametrize("stray", [(7, 1), (1, 3), (0, 1), (-1, 1)])
     def test_rejects_stray_cell(self, stray):
         cells = {(0, 0): CoinOp(0.3), (1, -1): CoinOp(0.4), (1, 1): CoinOp(0.5)}
@@ -154,6 +163,45 @@ class TestCoinProgram:
             assert sorted(p.layer(t)) == list(range(-t, t + 1, 2))
         with pytest.raises(DomainError):
             p.layer(steps)
+
+    def test_stored_angle_rows_are_read_only(self):
+        angles = np.array([0.1, 0.2, 0.3])
+        p = CoinProgram(steps=2, cells=AngleRows(angles), initial=localized_state(1, 0))
+        angles[0] = 3.0  # the program keeps its own copy
+        assert p.cells[(0, 0)].theta == 0.1
+        with pytest.raises(ValueError, match="read-only"):
+            p.cells.rows[1][0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            p.cells.theta[2] = 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3, math.pi + 1e-9])
+    def test_angle_rows_name_the_first_bad_angle(self, bad):
+        cells = AngleRows([0.1, 0.2, bad, 0.4, bad, 0.6])
+        with pytest.raises(DomainError, match=f"step 1, position 1 is {bad}"):
+            CoinProgram(steps=3, cells=cells, initial=localized_state(1, 0))
+
+    def test_angle_rows_must_fill_every_step(self):
+        with pytest.raises(DomainError, match="3-step program has 3 coin angles"):
+            replace(uniform_program(2), steps=3, final_layer=None)
+
+
+def test_benchmark_entry_points_keep_working():
+    # perfbench builds, reads, counts and compares programs through these names.
+    rows = [[0.1 * (t + i + 1) for i in range(t + 1)] for t in range(4)]
+    cells = {(t, 2 * i - t): CoinOp(theta) for t, row in enumerate(rows)
+             for i, theta in enumerate(row)}
+    p = CoinProgram(steps=4, cells=cells, initial=localized_state(1.0, 0.0))
+    assert dict(p.cells) == cells and p.cells == cells
+    assert [[p.cells[(t, 2 * i - t)].theta for i in range(t + 1)] for t in range(4)] == rows
+    assert len(p.cells) == 10
+    q = CoinProgram(steps=4, cells=dict(p.cells), initial=p.initial)
+    assert q.cells == p.cells and q == p
+    assert "layer" in CoinProgram.__dict__ and "__post_init__" in CoinProgram.__dict__
+    s = walk.apply_shift(walk.apply_coin_layer(p.initial, p.layer(0)))
+    assert s.step == 1
+    u = uniform_program(3)
+    bare = replace(u, final_layer=None)
+    assert bare.final_layer is None and bare.cells == u.cells
 
 
 class TestDistributionSchedule:

@@ -6,6 +6,7 @@ import pytest
 import oracle
 from oracle import gaussian_closed_form, uniform_closed_form
 from coinwalk.errors import (
+    ClosureError,
     InconsistentPlanError,
     InfeasibleScheduleError,
     UnsupportedStateError,
@@ -110,6 +111,16 @@ class TestPlanAmplitudes:
         with pytest.raises(InfeasibleScheduleError) as err:
             plan_amplitudes(sched)
         assert err.value.cell == (1, -1)
+
+    def test_rows_that_differ_in_mass_miss_the_right_edge_closure(self):
+        # Each row sums to 1 within 1e-9, but row 1 carries 1.8e-9 less
+        # than row 0, which the right-edge cell cannot absorb.
+        sched = DistributionSchedule(
+            steps=1, rows={0: {0: 1.0000000009}, 1: {-1: 0.4999999996, 1: 0.4999999995}}
+        )
+        with pytest.raises(ClosureError, match="right-edge closure at step 1") as err:
+            plan_amplitudes(sched)
+        assert err.value.cell == (1, 1)
 
     def test_matches_exact_sweep(self):
         # The difference form cumsum(q - [0, p]) keeps every square at the
