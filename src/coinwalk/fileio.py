@@ -5,6 +5,12 @@ calibrations are only read, the others round-trip exactly: floats
 serialize via repr (shortest exact decimal), except pulse times and
 voltages which are fixed to 4 decimals to match the hardware's
 resolution.
+
+A program file is read straight into angle rows: each cell angle is
+range-checked by ``state.check_angle`` and the cells must be exactly those
+of the header's step count (``state.program_cells``, the coin-map check
+``CoinProgram`` applies to a ``cells=`` dict). A target schedule's rows
+must lie in 0..T, T being its largest step.
 """
 
 from __future__ import annotations
@@ -13,7 +19,16 @@ from typing import Mapping
 
 from .errors import ParseError
 from .pulses import Calibration, PulseEvent, PulseSchedule
-from .state import CoinOp, CoinProgram, DistributionSchedule, GeneralCoinOp, WalkerState
+from .state import (
+    AngleRows,
+    CoinProgram,
+    DistributionSchedule,
+    GeneralCoinOp,
+    WalkerState,
+    check_angle,
+    program_cells,
+    support,
+)
 
 PROGRAM_VERSION = 1
 SHIFT_CONVENTION = "right"  # coin-|0> amplitude moves to x+1
@@ -31,8 +46,8 @@ def program_to_text(p: CoinProgram) -> str:
         f"convention {SHIFT_CONVENTION}",
         f"initial {_f(a.real)} {_f(a.imag)} {_f(b.real)} {_f(b.imag)}",
     ]
-    for (t, x), theta in zip(p.cells, p.cells.theta.tolist()):
-        lines.append(f"{t} {x} {_f(theta)}")
+    for t, row in enumerate(p.cells.rows):
+        lines.extend(f"{t} {x} {theta!r}" for x, theta in zip(support(t), row.tolist()))
     if p.final_layer is not None:
         for x, op in sorted(p.final_layer.items()):
             lines.append(
@@ -60,7 +75,7 @@ def program_from_text(text: str) -> CoinProgram:
         raise ParseError(f"unsupported program version {version}")
     if convention != SHIFT_CONVENTION:
         raise ParseError(f"unsupported shift convention {convention!r}")
-    cells: dict[tuple[int, int], CoinOp] = {}
+    angles: dict[tuple[int, int], float] = {}
     final: dict[int, GeneralCoinOp] = {}
     for ln in lines[4:]:
         parts = ln.split()
@@ -76,14 +91,15 @@ def program_from_text(text: str) -> CoinProgram:
                 if len(parts) != 3:
                     raise ValueError("expected 3 fields")
                 t, x = int(parts[0]), int(parts[1])
-                if (t, x) in cells:
+                if (t, x) in angles:
                     raise ValueError(f"cell ({t},{x}) repeated")
-                cells[(t, x)] = CoinOp(float(parts[2]))
+                angles[(t, x)] = check_angle(float(parts[2]))
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad program line {ln!r}: {exc}") from exc
     initial = WalkerState(
         step=0, amplitudes={0: (complex(re_a, im_a), complex(re_b, im_b))}
     )
+    cells = AngleRows(program_cells(angles, steps, float))
     return CoinProgram(
         steps=steps, cells=cells, initial=initial, final_layer=final or None
     )
@@ -125,19 +141,18 @@ def distribution_from_text(text: str) -> dict[int, float]:
 def schedule_targets_from_text(text: str) -> DistributionSchedule:
     rows: dict[int, dict[int, float]] = {}
     for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
         parts = ln.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if len(parts) != 3:
-            raise ParseError(f"bad target line {ln!r}")
+            raise ParseError(f"bad target line {ln.strip()!r}")
         try:
             t, x, prob = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
-            raise ParseError(f"bad target line {ln!r}: {exc}") from exc
+            raise ParseError(f"bad target line {ln.strip()!r}: {exc}") from exc
         row = rows.setdefault(t, {})
         if x in row:
-            raise ParseError(f"bad target line {ln!r}: P({x},{t}) repeated")
+            raise ParseError(f"bad target line {ln.strip()!r}: P({x},{t}) repeated")
         row[x] = prob
     if not rows:
         raise ParseError("empty schedule file")

@@ -88,6 +88,27 @@ class WalkerState:
                     f"state norm is {n!r}, expected 1 within {CONSTRUCTION_TOL}"
                 )
 
+    @classmethod
+    def from_rows(cls, step: int, a: np.ndarray, b: np.ndarray) -> WalkerState:
+        """Unnormalized state at ``step`` from dense rows a, b at x = 2i - step,
+        checked once per row: one entry per support position, every one finite."""
+        if step < 0:
+            raise DomainError(f"step must be >= 0, got {step}")
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        if a.shape != (step + 1,) or b.shape != (step + 1,):
+            raise DomainError(f"step-{step} rows must hold {step + 1} amplitudes, "
+                              f"got {a.shape} and {b.shape}")
+        finite = np.isfinite(a) & np.isfinite(b)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            x = 2 * i - step
+            _require_finite(complex(a[i]), f"amplitude a({x},{step})")
+            _require_finite(complex(b[i]), f"amplitude b({x},{step})")
+        s = object.__new__(cls)
+        object.__setattr__(s, "step", step)
+        object.__setattr__(s, "amplitudes", dict(zip(support(step), zip(a.tolist(), b.tolist()))))
+        return s
+
     def pair(self, x: int) -> AmplitudePair:
         """Amplitude pair at position x (implicit zeros off support)."""
         return self.amplitudes.get(x, (0j, 0j))
@@ -115,6 +136,15 @@ def position_distribution(s: WalkerState) -> dict[int, float]:
     return {x: abs(a) ** 2 + abs(b) ** 2 for x, (a, b) in sorted(s.amplitudes.items())}
 
 
+def check_angle(theta: float) -> float:
+    """Require a coin angle finite and in [0, pi] (DomainError); returns it."""
+    if not 0.0 <= theta <= math.pi:  # NaN fails too
+        if not math.isfinite(theta):
+            raise DomainError(f"theta must be finite, got {theta!r}")
+        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
+    return theta
+
+
 @dataclass(frozen=True)
 class CoinOp:
     """Real-orthogonal coin [[cos t, sin t], [sin t, -cos t]], determinant -1."""
@@ -122,10 +152,7 @@ class CoinOp:
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise DomainError(f"theta must be finite, got {self.theta!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
+        check_angle(self.theta)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -222,6 +249,19 @@ def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> 
     return coins
 
 
+def program_cells(cells: Mapping, steps: int, kind: type) -> list:
+    """The values of ``cells`` at exactly the cells (t, x) of a ``steps``-step
+    program, in (t, x) order, each a ``kind``: else IncompleteLayerError or
+    DomainError naming the first missing or mistyped cell, or the smallest stray one."""
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
+    # A cell past the dict's length is missing, so no more keys are needed.
+    keys = ((t, x) for t in range(steps) for x in support(t))
+    keys = list(islice(keys, len(cells) + 1))
+    return _coins_at(cells, keys, kind, "program",
+                     "cell ({0[0]},{0[1]}) at step {0[0]}, position {0[1]}".format)
+
+
 @dataclass(frozen=True)
 class CoinProgram:
     """Full assignment of a coin to every (step, position) cell.
@@ -253,11 +293,7 @@ class CoinProgram:
                 raise DomainError(f"coin angle at step {t}, position {x} is "
                                   f"{float(theta[bad[0]])!r}, not in [0, pi]")
         else:
-            # A cell past the dict's length is missing, so no more keys are needed.
-            keys = ((t, x) for t in range(self.steps) for x in support(t))
-            keys = list(islice(keys, len(self.cells) + 1))
-            coins = _coins_at(self.cells, keys, CoinOp, "program",
-                              "cell ({0[0]},{0[1]}) at step {0[0]}, position {0[1]}".format)
+            coins = program_cells(self.cells, self.steps, CoinOp)
             object.__setattr__(self, "cells", AngleRows([op.theta for op in coins]))
         if self.final_layer is not None:
             _coins_at(self.final_layer, support(self.steps), GeneralCoinOp,
@@ -283,6 +319,10 @@ class DistributionSchedule:
         rows = {int(t): {int(x): float(p) for x, p in row.items()}
                 for t, row in self.rows.items()}
         object.__setattr__(self, "rows", rows)
+        stray = [t for t in rows if not 0 <= t <= self.steps]
+        if stray:
+            raise DomainError(f"schedule has a row for step {min(stray)}, "
+                              f"outside 0..{self.steps}")
         for t in range(self.steps + 1):
             row = rows.get(t)
             if row is None:

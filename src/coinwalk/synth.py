@@ -79,7 +79,8 @@ class AmplitudePlan:
 
 
 def _row(sched: DistributionSchedule, t: int) -> np.ndarray:
-    return np.array([sched.prob(t, x) for x in support(t)])
+    row = sched.rows[t]
+    return np.array([row.get(x, 0.0) for x in support(t)])
 
 
 def plan_amplitudes(sched: DistributionSchedule) -> AmplitudePlan:

@@ -21,7 +21,6 @@ from .state import (
     WalkerState,
     localized_state,
     position_distribution,
-    support,
 )
 
 
@@ -87,8 +86,7 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     """
     reports = []
     for t, (a, b) in enumerate(_rows(p, p.steps)):
-        amps = dict(zip(support(t), zip(a.tolist(), b.tolist())))
-        s = WalkerState(t, amps, require_normalized=False) if t else p.initial
+        s = WalkerState.from_rows(t, a, b) if t else p.initial
         if t == p.steps and p.final_layer is not None:
             s = apply_coin_layer(s, p.final_layer)
         reports.append(StepReport(t, s, position_distribution(s)))

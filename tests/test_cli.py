@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from coinwalk import fileio, walk
@@ -12,6 +13,8 @@ from coinwalk.cli import (
     main,
 )
 from coinwalk.errors import DomainError, IncompleteLayerError, ParseError
+from coinwalk.noise import NoiseModel, perturb_program
+from coinwalk.state import CoinOp, WalkerState
 from coinwalk.synth import uniform_program
 
 
@@ -147,6 +150,14 @@ class TestExitCodes:
         assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_DOMAIN
 
 
+# Program files whose cell (0, 0) is not an angle in [0, pi], and a 2-step
+# body under a header claiming 10^9 steps.
+CELL_0_0 = f"\n0 0 {math.pi / 4!r}\n"
+NAN_THETA_PROGRAM = fileio.program_to_text(uniform_program(1)).replace(CELL_0_0, "\n0 0 nan\n")
+THETA_4_PROGRAM = fileio.program_to_text(uniform_program(1)).replace(CELL_0_0, "\n0 0 4.0\n")
+HUGE_STEPS_PROGRAM = fileio.program_to_text(uniform_program(2)).replace(
+    "steps 2", "steps 1000000000")
+
 # Input files for the boundary cases: NaN, repeated and malformed lines.
 BOUNDARY_FILES = {
     "one.txt": "0 1.0\n",
@@ -163,6 +174,10 @@ BOUNDARY_FILES = {
     "malformed_sched.txt": "0 0 1.0\n1 -1\n",
     # Each row is normalized within 1e-9, but the rows differ in mass by 1.8e-9.
     "closure_sched.txt": "0 0 1.0000000009\n1 -1 0.4999999996\n1 1 0.4999999995\n",
+    "stray_row_sched.txt": "0 0 1.0\n1 -1 0.5\n1 1 0.5\n-3 5 7.0\n",
+    "nan_theta.prog": NAN_THETA_PROGRAM,
+    "theta_4.prog": THETA_4_PROGRAM,
+    "huge_steps.prog": HUGE_STEPS_PROGRAM,
 }
 
 BOUNDARY_CASES = {
@@ -204,6 +219,12 @@ BOUNDARY_CASES = {
                                  "--gamma", "nan"], EXIT_DOMAIN),
     "verify-purity-gamma-2": (["verify-purity", "--target", "uniform", "--steps", "3",
                                "--gamma", "2"], EXIT_DOMAIN),
+    "synthesize-stray-row": (["synthesize", "--schedule", "stray_row_sched.txt",
+                              "-o", "out.prog"], EXIT_DOMAIN),
+    "compile-nan-theta": (["compile", "nan_theta.prog", "-o", "out.csv"], EXIT_PARSE),
+    "simulate-theta-4": (["simulate", "theta_4.prog", "--out-dir", "d"], EXIT_PARSE),
+    "simulate-huge-steps-header": (["simulate", "huge_steps.prog", "--out-dir", "d"],
+                                   EXIT_DOMAIN),
 }
 
 
@@ -278,10 +299,54 @@ class TestAnalysisCommands:
 
 
 class TestProgramFile:
-    def test_round_trip_identity(self):
-        p = uniform_program(7)
+    @pytest.mark.parametrize("make", [
+        lambda: uniform_program(7),
+        # Complex initial state, no final layer.
+        lambda: walk.hadamard_program(9, walk.circular_initial()),
+        lambda: uniform_program(60),
+        lambda: perturb_program(uniform_program(60),
+                                NoiseModel(coin_angle_jitter_rad=0.05, seed=3)),
+    ], ids=["uniform-7", "hadamard-9-circular", "uniform-60", "perturbed-uniform-60"])
+    def test_round_trip_identity(self, make):
+        p = make()
         text = fileio.program_to_text(p)
-        assert fileio.program_to_text(fileio.program_from_text(text)) == text
+        parsed = fileio.program_from_text(text)
+        assert parsed == p
+        assert fileio.program_to_text(parsed) == text
+
+    @pytest.mark.parametrize("text, error, match", [
+        (NAN_THETA_PROGRAM, ParseError, "bad program line '0 0 nan': theta must be finite"),
+        (THETA_4_PROGRAM, ParseError, r"bad program line '0 0 4.0': theta must lie in \[0, pi\]"),
+        (HUGE_STEPS_PROGRAM, IncompleteLayerError, r"cell \(2,-2\) at step 2, position -2"),
+        (HUGE_STEPS_PROGRAM.replace("steps 1000000000", "steps 0"), DomainError,
+         "steps must be >= 1, got 0"),
+    ], ids=["nan-theta", "theta-4", "huge-steps-header", "zero-steps-header"])
+    def test_bad_cells_are_named(self, text, error, match):
+        with pytest.raises(error, match=match):
+            fileio.program_from_text(text)
+
+    def test_rows_are_read_and_run_without_coin_objects(self, monkeypatch):
+        built = []
+        check = CoinOp.__post_init__
+
+        def counted(op):
+            built.append(op.theta)
+            check(op)
+
+        monkeypatch.setattr(CoinOp, "__post_init__", counted)
+        CoinOp(0.5)
+        assert built == [0.5]  # the counter sees every CoinOp
+        built.clear()
+        p = fileio.program_from_text(fileio.program_to_text(uniform_program(20)))
+        walk.run_program(p)
+        reports = walk.run_program(walk.hadamard_program(9, walk.circular_initial()))
+        assert built == []
+        for r in reports:
+            assert type(r.state) is WalkerState
+            # The public constructor turns numpy scalars into int keys and complex pairs.
+            public = WalkerState(r.step, {np.int64(x): (np.complex128(a), np.complex128(b))
+                                          for x, (a, b) in r.state.amplitudes.items()})
+            assert repr(r.state.amplitudes) == repr(public.amplitudes)
 
     def test_hadamard_initial_preserved(self, tmp_path):
         prog = tmp_path / "h.prog"

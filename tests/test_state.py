@@ -63,6 +63,22 @@ class TestWalkerState:
         with pytest.raises(DomainError, match=r"amplitude b\(2,2\) must have finite"):
             WalkerState(step=2, amplitudes={0: (0j, 0j), 2: (1 + 0j, complex(math.inf))})
 
+    def test_from_rows_matches_public_constructor(self):
+        a, b = np.array([0.6, 0.0]), np.array([0.0, 0.8j])
+        s = WalkerState.from_rows(1, a, b)
+        assert s == WalkerState(step=1, amplitudes={-1: (0.6, 0), 1: (0, 0.8j)})
+        assert repr(s.amplitudes) == "{-1: ((0.6+0j), 0j), 1: (0j, 0.8j)}"
+
+    def test_from_rows_names_first_nonfinite_amplitude(self):
+        a = np.array([0j, 1 + 0j, complex(math.nan)])
+        b = np.array([0j, complex(0, math.inf), 0j])
+        with pytest.raises(DomainError, match=r"amplitude b\(0,2\) must have finite"):
+            WalkerState.from_rows(2, a, b)
+
+    def test_from_rows_requires_one_pair_per_support_position(self):
+        with pytest.raises(DomainError, match="step-2 rows must hold 3 amplitudes"):
+            WalkerState.from_rows(2, np.zeros(2, complex), np.zeros(2, complex))
+
     def test_norm_of_localized(self):
         assert norm(localized_state(1, 0)) == 1.0
 
@@ -221,3 +237,11 @@ class TestDistributionSchedule:
     def test_rejects_missing_row(self):
         with pytest.raises(DomainError):
             DistributionSchedule(steps=2, rows={0: {0: 1.0}, 2: {0: 1.0}})
+
+    def test_names_smallest_stray_row(self):
+        rows = {0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}, 5: {0: 3.0}, -2: {1: -4.0}}
+        with pytest.raises(DomainError, match=r"row for step -2, outside 0\.\.1"):
+            DistributionSchedule(steps=1, rows=rows)
+        del rows[-2]
+        with pytest.raises(DomainError, match=r"row for step 5, outside 0\.\.1"):
+            DistributionSchedule(steps=1, rows=rows)
