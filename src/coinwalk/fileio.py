@@ -6,6 +6,10 @@ serialize via repr (shortest exact decimal), except pulse times and
 voltages which are fixed to 4 decimals to match the hardware's
 resolution.
 
+Every reader strips each line, skips it if blank or a ``#`` comment, and
+splits it on whitespace (on ``,`` in the pulse CSV); a line it cannot read
+raises ``ParseError("bad <kind> line '<stripped line>': <reason>")``.
+
 A program file is read straight into angle rows: each cell angle is
 range-checked by ``state.check_angle`` and the cells must be exactly those
 of the header's step count (``state.program_cells``, the coin-map check
@@ -15,7 +19,8 @@ must lie in 0..T, T being its largest step.
 
 from __future__ import annotations
 
-from typing import Mapping
+from itertools import chain, islice, repeat
+from typing import Iterator, Mapping
 
 from .errors import ParseError
 from .pulses import Calibration, PulseEvent, PulseSchedule
@@ -38,6 +43,13 @@ def _f(v: float) -> str:
     return repr(float(v))
 
 
+def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]:
+    """Each stripped line that is not blank or a comment, with its fields,
+    split one line at a time so that no list of field lists is kept."""
+    kept = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    return zip(kept, map(str.split, kept, repeat(sep)))
+
+
 def program_to_text(p: CoinProgram) -> str:
     a, b = p.initial.pair(0)
     lines = [
@@ -57,12 +69,13 @@ def program_to_text(p: CoinProgram) -> str:
 
 
 def program_from_text(text: str) -> CoinProgram:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if len(lines) < 5:
+    lines = _lines(text)
+    head = list(islice(lines, 5))  # the 4 header lines and the first cell
+    if len(head) < 5:
         raise ParseError("program file too short")
     header = {}
     try:
-        for ln in lines[:4]:
+        for ln, _ in head[:4]:
             key, _, rest = ln.partition(" ")
             header[key] = rest
         version = int(header["version"])
@@ -77,9 +90,8 @@ def program_from_text(text: str) -> CoinProgram:
         raise ParseError(f"unsupported shift convention {convention!r}")
     angles: dict[tuple[int, int], float] = {}
     final: dict[int, GeneralCoinOp] = {}
-    for ln in lines[4:]:
-        parts = ln.split()
-        try:
+    try:
+        for ln, parts in chain(head[4:], lines):
             if parts[0] == "F":
                 if len(parts) != 6:
                     raise ValueError("expected 6 fields")
@@ -94,8 +106,8 @@ def program_from_text(text: str) -> CoinProgram:
                 if (t, x) in angles:
                     raise ValueError(f"cell ({t},{x}) repeated")
                 angles[(t, x)] = check_angle(float(parts[2]))
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"bad program line {ln!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"bad program line {ln!r}: {exc}") from exc
     initial = WalkerState(
         step=0, amplitudes={0: (complex(re_a, im_a), complex(re_b, im_b))}
     )
@@ -105,34 +117,25 @@ def program_from_text(text: str) -> CoinProgram:
     )
 
 
-def distribution_to_text(
-    p: Mapping[int, float], sigma: Mapping[int, float] | None = None
-) -> str:
-    lines = []
-    for x in sorted(p):
-        if sigma is not None:
-            lines.append(f"{x} {_f(p[x])} {_f(sigma.get(x, 0.0))}")
-        else:
-            lines.append(f"{x} {_f(p[x])}")
+def distribution_to_text(p: Mapping[int, float]) -> str:
+    lines = [f"{x} {_f(p[x])}" for x in sorted(p)]
     return "\n".join(lines) + "\n"
 
 
 def distribution_from_text(text: str) -> dict[int, float]:
     out = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"bad distribution line {ln!r}")
-        try:
+    try:
+        for ln, parts in _lines(text):
+            if len(parts) not in (2, 3):
+                raise ValueError("expected 2 or 3 fields")
             x, prob = int(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"bad distribution line {ln!r}: {exc}") from exc
-        if x in out:
-            raise ParseError(f"bad distribution line {ln!r}: position {x} repeated")
-        out[x] = prob
+            if len(parts) == 3:
+                float(parts[2])  # the sigma that ``coinwalk sample`` writes
+            if x in out:
+                raise ValueError(f"position {x} repeated")
+            out[x] = prob
+    except ValueError as exc:
+        raise ParseError(f"bad distribution line {ln!r}: {exc}") from exc
     if not out:
         raise ParseError("empty distribution file")
     return out
@@ -140,20 +143,17 @@ def distribution_from_text(text: str) -> dict[int, float]:
 
 def schedule_targets_from_text(text: str) -> DistributionSchedule:
     rows: dict[int, dict[int, float]] = {}
-    for ln in text.splitlines():
-        parts = ln.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"bad target line {ln.strip()!r}")
-        try:
+    try:
+        for ln, parts in _lines(text):
+            if len(parts) != 3:
+                raise ValueError("expected 3 fields")
             t, x, prob = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"bad target line {ln.strip()!r}: {exc}") from exc
-        row = rows.setdefault(t, {})
-        if x in row:
-            raise ParseError(f"bad target line {ln.strip()!r}: P({x},{t}) repeated")
-        row[x] = prob
+            row = rows.setdefault(t, {})
+            if x in row:
+                raise ValueError(f"P({x},{t}) repeated")
+            row[x] = prob
+    except ValueError as exc:
+        raise ParseError(f"bad target line {ln!r}: {exc}") from exc
     if not rows:
         raise ParseError("empty schedule file")
     rows.setdefault(0, {0: 1.0})
@@ -162,17 +162,13 @@ def schedule_targets_from_text(text: str) -> DistributionSchedule:
 
 def calibration_from_text(text: str) -> Calibration:
     anchors = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad calibration line {ln!r}")
-        try:
+    try:
+        for ln, parts in _lines(text):
+            if len(parts) != 2:
+                raise ValueError("expected 2 fields")
             anchors.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"bad calibration line {ln!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"bad calibration line {ln!r}: {exc}") from exc
     if len(anchors) < 2:
         raise ParseError("calibration needs at least two anchors")
     return Calibration(anchors=tuple(anchors))
@@ -192,15 +188,15 @@ def pulse_schedule_to_text(ps: PulseSchedule) -> str:
 
 
 def pulse_schedule_from_text(text: str) -> PulseSchedule:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SCHEDULE_HEADER:
+    lines = _lines(text, ",")
+    header = next(lines, None)
+    if header is None or header[0] != SCHEDULE_HEADER:
         raise ParseError("missing or unexpected pulse schedule header")
     events = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"bad schedule line {ln!r}")
-        try:
+    try:
+        for ln, parts in lines:
+            if len(parts) != 6:
+                raise ValueError("expected 6 fields")
             events.append(
                 PulseEvent(
                     time_ns=float(parts[0]),
@@ -211,6 +207,6 @@ def pulse_schedule_from_text(text: str) -> PulseSchedule:
                     arm=parts[5],
                 )
             )
-        except ValueError as exc:
-            raise ParseError(f"bad schedule line {ln!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"bad schedule line {ln!r}: {exc}") from exc
     return PulseSchedule(events=tuple(events))

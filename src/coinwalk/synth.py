@@ -200,11 +200,7 @@ def schedule_program(sched: DistributionSchedule) -> CoinProgram:
     disentangling layer that leaves walker amplitudes sqrt(P(x, steps))."""
     plan = plan_amplitudes(sched)
     t = plan.steps
-    last = WalkerState(
-        step=t,
-        amplitudes=dict(zip(support(t), zip(plan.a[t].tolist(), plan.b[t].tolist()))),
-        require_normalized=False,
-    )
+    last = WalkerState.from_rows(t, plan.a[t], plan.b[t])
     return replace(synthesize_coins(plan), final_layer=disentangle_layer(last))
 
 

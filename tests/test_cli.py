@@ -165,6 +165,7 @@ BOUNDARY_FILES = {
     "negative.txt": "-1 -0.5\n1 1.5\n",
     "repeated.txt": "0 0.5\n0 1.0\n",
     "malformed.txt": "0 abc\n",
+    "malformed_sigma.txt": "0 1.0 abc\n",
     "u.prog": fileio.program_to_text(uniform_program(3)),
     "repeated.prog": fileio.program_to_text(uniform_program(1)) + "0 0 0.1\n",
     "nan_cal.txt": "nan 0.2\n1.5 0.3\n",
@@ -178,6 +179,8 @@ BOUNDARY_FILES = {
     "nan_theta.prog": NAN_THETA_PROGRAM,
     "theta_4.prog": THETA_4_PROGRAM,
     "huge_steps.prog": HUGE_STEPS_PROGRAM,
+    "header_only.prog": "".join(
+        fileio.program_to_text(uniform_program(1)).splitlines(keepends=True)[:4]),
 }
 
 BOUNDARY_CASES = {
@@ -187,6 +190,7 @@ BOUNDARY_CASES = {
     "similarity-malformed": (["similarity", "one.txt", "malformed.txt"], EXIT_PARSE),
     "entropy-nan": (["entropy", "nan.txt"], EXIT_DOMAIN),
     "entropy-repeated": (["entropy", "repeated.txt"], EXIT_PARSE),
+    "entropy-malformed-sigma": (["entropy", "malformed_sigma.txt"], EXIT_PARSE),
     "sample-nan": (["sample", "nan.txt", "--events", "10", "-o", "out.txt"], EXIT_DOMAIN),
     "sample-negative": (["sample", "negative.txt", "--events", "10", "-o", "out.txt"],
                         EXIT_DOMAIN),
@@ -225,6 +229,8 @@ BOUNDARY_CASES = {
     "simulate-theta-4": (["simulate", "theta_4.prog", "--out-dir", "d"], EXIT_PARSE),
     "simulate-huge-steps-header": (["simulate", "huge_steps.prog", "--out-dir", "d"],
                                    EXIT_DOMAIN),
+    "simulate-header-only-program": (["simulate", "header_only.prog", "--out-dir", "d"],
+                                     EXIT_PARSE),
 }
 
 
@@ -297,6 +303,17 @@ class TestAnalysisCommands:
         assert len(bits) == 3000
         assert set(bits) <= {"0", "1"}
 
+    def test_sample_counts_feed_extract_bits(self, tmp_path):
+        dist = tmp_path / "u.txt"
+        dist.write_text(fileio.distribution_to_text(
+            {x: 0.125 for x in range(-7, 8, 2)}))
+        counts = tmp_path / "counts.txt"
+        assert run("sample", dist, "--events", "1000", "-o", counts) == EXIT_OK
+        # "# events ..." header, then "x count sigma" lines
+        assert len(counts.read_text().splitlines()[1].split()) == 3
+        assert run("extract-bits", counts, "--steps", "7", "--events", "100",
+                   "-o", tmp_path / "bits.txt") == EXIT_OK
+
 
 class TestProgramFile:
     @pytest.mark.parametrize("make", [
@@ -347,6 +364,11 @@ class TestProgramFile:
             public = WalkerState(r.step, {np.int64(x): (np.complex128(a), np.complex128(b))
                                           for x, (a, b) in r.state.amplitudes.items()})
             assert repr(r.state.amplitudes) == repr(public.amplitudes)
+
+    def test_indented_comment_is_skipped(self, tmp_path):
+        prog = tmp_path / "u.prog"
+        prog.write_text(fileio.program_to_text(uniform_program(3)) + "  # note\n")
+        assert run("simulate", prog, "--out-dir", tmp_path / "d") == EXIT_OK
 
     def test_hadamard_initial_preserved(self, tmp_path):
         prog = tmp_path / "h.prog"
