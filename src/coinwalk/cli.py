@@ -170,12 +170,14 @@ def _cmd_sample(args, seed: int) -> None:
     args.output.write_text("\n".join(lines) + "\n")
 
 
+def _purity(target: str, steps: int, gamma: float) -> list[measure.PurityRecord]:
+    final = walk.run_program(_built_in_program(target, steps))[-1].state
+    return measure.purity_criterion(final, gamma=gamma)
+
+
 def _cmd_verify_purity(args) -> None:
-    prog = _built_in_program(args.target, args.steps)
-    final = walk.run_program(prog)[-1].state
-    records = measure.purity_criterion(final, gamma=args.gamma)
     lines = ["# x  |rho_x,x+2|^2  rho_xx*rho_x+2,x+2  pass"]
-    for r in records:
+    for r in _purity(args.target, args.steps, args.gamma):
         lines.append(f"{r.x} {r.lhs:.6f} {r.rhs:.6f} {'yes' if r.passed else 'no'}")
     text = "\n".join(lines) + "\n"
     if args.output is not None:
@@ -201,11 +203,8 @@ def _cmd_reproduce(args, seed: int) -> None:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     steps = 11
-    programs = {
-        "hadamard": walk.hadamard_program(steps, walk.circular_initial()),
-        "gaussian": synth.gaussian_program(steps),
-        "uniform": synth.uniform_program(steps),
-    }
+    names = ("hadamard", "gaussian", "uniform")
+    programs = {name: _built_in_program(name, steps) for name in names}
     reports = {name: walk.run_program(p) for name, p in programs.items()}
 
     # Step-11 distributions: theory next to jittered finite-count emulation.
@@ -242,17 +241,14 @@ def _cmd_reproduce(args, seed: int) -> None:
     # Entropy versus step for the three walks.
     lines = ["# t R_hadamard R_gaussian R_uniform"]
     for t in range(1, steps + 1):
-        values = [measure.shannon_entropy(reports[n][t].distribution)
-                  for n in ("hadamard", "gaussian", "uniform")]
+        values = [measure.shannon_entropy(reports[n][t].distribution) for n in names]
         lines.append(f"{t} " + " ".join(repr(v) for v in values))
     (out / "fig4.txt").write_text("\n".join(lines) + "\n")
 
     # Pairwise purity tables for the ideal 9-step walks.
     for name, table in (("uniform", "table1"), ("gaussian", "table2")):
-        prog = _built_in_program(name, 9)
-        final = walk.run_program(prog)[-1].state
         lines = [f"# {name} 9-step: x |rho_x,x+2|^2 rho_xx*rho_x+2,x+2"]
-        for r in measure.purity_criterion(final):
+        for r in _purity(name, 9, 1.0):
             lines.append(f"{r.x} {r.lhs:.4f} {r.rhs:.4f}")
         (out / f"{table}.txt").write_text("\n".join(lines) + "\n")
 
@@ -260,6 +256,8 @@ def _cmd_reproduce(args, seed: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("sample", "extract-bits", "reproduce"):
+        print(f"seed {args.seed}", file=sys.stderr)
     try:
         if args.command == "synthesize":
             _cmd_synthesize(args)
@@ -268,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "compile":
             _cmd_compile(args)
         elif args.command == "sample":
-            print(f"seed {args.seed}", file=sys.stderr)
             _cmd_sample(args, args.seed)
         elif args.command == "entropy":
             dist = fileio.distribution_from_text(_read(args.distribution))
@@ -280,10 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "verify-purity":
             _cmd_verify_purity(args)
         elif args.command == "extract-bits":
-            print(f"seed {args.seed}", file=sys.stderr)
             _cmd_extract_bits(args, args.seed)
         elif args.command == "reproduce":
-            print(f"seed {args.seed}", file=sys.stderr)
             _cmd_reproduce(args, args.seed)
     except CoinWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)

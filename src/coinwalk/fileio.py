@@ -23,14 +23,14 @@ from itertools import chain, islice, repeat
 from typing import Iterator, Mapping
 
 from .errors import ParseError
-from .pulses import Calibration, PulseEvent, PulseSchedule
+from .pulses import ARM_CCW, ARM_CW, Calibration, PulseEvent, PulseSchedule
 from .state import (
     AngleRows,
     CoinProgram,
     DistributionSchedule,
     GeneralCoinOp,
-    WalkerState,
     check_angle,
+    localized_state,
     program_cells,
     support,
 )
@@ -108,9 +108,7 @@ def program_from_text(text: str) -> CoinProgram:
                 angles[(t, x)] = check_angle(float(parts[2]))
     except ValueError as exc:
         raise ParseError(f"bad program line {ln!r}: {exc}") from exc
-    initial = WalkerState(
-        step=0, amplitudes={0: (complex(re_a, im_a), complex(re_b, im_b))}
-    )
+    initial = localized_state(complex(re_a, im_a), complex(re_b, im_b))
     cells = AngleRows(program_cells(angles, steps, float))
     return CoinProgram(
         steps=steps, cells=cells, initial=initial, final_layer=final or None
@@ -197,6 +195,8 @@ def pulse_schedule_from_text(text: str) -> PulseSchedule:
         for ln, parts in lines:
             if len(parts) != 6:
                 raise ValueError("expected 6 fields")
+            if parts[5] not in (ARM_CCW, ARM_CW):
+                raise ValueError(f"unknown arm {parts[5]!r}")
             events.append(
                 PulseEvent(
                     time_ns=float(parts[0]),

@@ -123,7 +123,7 @@ def purity_criterion(
     for x in sorted(amps)[:-1]:
         if x + 2 not in amps:
             continue
-        pd = pair_density(amps, x, gamma=gamma)
+        pd = pair_density({x: amps[x], x + 2: amps[x + 2]}, x, gamma=gamma)
         lhs = float(abs(pd.rho[0, 1]) ** 2)
         rhs = float(abs(pd.rho[0, 0]) * abs(pd.rho[1, 1]))
         records.append(PurityRecord(x=x, lhs=lhs, rhs=rhs, passed=lhs >= rhs - tol))

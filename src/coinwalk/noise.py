@@ -3,7 +3,9 @@
 Losses in the loop are position-independent to first order, so they
 rescale the event budget rather than the distribution shape; the optional
 asymmetric right-move loss knob models the residual long/short path
-imbalance. All randomness flows through explicit seeds.
+imbalance. Expected counts always come from one walk, damped only when
+the right-move loss is positive, renormalized at detection. All
+randomness flows through explicit seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .measure import shannon_entropy, similarity
 from .state import AngleRows, CoinProgram, support
-from .walk import _rows, run_program
+from .walk import _rows
 
 
 @dataclass(frozen=True)
@@ -43,16 +45,14 @@ def expected_counts(
 ) -> dict[int, float]:
     """P(x, step) scaled to ``total_events`` detected events.
 
-    Flat losses rescale the budget, not the shape (see detected_event_budget);
-    only a right-move loss, when set, reshapes it (see lossy_distribution).
+    Flat losses rescale the budget, not the shape (see detected_event_budget).
+    The distribution comes from one walk (see lossy_distribution), damped
+    only when ``right_move_loss > 0`` and renormalized, so the counts sum
+    to ``total_events``.
     """
     if not 0 <= total_events < math.inf:
         raise DomainError(f"total_events must be finite and >= 0, got {total_events!r}")
-    _require_step(p, step)
-    if nm.right_move_loss > 0.0:
-        dist = lossy_distribution(p, step, nm.right_move_loss)
-    else:
-        dist = run_program(p)[step].distribution
+    dist = lossy_distribution(p, step, nm.right_move_loss)
     return {x: prob * total_events for x, prob in dist.items()}
 
 
@@ -66,15 +66,11 @@ def detected_event_budget(nm: NoiseModel, launches: float, step: int) -> float:
     return launches * nm.round_trip_survival ** step * nm.outcoupling_fraction
 
 
-def _require_step(p: CoinProgram, step: int) -> None:
-    if not 0 <= step <= p.steps:
-        raise DomainError(f"step must lie in [0, {p.steps}], got {step!r}")
-
-
 def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dict[int, float]:
     """Distribution at a step with amplitude damping on every right-move,
     renormalized at detection."""
-    _require_step(p, step)
+    if not 0 <= step <= p.steps:
+        raise DomainError(f"step must lie in [0, {p.steps}], got {step!r}")
     if not 0.0 <= right_move_loss <= 1.0:
         raise DomainError(f"right_move_loss must lie in [0, 1], got {right_move_loss!r}")
     *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
@@ -135,7 +131,8 @@ def bootstrap_errorbars(
     entropies = np.array([shannon_entropy(dict(zip(xs, row))) for row in draws])
     sigma_f = None
     if theory is not None:
-        sims = np.array([similarity(dict(zip(xs, row)), dict(theory)) for row in draws])
+        theory = dict(theory)
+        sims = np.array([similarity(dict(zip(xs, row)), theory) for row in draws])
         sigma_f = float(sims.std())
     return BootstrapResult(
         sigma_p=sigma_p,

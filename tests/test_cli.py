@@ -315,6 +315,29 @@ class TestAnalysisCommands:
                    "-o", tmp_path / "bits.txt") == EXIT_OK
 
 
+SEED_LINE_CASES = {
+    "sample": (["sample", "u.txt", "--events", "100", "-o", "c.txt"], 1),
+    "extract-bits": (["extract-bits", "u.txt", "--steps", "7", "--events", "10",
+                      "-o", "b.txt"], 1),
+    "reproduce": (["reproduce", "--out-dir", "r"], 1),
+    "entropy": (["entropy", "u.txt"], 0),
+    "simulate": (["simulate", "u.prog", "--out-dir", "d"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, seed_lines", SEED_LINE_CASES.values(),
+                         ids=SEED_LINE_CASES.keys())
+def test_randomized_commands_print_one_seed_line(tmp_path, capsys, monkeypatch,
+                                                 argv, seed_lines):
+    (tmp_path / "u.txt").write_text(fileio.distribution_to_text(
+        {x: 0.125 for x in range(-7, 8, 2)}))
+    (tmp_path / "u.prog").write_text(fileio.program_to_text(uniform_program(3)))
+    monkeypatch.chdir(tmp_path)
+    assert run("--seed", "7", *argv) == EXIT_OK
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("seed")]
+    assert lines == ["seed 7"] * seed_lines
+
+
 class TestProgramFile:
     @pytest.mark.parametrize("make", [
         lambda: uniform_program(7),

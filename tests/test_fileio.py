@@ -60,3 +60,9 @@ def test_distribution_sigma_must_be_a_float():
     with pytest.raises(ParseError, match="^bad distribution line '0 1.0 abc': could not convert"):
         fileio.distribution_from_text("0 1.0 abc\n")
     assert fileio.distribution_from_text("0 1.0 0.5\n") == {0: 1.0}
+
+
+def test_pulse_arm_must_be_ccw_or_cw():
+    with pytest.raises(ParseError, match="^bad schedule line '0.0000,0.1270,1.0000,0,0,xyz': "
+                                         "unknown arm 'xyz'$"):
+        fileio.pulse_schedule_from_text(PULSES + "0.0000,0.1270,1.0000,0,0,xyz\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coinwalk import measure
 from coinwalk.errors import DomainError, MustDisentangleError, NormalizationError
 from coinwalk.measure import (
     extract_bits,
@@ -124,6 +125,20 @@ class TestPurityCriterion:
             r = purity_criterion(amps, gamma=gamma)[0]
             assert r.lhs == pytest.approx(gamma ** 2 * base.lhs, abs=1e-12)
             assert r.rhs == pytest.approx(base.rhs, abs=1e-12)
+
+    def test_each_pair_reads_only_its_two_amplitudes(self, monkeypatch):
+        amps = {x: 1 / math.sqrt(2001) for x in range(-2000, 2001, 2)}
+        walker_amplitudes = measure._walker_amplitudes
+        received = []
+
+        def counted(source):
+            received.append(len(source))
+            return walker_amplitudes(source)
+
+        monkeypatch.setattr(measure, "_walker_amplitudes", counted)
+        records = purity_criterion(amps)
+        assert len(records) == 2000 and all(r.passed for r in records)
+        assert sum(received) <= 3 * 2001
 
 
 class TestExtractBits:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from coinwalk.noise import (
     perturb_program,
     sample_counts,
 )
-from coinwalk.state import CoinOp, CoinProgram, localized_state
+from coinwalk.state import CoinOp, CoinProgram, WalkerState, localized_state
 from coinwalk.synth import uniform_program
 from coinwalk.walk import run_program
 
@@ -104,16 +105,33 @@ class TestExpectedCounts:
         for x, v in ref.items():
             assert abs(got[x] - v / total) < 1e-12
 
-    def test_lossy_counts_run_one_walk(self, monkeypatch):
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_lossy_counts_run_one_walk(self, monkeypatch, loss):
         prog = uniform_program(5)
-        expected = lossy_distribution(prog, 5, 0.3)
+        expected = lossy_distribution(prog, 5, loss)
+        noise_rows = noise._rows
+        walks = []
 
-        def no_lossless_walk(p):
-            raise AssertionError("lossless walk run for a lossy count")
+        def counted_rows(*args):
+            walks.append(args)
+            return noise_rows(*args)
 
-        monkeypatch.setattr(noise, "run_program", no_lossless_walk)
-        counts = expected_counts(prog, NoiseModel(right_move_loss=0.3), 5, 1000)
+        monkeypatch.setattr(noise, "_rows", counted_rows)
+        counts = expected_counts(prog, NoiseModel(right_move_loss=loss), 5, 1000)
+        assert len(walks) == 1
         assert counts == {x: v * 1000 for x, v in expected.items()}
+
+    def test_unnormalized_initial_state_counts_sum_to_total(self):
+        initial = WalkerState(step=0, amplitudes={0: (0.5, 0.5j)}, require_normalized=False)
+        prog = replace(uniform_program(5), initial=initial)
+        counts = expected_counts(prog, NoiseModel(), 5, 1000)
+        assert sum(counts.values()) == pytest.approx(1000, rel=1e-12)
+
+    def test_zero_norm_initial_state_is_rejected(self):
+        initial = WalkerState(step=0, amplitudes={0: (0, 0)}, require_normalized=False)
+        prog = replace(uniform_program(5), initial=initial)
+        with pytest.raises(DomainError, match="no amplitude survives 5 steps"):
+            expected_counts(prog, NoiseModel(), 5, 1000)
 
 
 class TestBoundaryChecks:
