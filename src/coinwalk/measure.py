@@ -44,6 +44,38 @@ def shannon_entropy(p: Mapping[int, float]) -> float:
     return -total
 
 
+def _similarity_rows(xs: list[int], rows: np.ndarray, q: dict[int, float]) -> np.ndarray:
+    """similarity(dict(zip(xs, row)), q) for every row of a matrix whose
+    columns are the positions ``xs``, bit for bit, without the checks.
+
+    The terms are the scalar's (IEEE sqrt, like math.sqrt) and are added
+    in its order, set(p) | set(q) with p a dict keyed by xs, which is the
+    same for every row. A position outside xs adds sqrt(0 q) = +0.0, which
+    leaves every sum as it is. Bit identity holds where builtin sum adds
+    floats left to right (CPython <= 3.11).
+    """
+    col = {x: j for j, x in enumerate(xs)}
+    f = np.zeros(len(rows))
+    for x in set(col) | set(q):
+        if x in col:
+            f = f + np.sqrt(np.maximum(rows[:, col[x]], 0.0) * max(q.get(x, 0.0), 0.0))
+    return np.minimum(f, 1.0)
+
+
+def _entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """shannon_entropy of every row of a matrix, bit for bit, without the
+    checks: math.log2 terms (np.log2 may differ in the last bit), added
+    column by column from 0.0. A term at v <= 0 is v * 0.0, a zero that
+    leaves every sum as it is."""
+    values, index = np.unique(rows, return_inverse=True)
+    logs = np.array([math.log2(v) if v > 0.0 else 0.0 for v in values.tolist()])
+    terms = rows * logs[index].reshape(rows.shape)
+    total = np.zeros(len(rows))
+    for column in terms.T:
+        total = total + column
+    return -total
+
+
 @dataclass(frozen=True)
 class PairDensity:
     """Reduced density matrix over the basis {|x>, |x+2>}, unnormalized:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError
-from .measure import shannon_entropy, similarity
-from .state import AngleRows, CoinProgram, support
+from .measure import _entropy_rows, _similarity_rows
+from .state import AngleRows, CoinProgram, _check_rows, check_distribution, support
 from .walk import _rows
 
 
@@ -73,6 +74,9 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
         raise DomainError(f"step must lie in [0, {p.steps}], got {step!r}")
     if not 0.0 <= right_move_loss <= 1.0:
         raise DomainError(f"right_move_loss must lie in [0, 1], got {right_move_loss!r}")
+    a0, b0 = p.initial.pair(0)
+    if abs(a0) ** 2 + abs(b0) ** 2 == 0.0:
+        raise DomainError("initial state has zero norm")
     *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
     raw = [abs(u) ** 2 + abs(v) ** 2 for u, v in zip(a.tolist(), b.tolist())]
     total = sum(raw)
@@ -117,26 +121,39 @@ def bootstrap_errorbars(
     theory: Mapping[int, float] | None = None,
 ) -> BootstrapResult:
     """Multinomial-resampled standard deviations of P(x), entropy, and,
-    when a theory distribution is given, the similarity against it."""
-    if resamples < 100:
-        raise DomainError("resamples must be >= 100")
+    when a theory distribution is given, the similarity against it.
+
+    ``counts`` must be finite whole numbers >= 0 with at least one event,
+    and ``resamples`` an integer >= 100. The resamples are drawn as one
+    (resamples, positions) matrix, checked as distributions in one pass,
+    and every row's entropy and similarity is evaluated on the matrix at
+    once. Each value equals, bit for bit, shannon_entropy and similarity
+    applied to that row as a dict (where builtin sum adds floats left to
+    right, CPython <= 3.11); ``theory`` is checked once, as similarity's q.
+    """
+    if not isinstance(resamples, Integral) or resamples < 100:
+        raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")
+    xs = sorted(counts)
+    values = np.array([counts[x] for x in xs], dtype=float)
+    bad = ~(np.isfinite(values) & (values >= 0.0) & (values == np.floor(values)))
+    if bad.any():
+        x = xs[int(np.argmax(bad))]
+        raise DomainError(f"count at x = {x} is {counts[x]!r}, not a finite whole number >= 0")
     n = int(sum(counts.values()))
     if n < 1:
         raise DomainError("counts must contain at least one event")
-    xs = sorted(counts)
-    phat = np.array([counts[x] for x in xs], dtype=float) / n
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(n, phat, size=resamples) / n
+    draws = rng.multinomial(n, values / n, size=resamples) / n
+    _check_rows(xs, draws, "p")
     sigma_p = {x: float(s) for x, s in zip(xs, draws.std(axis=0))}
-    entropies = np.array([shannon_entropy(dict(zip(xs, row))) for row in draws])
     sigma_f = None
     if theory is not None:
         theory = dict(theory)
-        sims = np.array([similarity(dict(zip(xs, row)), theory) for row in draws])
-        sigma_f = float(sims.std())
+        check_distribution(theory, "q")
+        sigma_f = float(_similarity_rows(xs, draws, theory).std())
     return BootstrapResult(
         sigma_p=sigma_p,
-        sigma_entropy=float(entropies.std()),
+        sigma_entropy=float(_entropy_rows(draws).std()),
         sigma_similarity=sigma_f,
     )
 

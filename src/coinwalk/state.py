@@ -48,6 +48,17 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
         )
 
 
+def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
+    """check_distribution on every row of a matrix whose columns are the
+    positions ``xs``: the first failing row raises what it raises alone."""
+    bad = ~np.isfinite(rows) | (rows < -CONSTRUCTION_TOL)
+    # cumsum adds each row left to right, as check_distribution does.
+    totals = np.cumsum(rows, axis=1)[:, -1]
+    failed = bad.any(axis=1) | (abs(totals - 1.0) > CONSTRUCTION_TOL)
+    if failed.any():
+        check_distribution(dict(zip(xs, rows[int(np.argmax(failed))])), name)
+
+
 def _require_finite(z: complex, what: str) -> None:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{what} must have finite components, got {z!r}")

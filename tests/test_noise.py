@@ -1,14 +1,16 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracle
-from coinwalk import noise
-from coinwalk.errors import DomainError
+from coinwalk import measure, noise
+from coinwalk.errors import DomainError, NormalizationError
 from coinwalk.measure import similarity
 from coinwalk.noise import (
+    BootstrapResult,
     NoiseModel,
     bootstrap_errorbars,
     detected_event_budget,
@@ -18,8 +20,8 @@ from coinwalk.noise import (
     sample_counts,
 )
 from coinwalk.state import CoinOp, CoinProgram, WalkerState, localized_state
-from coinwalk.synth import uniform_program
-from coinwalk.walk import run_program
+from coinwalk.synth import gaussian_program, uniform_program
+from coinwalk.walk import circular_initial, hadamard_program, run_program
 
 
 class TestNoiseModel:
@@ -130,7 +132,7 @@ class TestExpectedCounts:
     def test_zero_norm_initial_state_is_rejected(self):
         initial = WalkerState(step=0, amplitudes={0: (0, 0)}, require_normalized=False)
         prog = replace(uniform_program(5), initial=initial)
-        with pytest.raises(DomainError, match="no amplitude survives 5 steps"):
+        with pytest.raises(DomainError, match="initial state has zero norm"):
             expected_counts(prog, NoiseModel(), 5, 1000)
 
 
@@ -162,6 +164,8 @@ class TestBoundaryChecks:
         prog = CoinProgram(steps=3, cells=cells, initial=localized_state(1, 0))
         with pytest.raises(DomainError, match="no amplitude survives 3 steps"):
             lossy_distribution(prog, 3, 1.0)
+        with pytest.raises(DomainError, match="no amplitude survives 3 steps"):
+            expected_counts(prog, NoiseModel(right_move_loss=1.0), 3, 1000)
         assert lossy_distribution(prog, 0, 1.0) == {0: 1.0}
 
 
@@ -231,6 +235,68 @@ class TestBootstrap:
     def test_requires_enough_resamples(self):
         with pytest.raises(DomainError):
             bootstrap_errorbars({0: 10}, 10, seed=0)
+
+    @pytest.mark.parametrize("counts, resamples, theory, error, match", [
+        ({0: 5, 2: -1}, 100, None, DomainError, "count at x = 2 is -1,"),
+        ({0: 5, 2: math.nan}, 100, None, DomainError, "count at x = 2 is nan,"),
+        ({0: math.inf, 2: 5}, 100, None, DomainError, "count at x = 0 is inf,"),
+        ({0: 2.5, 2: 1}, 100, None, DomainError, "count at x = 0 is 2.5,"),
+        ({0: 5, 2: 5}, 100.5, None, DomainError, "resamples .* got 100.5"),
+        ({0: 5, 2: 5}, math.nan, None, DomainError, "resamples .* got nan"),
+        ({0: 5, 2: 5}, 99, None, DomainError, "resamples .* got 99"),
+        ({0: 5, 2: 5}, 100, {0: 0.6, 2: 0.5}, NormalizationError, "q sums to 1.1,"),
+    ])
+    def test_rejects_bad_input(self, counts, resamples, theory, error, match):
+        with pytest.raises(error, match=match):
+            bootstrap_errorbars(counts, resamples, seed=0, theory=theory)
+
+    @pytest.mark.parametrize("program", [
+        uniform_program(3), uniform_program(20), uniform_program(120),
+        gaussian_program(11), hadamard_program(17, circular_initial()),
+    ], ids=["uniform-3", "uniform-20", "uniform-120", "gaussian-11", "hadamard-17"])
+    @pytest.mark.parametrize("events, seed", [(1, 3), (40, 11), (10_000, 12345)])
+    def test_matches_scalar_measures_on_every_resample(self, program, events, seed):
+        ideal = run_program(program)[-1].distribution
+        counts = sample_counts(ideal, events, seed)
+        flat = {x: 1 / len(ideal) for x in ideal}
+        # Zero-count positions, and a theory with positions missing from the counts.
+        cases = [(counts, None), (counts, ideal), ({x: c for x, c in counts.items() if c}, flat)]
+        for c, theory in cases:
+            got = bootstrap_errorbars(c, 150, seed + 1, theory=theory)
+            xs = sorted(c)
+            n = sum(c.values())
+            phat = np.array([c[x] for x in xs], dtype=float) / n
+            draws = np.random.default_rng(seed + 1).multinomial(n, phat, size=150) / n
+            rows = [dict(zip(xs, row)) for row in draws]
+            sims = None if theory is None else [measure.similarity(r, theory) for r in rows]
+            ref = BootstrapResult(
+                sigma_p={x: float(s) for x, s in zip(xs, draws.std(axis=0))},
+                sigma_entropy=float(np.array([measure.shannon_entropy(r) for r in rows]).std()),
+                sigma_similarity=None if sims is None else float(np.array(sims).std()),
+            )
+            if sys.version_info < (3, 12) or theory is None:
+                assert got == ref
+            else:
+                # From 3.12 builtin sum compensates, so similarity's sum no
+                # longer adds left to right as the matrix evaluation does.
+                assert got.sigma_p == ref.sigma_p and got.sigma_entropy == ref.sigma_entropy
+                assert abs(got.sigma_similarity - ref.sigma_similarity) <= 1e-15
+
+    def test_makes_no_scalar_measure_calls(self, monkeypatch):
+        calls = []
+        for name in ("similarity", "shannon_entropy"):
+            original = getattr(measure, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(measure, name, counted)
+            monkeypatch.setattr(noise, name, counted, raising=False)
+        ideal = run_program(uniform_program(11))[-1].distribution
+        res = bootstrap_errorbars(sample_counts(ideal, 10_000, 5), 200, seed=6, theory=ideal)
+        assert res.sigma_similarity > 0.0
+        assert calls == []
 
 
 class TestPerturbProgram:

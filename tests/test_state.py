@@ -16,6 +16,8 @@ from coinwalk.state import (
     GeneralCoinOp,
     HADAMARD,
     WalkerState,
+    _check_rows,
+    check_distribution,
     localized_state,
     norm,
     position_distribution,
@@ -23,6 +25,23 @@ from coinwalk.state import (
 from coinwalk.synth import uniform_program
 
 R = 1.0 / math.sqrt(2.0)
+
+
+class TestCheckRows:
+    @pytest.mark.parametrize("bad_row", [
+        [0.5, math.nan, 0.5], [1.1, -0.1, 0.0], [0.5, 0.5, 0.1], [0.5, math.inf, 0.5],
+    ])
+    def test_first_failing_row_raises_what_check_distribution_raises(self, bad_row):
+        xs = [-2, 0, 2]
+        rows = np.array([[0.25, 0.5, 0.25], bad_row, [0.5, 0.5, 1.0]])
+        with pytest.raises((DomainError, NormalizationError)) as expected:
+            check_distribution(dict(zip(xs, rows[1])), "p")
+        with pytest.raises(expected.type) as got:
+            _check_rows(xs, rows, "p")
+        assert str(got.value) == str(expected.value)
+
+    def test_accepts_rows_within_tolerance(self):
+        _check_rows([0, 2], np.array([[1.0, 0.0], [0.5 + 5e-10, 0.5], [1.0, -5e-10]]), "p")
 
 
 class TestLocalizedState:
