@@ -10,11 +10,18 @@ Every reader strips each line, skips it if blank or a ``#`` comment, and
 splits it on whitespace (on ``,`` in the pulse CSV); a line it cannot read
 raises ``ParseError("bad <kind> line '<stripped line>': <reason>")``.
 
-A program file is read straight into angle rows: each cell angle is
-range-checked by ``state.check_angle`` and the cells must be exactly those
-of the header's step count (``state.program_cells``, the coin-map check
-``CoinProgram`` applies to a ``cells=`` dict). A target schedule's rows
-must lie in 0..T, T being its largest step.
+Program files and target schedules laid out as ``program_to_text`` writes
+them (cell lines ``t x value`` in (t, x) order, single spaces, any blank
+lines, comments and padding around them) are read by column: each line
+must start with its cell's ``"t x "``, the value column is parsed with
+Python ``float`` in one pass, and a program's angles get one vectorized
+[0, pi] check, the one ``CoinProgram`` applies to angle rows. Any other
+layout, and any file the column pass cannot take whole, is read line by
+line into a dict keyed by cell; that reader alone names errors, so every
+message is the same whichever layout the file has. Program cells must be
+exactly those of the header's step count (``state.program_cells``, the
+coin-map check ``CoinProgram`` applies to a ``cells=`` dict). A target
+schedule's rows must lie in 0..T, T being its largest step.
 """
 
 from __future__ import annotations
@@ -22,13 +29,14 @@ from __future__ import annotations
 from itertools import chain, islice, repeat
 from typing import Iterator, Mapping
 
-from .errors import ParseError
+from .errors import CoinWalkError, ParseError
 from .pulses import ARM_CCW, ARM_CW, Calibration, PulseEvent, PulseSchedule
 from .state import (
     AngleRows,
     CoinProgram,
     DistributionSchedule,
     GeneralCoinOp,
+    cell_at,
     check_angle,
     localized_state,
     program_cells,
@@ -43,39 +51,63 @@ def _f(v: float) -> str:
     return repr(float(v))
 
 
+def _kept(text: str) -> list[str]:
+    """Each line stripped, without the blank and ``#`` comment lines."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+
+
 def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]:
-    """Each stripped line that is not blank or a comment, with its fields,
-    split one line at a time so that no list of field lists is kept."""
-    kept = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    """Each kept line (see ``_kept``) with its fields, split one line at a
+    time so that no list of field lists is kept. This line-by-line reading
+    is the only one that names a bad line; program files and schedules in
+    the writers' layout are read by column instead (``_cell_column``, then
+    one vectorized angle check), and any other layout comes back here."""
+    kept = _kept(text)
     return zip(kept, map(str.split, kept, repeat(sep)))
+
+
+def _cell_prefixes(rows: int) -> list[str]:
+    """``"t x "`` for every cell of steps t < rows, in (t, x) order."""
+    xs = [f"{x} " for x in range(-rows, rows + 1)]  # xs[rows + x] == f"{x} "
+    return [tp + xp for t in range(rows) for tp in (f"{t} ",)
+            for xp in xs[rows - t:rows + t + 1:2]]
+
+
+def _cell_column(kept: list[str], rows: int) -> list[float] | None:
+    """The values of ``kept`` when it is exactly the cell lines ``t x value``
+    of steps t < rows in (t, x) order, each value one float field; else None
+    (or the ValueError of a value float cannot read)."""
+    if rows < 1 or len(kept) != rows * (rows + 1) // 2:  # before anything that size
+        return None
+    prefixes = _cell_prefixes(rows)
+    if not all(map(str.startswith, kept, prefixes)):
+        return None
+    # float takes surrounding spaces but none inside, so each rest is one field.
+    return list(map(float, map(str.removeprefix, kept, prefixes)))
 
 
 def program_to_text(p: CoinProgram) -> str:
     a, b = p.initial.pair(0)
-    lines = [
+    head = [
         f"version {PROGRAM_VERSION}",
         f"steps {p.steps}",
         f"convention {SHIFT_CONVENTION}",
         f"initial {_f(a.real)} {_f(a.imag)} {_f(b.real)} {_f(b.imag)}",
     ]
-    for t, row in enumerate(p.cells.rows):
-        lines.extend(f"{t} {x} {theta!r}" for x, theta in zip(support(t), row.tolist()))
-    if p.final_layer is not None:
-        for x, op in sorted(p.final_layer.items()):
-            lines.append(
-                f"F {x} {_f(op.m00)} {_f(op.m01)} {_f(op.m10)} {_f(op.m11)}"
-            )
-    return "\n".join(lines) + "\n"
+    # One % pass formats every angle with repr; a prefix holds no %.
+    cells = ("%r\n".join(_cell_prefixes(p.steps)) + "%r") % tuple(p.cells.theta.tolist())
+    final = [
+        f"F {x} {_f(op.m00)} {_f(op.m01)} {_f(op.m10)} {_f(op.m11)}"
+        for x, op in sorted((p.final_layer or {}).items())
+    ]
+    return "\n".join([*head, cells, *final]) + "\n"
 
 
-def program_from_text(text: str) -> CoinProgram:
-    lines = _lines(text)
-    head = list(islice(lines, 5))  # the 4 header lines and the first cell
-    if len(head) < 5:
-        raise ParseError("program file too short")
+def _program_header(head: list[str]) -> tuple[int, complex, complex]:
+    """The step count and initial coin amplitudes of the 4 header lines."""
     header = {}
     try:
-        for ln, _ in head[:4]:
+        for ln in head:
             key, _, rest = ln.partition(" ")
             header[key] = rest
         version = int(header["version"])
@@ -88,17 +120,48 @@ def program_from_text(text: str) -> CoinProgram:
         raise ParseError(f"unsupported program version {version}")
     if convention != SHIFT_CONVENTION:
         raise ParseError(f"unsupported shift convention {convention!r}")
+    return steps, complex(re_a, im_a), complex(re_b, im_b)
+
+
+def _add_final_coin(final: dict[int, GeneralCoinOp], parts: list[str]) -> None:
+    if len(parts) != 6:
+        raise ValueError("expected 6 fields")
+    x = int(parts[1])
+    if x in final:
+        raise ValueError(f"final coin at position {x} repeated")
+    final[x] = GeneralCoinOp(*(float(v) for v in parts[2:6]))
+
+
+def _program_by_column(text: str) -> CoinProgram | None:
+    """A program file as ``program_to_text`` lays it out, every cell line
+    before the final layer's T + 1 ``F`` lines if it has one; else None."""
+    kept = _kept(text)
+    steps, a, b = _program_header(kept[:4])
+    n = steps * (steps + 1) // 2
+    theta = _cell_column(kept[4:4 + n], steps)
+    if theta is None:
+        return None
+    final: dict[int, GeneralCoinOp] = {}
+    for parts in map(str.split, kept[4 + n:]):
+        if parts[0] != "F":
+            return None
+        _add_final_coin(final, parts)
+    return CoinProgram(steps=steps, cells=AngleRows(theta),
+                       initial=localized_state(a, b), final_layer=final or None)
+
+
+def _program_by_line(text: str) -> CoinProgram:
+    lines = _lines(text)
+    head = list(islice(lines, 5))  # the 4 header lines and the first cell
+    if len(head) < 5:
+        raise ParseError("program file too short")
+    steps, a, b = _program_header([ln for ln, _ in head[:4]])
     angles: dict[tuple[int, int], float] = {}
     final: dict[int, GeneralCoinOp] = {}
     try:
         for ln, parts in chain(head[4:], lines):
             if parts[0] == "F":
-                if len(parts) != 6:
-                    raise ValueError("expected 6 fields")
-                x = int(parts[1])
-                if x in final:
-                    raise ValueError(f"final coin at position {x} repeated")
-                final[x] = GeneralCoinOp(*(float(v) for v in parts[2:6]))
+                _add_final_coin(final, parts)
             else:
                 if len(parts) != 3:
                     raise ValueError("expected 3 fields")
@@ -108,11 +171,25 @@ def program_from_text(text: str) -> CoinProgram:
                 angles[(t, x)] = check_angle(float(parts[2]))
     except ValueError as exc:
         raise ParseError(f"bad program line {ln!r}: {exc}") from exc
-    initial = localized_state(complex(re_a, im_a), complex(re_b, im_b))
+    initial = localized_state(a, b)
     cells = AngleRows(program_cells(angles, steps, float))
     return CoinProgram(
         steps=steps, cells=cells, initial=initial, final_layer=final or None
     )
+
+
+def _read(by_column, by_line, text: str):
+    """What ``by_column`` reads from ``text``; when it returns None or
+    raises, what ``by_line`` reads, which names anything wrong."""
+    try:
+        value = by_column(text)
+    except (ValueError, CoinWalkError):
+        value = None
+    return by_line(text) if value is None else value
+
+
+def program_from_text(text: str) -> CoinProgram:
+    return _read(_program_by_column, _program_by_line, text)
 
 
 def distribution_to_text(p: Mapping[int, float]) -> str:
@@ -139,7 +216,21 @@ def distribution_from_text(text: str) -> dict[int, float]:
     return out
 
 
-def schedule_targets_from_text(text: str) -> DistributionSchedule:
+def _schedule_by_column(text: str) -> DistributionSchedule | None:
+    """A target schedule as ``t x p`` cell lines of every step 0..T in
+    (t, x) order; else None."""
+    kept = _kept(text)
+    rows, x = cell_at(len(kept))  # x == -rows when the lines fill rows 0..rows-1
+    probs = _cell_column(kept, rows) if x == -rows else None
+    if probs is None:
+        return None
+    starts = [t * (t + 1) // 2 for t in range(rows + 1)]
+    return DistributionSchedule(steps=rows - 1, rows={
+        t: dict(zip(support(t), probs[i:j])) for t, (i, j) in enumerate(zip(starts, starts[1:]))
+    })
+
+
+def _schedule_by_line(text: str) -> DistributionSchedule:
     rows: dict[int, dict[int, float]] = {}
     try:
         for ln, parts in _lines(text):
@@ -156,6 +247,10 @@ def schedule_targets_from_text(text: str) -> DistributionSchedule:
         raise ParseError("empty schedule file")
     rows.setdefault(0, {0: 1.0})
     return DistributionSchedule(steps=max(rows), rows=rows)
+
+
+def schedule_targets_from_text(text: str) -> DistributionSchedule:
+    return _read(_schedule_by_column, _schedule_by_line, text)
 
 
 def calibration_from_text(text: str) -> Calibration:

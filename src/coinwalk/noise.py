@@ -87,11 +87,17 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
     return {x: v / total for x, v in zip(support(step), raw)}
 
 
+def _require_event_total(n, what: str) -> None:
+    """Require a whole event total in [0, 2**63), the 64-bit integer range
+    numpy's multinomial takes."""
+    if not (0 <= n < 2**63 and n == math.floor(n)):  # NaN fails the first test
+        raise DomainError(f"{what} must be a whole number in [0, 2**63), got {n!r}")
+
+
 def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
     """Multinomial draw of n events from nonnegative weights, renormalized,
-    reproducible per seed."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    reproducible per seed; n must be a whole number in [0, 2**63)."""
+    _require_event_total(n, "n")
     xs = sorted(p)
     probs = np.array([p[x] for x in xs], dtype=float)
     bad = ~np.isfinite(probs) | (probs < 0.0)
@@ -123,7 +129,7 @@ def bootstrap_errorbars(
     """Multinomial-resampled standard deviations of P(x), entropy, and,
     when a theory distribution is given, the similarity against it.
 
-    ``counts`` must be finite whole numbers >= 0 with at least one event,
+    ``counts`` must be finite whole numbers >= 0 with 1 to 2**63 - 1 events,
     and ``resamples`` an integer >= 100. The resamples are drawn as one
     (resamples, positions) matrix, checked as distributions in one pass,
     and every row's entropy and similarity is evaluated on the matrix at
@@ -142,6 +148,7 @@ def bootstrap_errorbars(
     n = int(sum(counts.values()))
     if n < 1:
         raise DomainError("counts must contain at least one event")
+    _require_event_total(n, "the event total")
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(n, values / n, size=resamples) / n
     _check_rows(xs, draws, "p")

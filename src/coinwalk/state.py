@@ -344,6 +344,3 @@ class DistributionSchedule:
                     raise DomainError(
                         f"P({x},{t}) = {row[x]!r} lies outside the step-{t} support"
                     )
-
-    def prob(self, t: int, x: int) -> float:
-        return self.rows[t].get(x, 0.0)

@@ -346,7 +346,9 @@ class TestProgramFile:
         lambda: uniform_program(60),
         lambda: perturb_program(uniform_program(60),
                                 NoiseModel(coin_angle_jitter_rad=0.05, seed=3)),
-    ], ids=["uniform-7", "hadamard-9-circular", "uniform-60", "perturbed-uniform-60"])
+        lambda: uniform_program(300),
+    ], ids=["uniform-7", "hadamard-9-circular", "uniform-60", "perturbed-uniform-60",
+            "uniform-300"])
     def test_round_trip_identity(self, make):
         p = make()
         text = fileio.program_to_text(p)

@@ -1,11 +1,20 @@
 """The line rule every text reader shares: blank and comment lines are
-skipped, lines are stripped, and a bad line is named the same way."""
+skipped, lines are stripped, and a bad line is named the same way. Program
+files and schedules in the writers' layout are read by column; whatever
+else they hold, the public readers agree with the line-by-line readers."""
 
+import cmath
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinwalk import fileio
-from coinwalk.errors import ParseError
+from coinwalk.errors import IncompleteLayerError, ParseError
 from coinwalk.pulses import compile_schedule
+from coinwalk.state import AngleRows, CoinProgram, GeneralCoinOp, localized_state, support
 from coinwalk.synth import uniform_program
 
 PROGRAM = fileio.program_to_text(uniform_program(3))
@@ -66,3 +75,130 @@ def test_pulse_arm_must_be_ccw_or_cw():
     with pytest.raises(ParseError, match="^bad schedule line '0.0000,0.1270,1.0000,0,0,xyz': "
                                          "unknown arm 'xyz'$"):
         fileio.pulse_schedule_from_text(PULSES + "0.0000,0.1270,1.0000,0,0,xyz\n")
+
+
+def random_program_text(rng, steps, final):
+    """A program file as program_to_text writes it: random angles, a random
+    initial coin and, if ``final``, a random orthogonal final layer."""
+    alpha, beta = rng.uniform(0.0, math.pi, 2)
+    final_layer = None
+    if final:
+        final_layer = {
+            x: GeneralCoinOp(math.cos(phi), math.sin(phi), math.sin(phi), -math.cos(phi))
+            for x, phi in zip(support(steps), rng.uniform(0.0, math.pi, steps + 1))
+        }
+    program = CoinProgram(
+        steps=steps,
+        cells=AngleRows(rng.uniform(0.0, math.pi, steps * (steps + 1) // 2)),
+        initial=localized_state(math.cos(alpha), math.sin(alpha) * cmath.exp(1j * beta)),
+        final_layer=final_layer,
+    )
+    return fileio.program_to_text(program)
+
+
+def random_schedule_text(rng, steps):
+    """``t x p`` lines of random normalized rows for steps 0..T."""
+    lines = []
+    for t in range(steps + 1):
+        w = rng.random(t + 1)
+        lines += [f"{t} {x} {p!r}" for x, p in zip(support(t), (w / w.sum()).tolist())]
+    return "\n".join(lines) + "\n"
+
+
+TOKENS = ["nan", "inf", "4.0", "-0.0", "1_0", "+1"]
+
+
+@st.composite
+def mutated(draw, lines, body):
+    """``lines`` changed once from line ``body`` on (the program header
+    only by its step count), or left as they are."""
+    lines = list(lines)
+    i = draw(st.integers(body, len(lines) - 1))
+    kind = draw(st.sampled_from(
+        ["none", "swap", "duplicate", "drop", "field", "bare", "value", "pad", "steps"]))
+    if kind == "swap":
+        j = draw(st.integers(body, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(body, len(lines))), lines[i])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "field":
+        lines[i] += " 0.5"
+    elif kind == "bare":
+        lines[i] = lines[i].split(" ")[-1]
+    elif kind == "value":
+        parts = lines[i].split(" ")
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(TOKENS))
+        lines[i] = " ".join(parts)
+    elif kind == "pad":
+        lines = padded("\n".join(lines)).splitlines()
+    elif kind == "steps" and body:
+        steps = int(lines[1].split()[1])
+        lines[1] = f"steps {steps + draw(st.sampled_from([-1, 1, 2, 1000]))}"
+    return "\n".join(lines) + "\n"
+
+
+def outcome(read, text):
+    """The value ``read`` returns, or the type and message of what it raises."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def program_files(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text = random_program_text(rng, draw(st.integers(1, 30)), draw(st.booleans()))
+    return draw(mutated(text.splitlines(), 4))
+
+
+@st.composite
+def schedule_files(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return draw(mutated(random_schedule_text(rng, draw(st.integers(1, 30))).splitlines(), 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(program_files())
+def test_program_reader_agrees_with_the_line_reader(text):
+    assert outcome(fileio.program_from_text, text) == outcome(fileio._program_by_line, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule_files())
+def test_schedule_reader_agrees_with_the_line_reader(text):
+    assert (outcome(fileio.schedule_targets_from_text, text)
+            == outcome(fileio._schedule_by_line, text))
+
+
+@pytest.mark.parametrize("final", [False, True], ids=["cells", "final-layer"])
+def test_written_files_are_read_by_column(monkeypatch, final):
+    program = random_program_text(np.random.default_rng(1), 12, final)
+    schedule = random_schedule_text(np.random.default_rng(2), 12)
+    expected = fileio._program_by_line(program), fileio._schedule_by_line(schedule)
+
+    def line_reader(text):
+        raise AssertionError("a written file reached the line reader")
+
+    monkeypatch.setattr(fileio, "_program_by_line", line_reader)
+    monkeypatch.setattr(fileio, "_schedule_by_line", line_reader)
+    got = (fileio.program_from_text(padded(program)),
+           fileio.schedule_targets_from_text(padded(schedule)))
+    assert got == expected
+
+
+def test_huge_steps_header_is_rejected_before_any_cell_list(monkeypatch):
+    text = fileio.program_to_text(uniform_program(2)).replace("steps 2", "steps 1000000000000")
+    sizes = []
+    prefixes = fileio._cell_prefixes
+
+    def recorded(rows):
+        sizes.append(rows)
+        return prefixes(min(rows, 2))  # never the list a huge header asks for
+
+    monkeypatch.setattr(fileio, "_cell_prefixes", recorded)
+    with pytest.raises(IncompleteLayerError, match=r"cell \(2,-2\) at step 2, position -2"):
+        fileio.program_from_text(text)
+    assert sizes == []

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -197,6 +198,17 @@ class TestSampleCounts:
         with pytest.raises(DomainError, match="sum to 0.0"):
             sample_counts({-1: 0.0, 1: 0.0}, 10, seed=0)
 
+    @pytest.mark.parametrize("n", [10.5, math.nan, math.inf, -1, 2**63, 2.0**63])
+    def test_rejects_event_total_that_is_not_a_whole_number_below_2_63(self, n):
+        message = rf"^n must be a whole number in \[0, 2\*\*63\), got {re.escape(repr(n))}$"
+        with pytest.raises(DomainError, match=message):
+            sample_counts({0: 0.5, 2: 0.5}, n, seed=0)
+
+    def test_accepts_whole_float_and_largest_event_total(self):
+        p = {0: 0.5, 2: 0.5}
+        assert sample_counts(p, 10.0, seed=0) == sample_counts(p, 10, seed=0)
+        assert sum(sample_counts(p, 2**63 - 1, seed=0).values()) == 2**63 - 1
+
     def test_uniform_within_five_sigma(self):
         p = {x: 0.125 for x in range(-7, 8, 2)}
         counts = sample_counts(p, 100_000, seed=3)
@@ -249,6 +261,11 @@ class TestBootstrap:
     def test_rejects_bad_input(self, counts, resamples, theory, error, match):
         with pytest.raises(error, match=match):
             bootstrap_errorbars(counts, resamples, seed=0, theory=theory)
+
+    def test_rejects_event_total_of_2_63(self):
+        with pytest.raises(DomainError, match=r"^the event total must be a whole number "
+                                              r"in \[0, 2\*\*63\), got 9223372036854775808$"):
+            bootstrap_errorbars({0: 2**62, 2: 2**62}, 100, seed=0)
 
     @pytest.mark.parametrize("program", [
         uniform_program(3), uniform_program(20), uniform_program(120),

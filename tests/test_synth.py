@@ -127,7 +127,7 @@ class TestPlanAmplitudes:
         # exact sweep's value to rounding; cumsum(q) - [0, cumsum(p)] does not.
         steps = 100
         sched = uniform_schedule(steps)
-        exact = oracle.exact_plan_squares(sched.prob, steps)
+        exact = oracle.exact_plan_squares(lambda t, x: sched.rows[t].get(x, 0.0), steps)
         plan = plan_amplitudes(sched)
         for (t, x), (a_sq, b_sq) in exact.items():
             a, b = plan.pair(t, x)
