@@ -21,7 +21,9 @@ line into a dict keyed by cell; that reader alone names errors, so every
 message is the same whichever layout the file has. Program cells must be
 exactly those of the header's step count (``state.program_cells``, the
 coin-map check ``CoinProgram`` applies to a ``cells=`` dict). A target
-schedule's rows must lie in 0..T, T being its largest step.
+schedule's rows must lie in 0..T, T being its largest step; one read by
+column is a row schedule (``DistributionSchedule.from_rows``), checked
+once as a whole.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .state import (
     check_angle,
     localized_state,
     program_cells,
-    support,
 )
 
 PROGRAM_VERSION = 1
@@ -222,12 +223,7 @@ def _schedule_by_column(text: str) -> DistributionSchedule | None:
     kept = _kept(text)
     rows, x = cell_at(len(kept))  # x == -rows when the lines fill rows 0..rows-1
     probs = _cell_column(kept, rows) if x == -rows else None
-    if probs is None:
-        return None
-    starts = [t * (t + 1) // 2 for t in range(rows + 1)]
-    return DistributionSchedule(steps=rows - 1, rows={
-        t: dict(zip(support(t), probs[i:j])) for t, (i, j) in enumerate(zip(starts, starts[1:]))
-    })
+    return None if probs is None else DistributionSchedule.from_rows(probs)
 
 
 def _schedule_by_line(text: str) -> DistributionSchedule:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import _entropy_rows, _similarity_rows
-from .state import AngleRows, CoinProgram, _check_rows, check_distribution, support
+from .state import AngleRows, CoinProgram, _check_rows, _masses, check_distribution, support
 from .walk import _rows
 
 
@@ -78,7 +78,7 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
     if abs(a0) ** 2 + abs(b0) ** 2 == 0.0:
         raise DomainError("initial state has zero norm")
     *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
-    raw = [abs(u) ** 2 + abs(v) ** 2 for u, v in zip(a.tolist(), b.tolist())]
+    raw = _masses(a, b).tolist()
     total = sum(raw)
     if total == 0.0:
         raise DomainError(

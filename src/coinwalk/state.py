@@ -1,11 +1,14 @@
 """Core value types for one-dimensional coin-walker lattices.
 
 The walker lives on the integer line; the coin is a two-level degree of
-freedom. Amplitudes are stored sparsely, keyed by position, so parity
-violations are detectable instead of silently absorbed by a dense array.
-Coin programs are held as read-only angle rows, row t holding the t+1
-angles at x = 2i - t, which synthesis, the walk, the compiler and the
-program file all read directly.
+freedom. Everything indexed by position after t steps is held as dense
+rows at x = 2i - t, i = 0..t: a walker state as its coin-|0> and coin-|1>
+amplitude rows, a position distribution and a target schedule row as one
+row of probabilities, and a coin program as read-only angle rows, row t
+holding the t+1 angles of step t. States and distributions read as
+read-only maps from position to value (``Row``), so a state built from a
+dict keeps exactly its keys, and a key off the step's support is rejected
+when the state is built.
 
 Tolerance policy: user-facing construction checks run at 1e-9, internal
 evolution invariants are asserted at 1e-12.
@@ -17,7 +20,8 @@ import cmath
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import add
 
 import numpy as np
 
@@ -36,7 +40,14 @@ def support(t: int) -> range:
 
 def check_distribution(p: Mapping[int, float], name: str) -> None:
     """Require a probability row: every entry finite and >= -1e-9
-    (DomainError), the entries summing to 1 within 1e-9 (NormalizationError)."""
+    (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
+
+    A row of ``row_stack`` is looked up in its stack's one check; any other
+    row, and a failing one, is checked entry by entry as a dict."""
+    if isinstance(p, Row):
+        if p._stack is not None and p._stack.passes(p.step):
+            return
+        p = p._as_dict()
     total = 0.0
     for x, v in p.items():
         if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
@@ -48,20 +59,150 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
         )
 
 
-def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
-    """check_distribution on every row of a matrix whose columns are the
-    positions ``xs``: the first failing row raises what it raises alone."""
+def _passing(rows: np.ndarray) -> np.ndarray:
+    """Whether check_distribution accepts each row of a matrix. Zeros after
+    a row's entries change neither the entry test nor the left-to-right sum."""
     bad = ~np.isfinite(rows) | (rows < -CONSTRUCTION_TOL)
     # cumsum adds each row left to right, as check_distribution does.
     totals = np.cumsum(rows, axis=1)[:, -1]
-    failed = bad.any(axis=1) | (abs(totals - 1.0) > CONSTRUCTION_TOL)
-    if failed.any():
-        check_distribution(dict(zip(xs, rows[int(np.argmax(failed))])), name)
+    return ~bad.any(axis=1) & (abs(totals - 1.0) <= CONSTRUCTION_TOL)
+
+
+def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
+    """check_distribution on every row of a matrix whose columns are the
+    positions ``xs``: the first failing row raises what it raises alone."""
+    passing = _passing(rows)
+    if not passing.all():
+        check_distribution(dict(zip(xs, rows[int(np.argmin(passing))])), name)
+
+
+def _masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2 entrywise, bit for bit as Python's abs(a) ** 2 + abs(b) ** 2
+    (numpy's abs, square and power differ from it in the last bit)."""
+    if np.count_nonzero(a.imag) or np.count_nonzero(b.imag):
+        ma, mb = map(abs, a.tolist()), map(abs, b.tolist())
+    else:  # abs(complex(x, 0.0)) is hypot(x, 0.0), which is |x| exactly
+        ma, mb = np.abs(a.real).tolist(), np.abs(b.real).tolist()
+    return np.fromiter(map(add, map(pow, ma, repeat(2)), map(pow, mb, repeat(2))), float, len(a))
+
+
+class _Stack:
+    """Rows 0..T of one array laid end to end, checked as distributions
+    together when the first of them is checked."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.passing = None
+
+    def passes(self, t: int) -> bool:
+        if self.passing is None:
+            n = cell_at(self.values.size)[0]
+            rows = np.zeros((n, n))
+            rows[np.tri(n, dtype=bool)] = self.values  # row t: its t+1 values, then zeros
+            self.passing = _passing(rows)
+        return bool(self.passing[t])
+
+
+class Row(Mapping):
+    """Read-only map from position to value over dense rows at x = 2i - step.
+
+    ``columns`` holds one row of floats (a distribution), or the two rows
+    a, b of complex amplitudes, whose values are the pairs (a, b). ``xs``
+    are the keys in ascending order: every support position, or those of
+    the sparse dict the row was built from, with zeros at the others. The
+    row reads like that dict (keys, order, repr, ==, get, items, keys() set
+    operations) through one dict, built with one tolist() per column when
+    first read.
+    """
+
+    __slots__ = ("step", "columns", "xs", "_stack", "_dict")
+
+    def __init__(self, step: int, columns: tuple[np.ndarray, ...],
+                 xs: Sequence[int] | None = None, stack: _Stack | None = None):
+        self.step = step
+        self.columns = columns
+        self.xs = support(step) if xs is None or len(xs) == step + 1 else xs
+        self._stack = stack
+        self._dict = None
+
+    @property
+    def dense(self) -> bool:
+        """Whether every support position is a key."""
+        return isinstance(self.xs, range)
+
+    def index(self):
+        """Where the keys sit in the columns: a slice or a list of indices."""
+        return slice(None) if self.dense else [(x + self.step) // 2 for x in self.xs]
+
+    def _as_dict(self) -> dict:
+        if self._dict is None:
+            i = self.index()
+            if len(self.columns) == 1:
+                values = self.columns[0][i].tolist()
+            else:
+                a, b = self.columns
+                values = zip(a[i].tolist(), b[i].tolist())
+            self._dict = dict(zip(self.xs, values))
+        return self._dict
+
+    def __getitem__(self, x):
+        return self._as_dict()[x]
+
+    def __iter__(self):
+        return iter(self.xs)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __contains__(self, x) -> bool:
+        return x in self._as_dict()
+
+    def get(self, x, default=None):
+        return self._as_dict().get(x, default)
+
+    def keys(self):
+        return self._as_dict().keys()
+
+    def items(self):
+        return self._as_dict().items()
+
+    def values(self):
+        return self._as_dict().values()
+
+    def __eq__(self, other) -> bool:
+        return self._as_dict() == (other._as_dict() if isinstance(other, Row) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._as_dict())
+
+
+def row_stack(values) -> list[Row]:
+    """Rows t = 0..T of ``values`` laid end to end in (t, x) order, row t
+    holding the t+1 values at x = 2i - t: read-only views, checked as
+    distributions together the first time one of them is checked."""
+    values = np.asarray(values, dtype=float)
+    n, x = cell_at(values.size)
+    if x != -n:
+        raise DomainError(f"{values.size} values do not fill whole rows")
+    values.flags.writeable = False
+    stack = _Stack(values)
+    return [Row(t, (values[t * (t + 1) // 2:(t + 1) * (t + 2) // 2],), stack=stack)
+            for t in range(n)]
 
 
 def _require_finite(z: complex, what: str) -> None:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{what} must have finite components, got {z!r}")
+
+
+def _require_finite_rows(step: int, a: np.ndarray, b: np.ndarray) -> None:
+    """Name the first position whose amplitude rows are not finite."""
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        x = 2 * i - step
+        _require_finite(complex(a[i]), f"amplitude a({x},{step})")
+        _require_finite(complex(b[i]), f"amplitude b({x},{step})")
 
 
 @dataclass(frozen=True)
@@ -70,28 +211,38 @@ class WalkerState:
 
     ``amplitudes`` maps each occupied position x to the pair (a, b) of
     coin-|0> and coin-|1> amplitudes. Occupied positions must share the
-    parity of ``step`` and lie in [-step, step].
+    parity of ``step`` and lie in [-step, step]. The state holds them as
+    the dense rows a, b at x = 2i - step (``rows``), and ``amplitudes``
+    becomes their read-only ``Row`` view; a state built from a dict keeps
+    the dict's keys, with zeros at the other positions.
     """
 
     step: int
-    amplitudes: dict[int, AmplitudePair]
+    amplitudes: Mapping[int, AmplitudePair]
     require_normalized: InitVar[bool] = True
 
     def __post_init__(self, require_normalized: bool):
         if self.step < 0:
             raise DomainError(f"step must be >= 0, got {self.step}")
-        amps = {int(x): (complex(a), complex(b)) for x, (a, b) in self.amplitudes.items()}
+        amps = self.amplitudes
+        if isinstance(amps, Row) and amps.step == self.step and len(amps.columns) == 2:
+            _require_finite_rows(self.step, *amps.columns)
+        else:
+            amps = {int(x): (complex(a), complex(b)) for x, (a, b) in amps.items()}
+            positions = support(self.step)
+            for x, (a, b) in amps.items():
+                if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                    _require_finite(a, f"amplitude a({x},{self.step})")
+                    _require_finite(b, f"amplitude b({x},{self.step})")
+                if x not in positions:
+                    raise DomainError(
+                        f"position {x} is outside the step-{self.step} support "
+                        f"{{-t, -t+2, ..., t}}"
+                    )
+            pairs = np.array([amps.get(x, (0j, 0j)) for x in positions], dtype=complex)
+            pairs.flags.writeable = False
+            amps = Row(self.step, (pairs[:, 0], pairs[:, 1]), sorted(amps))
         object.__setattr__(self, "amplitudes", amps)
-        positions = support(self.step)
-        for x, (a, b) in amps.items():
-            if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                _require_finite(a, f"amplitude a({x},{self.step})")
-                _require_finite(b, f"amplitude b({x},{self.step})")
-            if x not in positions:
-                raise DomainError(
-                    f"position {x} is outside the step-{self.step} support "
-                    f"{{-t, -t+2, ..., t}}"
-                )
         if require_normalized:
             n = norm(self)
             if abs(n - 1.0) > CONSTRUCTION_TOL:
@@ -105,27 +256,33 @@ class WalkerState:
         checked once per row: one entry per support position, every one finite."""
         if step < 0:
             raise DomainError(f"step must be >= 0, got {step}")
-        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
         if a.shape != (step + 1,) or b.shape != (step + 1,):
             raise DomainError(f"step-{step} rows must hold {step + 1} amplitudes, "
                               f"got {a.shape} and {b.shape}")
-        finite = np.isfinite(a) & np.isfinite(b)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            x = 2 * i - step
-            _require_finite(complex(a[i]), f"amplitude a({x},{step})")
-            _require_finite(complex(b[i]), f"amplitude b({x},{step})")
+        _require_finite_rows(step, a, b)
+        a.flags.writeable = b.flags.writeable = False
+        return cls._of(Row(step, (a, b)))
+
+    @classmethod
+    def _of(cls, row: Row) -> WalkerState:
+        """The state whose amplitudes are ``row``, a pair row its caller checked."""
         s = object.__new__(cls)
-        object.__setattr__(s, "step", step)
-        object.__setattr__(s, "amplitudes", dict(zip(support(step), zip(a.tolist(), b.tolist()))))
+        object.__setattr__(s, "step", row.step)
+        object.__setattr__(s, "amplitudes", row)
         return s
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only amplitude rows a, b at x = 2i - step."""
+        return self.amplitudes.columns
 
     def pair(self, x: int) -> AmplitudePair:
         """Amplitude pair at position x (implicit zeros off support)."""
         return self.amplitudes.get(x, (0j, 0j))
 
     def positions(self) -> list[int]:
-        return sorted(self.amplitudes)
+        return list(self.amplitudes.xs)
 
 
 def localized_state(coin_amp0: complex, coin_amp1: complex) -> WalkerState:
@@ -139,12 +296,14 @@ def localized_state(coin_amp0: complex, coin_amp1: complex) -> WalkerState:
 
 def norm(s: WalkerState) -> float:
     """Total probability carried by the state (1 for any valid state)."""
-    return float(sum(abs(a) ** 2 + abs(b) ** 2 for a, b in s.amplitudes.values()))
+    return float(sum(_masses(*s.rows).tolist()))
 
 
-def position_distribution(s: WalkerState) -> dict[int, float]:
+def position_distribution(s: WalkerState) -> Row:
     """P(x) = |a(x)|^2 + |b(x)|^2 over the occupied positions."""
-    return {x: abs(a) ** 2 + abs(b) ** 2 for x, (a, b) in sorted(s.amplitudes.items())}
+    m = _masses(*s.rows)
+    m.flags.writeable = False
+    return Row(s.step, (m,), s.amplitudes.xs)
 
 
 def check_angle(theta: float) -> float:
@@ -319,15 +478,21 @@ class CoinProgram:
 
 @dataclass(frozen=True)
 class DistributionSchedule:
-    """Target position distribution P(x, t) for every step t = 0..steps."""
+    """Target position distribution P(x, t) for every step t = 0..steps.
+
+    Each row is a dict, whose entries are converted and checked one by one,
+    or a float ``Row`` at its own step, which ``from_rows`` builds and whose
+    stack is checked once.
+    """
 
     steps: int
-    rows: dict[int, dict[int, float]]
+    rows: dict[int, Mapping[int, float]]
 
     def __post_init__(self):
         if self.steps < 1:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
-        rows = {int(t): {int(x): float(p) for x, p in row.items()}
+        rows = {int(t): row if isinstance(row, Row) and row.step == t and len(row.columns) == 1
+                else {int(x): float(p) for x, p in row.items()}
                 for t, row in self.rows.items()}
         object.__setattr__(self, "rows", rows)
         stray = [t for t in rows if not 0 <= t <= self.steps]
@@ -339,8 +504,17 @@ class DistributionSchedule:
             if row is None:
                 raise DomainError(f"schedule is missing the row for step {t}")
             check_distribution(row, f"row {t}")
+            if isinstance(row, Row):
+                continue  # its keys lie on the support
             for x in sorted(row.keys() - set(support(t))):
                 if row[x] > CONSTRUCTION_TOL:
                     raise DomainError(
                         f"P({x},{t}) = {row[x]!r} lies outside the step-{t} support"
                     )
+
+    @classmethod
+    def from_rows(cls, values) -> DistributionSchedule:
+        """The schedule whose rows t = 0..T are ``values`` laid end to end in
+        (t, x) order, row t holding the t+1 probabilities at x = 2i - t."""
+        rows = row_stack(values)
+        return cls(steps=len(rows) - 1, rows=dict(enumerate(rows)))

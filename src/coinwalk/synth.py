@@ -34,6 +34,7 @@ from .state import (
     CoinProgram,
     DistributionSchedule,
     GeneralCoinOp,
+    Row,
     WalkerState,
     cell_at,
     localized_state,
@@ -79,7 +80,10 @@ class AmplitudePlan:
 
 
 def _row(sched: DistributionSchedule, t: int) -> np.ndarray:
+    """Row t of the schedule at x = 2i - t, zero where it has no entry."""
     row = sched.rows[t]
+    if isinstance(row, Row):
+        return row.columns[0]
     return np.array([row.get(x, 0.0) for x in support(t)])
 
 
@@ -206,21 +210,19 @@ def schedule_program(sched: DistributionSchedule) -> CoinProgram:
 
 def binomial_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = C(t, (t+x)/2) / 2^t, the classical-walk profile."""
-    rows = {}
+    values = []
     comb = [1]  # C(t, k) for k = 0..t, exact, one Pascal row per step
     for t in range(steps + 1):
         # int / int is correctly rounded and, unlike 2.0 ** t, finite for t >= 1024.
-        rows[t] = {x: c / (1 << t) for x, c in zip(support(t), comb)}
+        values += [c / (1 << t) for c in comb]
         comb = [a + b for a, b in zip([0, *comb], [*comb, 0])]
-    return DistributionSchedule(steps=steps, rows=rows)
+    return DistributionSchedule.from_rows(values)
 
 
 def uniform_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = 1/(t+1) over the t+1 admissible positions."""
-    rows = {}
-    for t in range(steps + 1):
-        rows[t] = {x: 1.0 / (t + 1) for x in support(t)}
-    return DistributionSchedule(steps=steps, rows=rows)
+    n = np.arange(1, steps + 2)
+    return DistributionSchedule.from_rows(np.repeat(1.0 / n, n))
 
 
 def gaussian_program(steps: int) -> CoinProgram:

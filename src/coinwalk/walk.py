@@ -2,7 +2,9 @@
 
 Shift convention: the coin-|0> amplitude a(x, t) feeds position x+1 and the
 coin-|1> amplitude b(x, t) feeds x-1. The mirror convention (a moves left)
-is available through :func:`mirror_program`. Programs run on dense rows.
+is available through :func:`mirror_program`. States, coin layers, shifts
+and whole programs all run on the dense rows at x = 2i - t; ``_rows`` is
+the one kernel that steps a program.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ from .state import (
     CoinOp,
     CoinProgram,
     GeneralCoinOp,
+    Row,
     WalkerState,
+    _masses,
+    cell_at,
     localized_state,
     position_distribution,
+    row_stack,
 )
 
 
@@ -30,7 +36,7 @@ class StepReport:
 
     step: int
     state: WalkerState
-    distribution: dict[int, float]
+    distribution: Row
 
 
 def apply_coin_layer(
@@ -40,25 +46,43 @@ def apply_coin_layer(
 
     Raises IncompleteLayerError if the layer misses an occupied position.
     """
-    new_amps = {}
-    for x, pair in s.amplitudes.items():
+    entries = []
+    for x in s.amplitudes.xs:
         coin = layer.get(x)
         if coin is None:
             raise IncompleteLayerError(
                 f"layer has no coin at occupied position {x} (step {s.step})"
             )
-        new_amps[x] = coin.apply(pair)
-    return WalkerState(step=s.step, amplitudes=new_amps, require_normalized=False)
+        entries.append(_entries(coin))
+    # A zero coin at the other positions keeps their zero amplitudes.
+    m = np.zeros((s.step + 1, 4))
+    if entries:
+        m[s.amplitudes.index()] = entries
+    (m00, m01, m10, m11), (a, b) = m.T, s.rows
+    rows = m00 * a + m01 * b, m10 * a + m11 * b
+    return WalkerState(s.step, Row(s.step, rows, s.amplitudes.xs), require_normalized=False)
+
+
+def _entries(coin: CoinOp | GeneralCoinOp) -> tuple[float, float, float, float]:
+    """The coin's matrix entries m00, m01, m10, m11, those its ``apply`` uses."""
+    if isinstance(coin, CoinOp):
+        c, s = math.cos(coin.theta), math.sin(coin.theta)
+        return c, s, s, -c
+    return coin.m00, coin.m01, coin.m10, coin.m11
+
+
+def _shift(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows at step t+1 of the conditional shift of rows a, b at step t."""
+    return np.append(0j, a), np.append(b, 0j)
 
 
 def apply_shift(s: WalkerState) -> WalkerState:
     """Conditional shift: a(x) -> a(x+1), b(x) -> b(x-1), step t -> t+1."""
-    new_amps: dict[int, list[complex]] = {}
-    for x, (a, b) in s.amplitudes.items():
-        new_amps.setdefault(x + 1, [0j, 0j])[0] = a
-        new_amps.setdefault(x - 1, [0j, 0j])[1] = b
-    amps = {x: (a, b) for x, (a, b) in new_amps.items()}
-    return WalkerState(step=s.step + 1, amplitudes=amps, require_normalized=False)
+    xs = None  # every position of the next step
+    if not s.amplitudes.dense:
+        xs = sorted({x + d for x in s.amplitudes.xs for d in (-1, 1)})
+    t = s.step + 1
+    return WalkerState(t, Row(t, _shift(*s.rows), xs), require_normalized=False)
 
 
 def step(s: WalkerState, coins_at_t: dict[int, CoinOp]) -> WalkerState:
@@ -68,12 +92,12 @@ def step(s: WalkerState, coins_at_t: dict[int, CoinOp]) -> WalkerState:
 
 def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0):
     """Rows a, b at x = 2i - t for t = 0..steps, every right-move scaled by ``right_damping``."""
-    a, b = np.array([p.initial.pair(0)]).T
+    a, b = p.initial.rows
     yield a, b
     for t in range(steps):
         theta = p.cells.rows[t]
         c, s = np.cos(theta), np.sin(theta)
-        a, b = np.append(0j, right_damping * (c * a + s * b)), np.append(s * a - c * b, 0j)
+        a, b = _shift(right_damping * (c * a + s * b), s * a - c * b)
         yield a, b
 
 
@@ -83,13 +107,24 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     Returns steps+1 reports including t = 0. When the program carries a
     final disentangling layer, it is applied (coin only, no shift) before
     the last report, so the last state has every pair of the form (r, 0).
+    The states and distributions of steps 1..steps are views of one array
+    of the run, and the masses of all steps are taken in one pass.
     """
-    reports = []
-    for t, (a, b) in enumerate(_rows(p, p.steps)):
-        s = WalkerState.from_rows(t, a, b) if t else p.initial
-        if t == p.steps and p.final_layer is not None:
-            s = apply_coin_layer(s, p.final_layer)
-        reports.append(StepReport(t, s, position_distribution(s)))
+    rows = list(_rows(p, p.steps))
+    if p.final_layer is not None:
+        rows[-1] = apply_coin_layer(WalkerState.from_rows(p.steps, *rows[-1]), p.final_layer).rows
+    a, b = (np.concatenate(r) for r in zip(*rows))
+    a.flags.writeable = b.flags.writeable = False
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        t = cell_at(int(np.argmin(finite)))[0]
+        WalkerState.from_rows(t, *rows[t])  # names the first amplitude that overflowed
+    dists = row_stack(_masses(a, b))
+    reports = [StepReport(0, p.initial, position_distribution(p.initial))]
+    for t in range(1, p.steps + 1):
+        i, j = t * (t + 1) // 2, (t + 1) * (t + 2) // 2
+        s = WalkerState._of(Row(t, (a[i:j], b[i:j])))
+        reports.append(StepReport(t, s, dists[t]))
     return reports
 
 
@@ -107,11 +142,9 @@ def circular_initial() -> WalkerState:
 
 def mirror_state(s: WalkerState) -> WalkerState:
     """Spatial mirror x -> -x, which also swaps the coin components."""
-    return WalkerState(
-        step=s.step,
-        amplitudes={-x: (b, a) for x, (a, b) in s.amplitudes.items()},
-        require_normalized=False,
-    )
+    a, b = s.rows
+    xs = [-x for x in reversed(s.amplitudes.xs)]
+    return WalkerState(s.step, Row(s.step, (b[::-1], a[::-1]), xs), require_normalized=False)
 
 
 def mirror_program(p: CoinProgram) -> CoinProgram:

@@ -2,9 +2,11 @@
 
 Evolves the walk by evaluating the amplitude recursion directly on dense
 arrays indexed by (x + t) / 2, with no shared code with the package's
-sparse layer/shift machinery. Also holds the closed-form Gaussian and
-uniform coins and an exact-arithmetic amplitude plan, so synthesis is
-checked against references that share none of its code.
+kernel. Also holds the closed-form Gaussian and uniform coins, an
+exact-arithmetic amplitude plan, and the scalar per-entry formulas of a
+position distribution and of the similarity, so synthesis and the
+package's dense rows are checked against references that share none of
+its code.
 """
 
 import math
@@ -44,6 +46,22 @@ def _to_dict(a, b, t):
 
 def distribution(amps):
     return {x: abs(p[0]) ** 2 + abs(p[1]) ** 2 for x, p in amps.items()}
+
+
+def position_distribution(amps):
+    """The scalar P(x) = |a|^2 + |b|^2 of a dict x -> (a, b), in ascending x,
+    each entry computed by Python's abs and ** on one pair at a time."""
+    return {x: abs(a) ** 2 + abs(b) ** 2 for x, (a, b) in sorted(amps.items())}
+
+
+def similarity(p, q):
+    """The scalar Bhattacharyya overlap of two dicts: the terms over
+    set(p) | set(q), in that set's order, added left to right by sum."""
+    f = sum(
+        math.sqrt(max(p.get(x, 0.0), 0.0) * max(q.get(x, 0.0), 0.0))
+        for x in set(p) | set(q)
+    )
+    return min(f, 1.0)
 
 
 def gaussian_closed_form(t, x):
