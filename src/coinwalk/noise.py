@@ -78,7 +78,7 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
     if abs(a0) ** 2 + abs(b0) ** 2 == 0.0:
         raise DomainError("initial state has zero norm")
     *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
-    raw = _masses(a, b).tolist()
+    raw = list(_masses(a, b))
     total = sum(raw)
     if total == 0.0:
         raise DomainError(

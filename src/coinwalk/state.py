@@ -76,14 +76,14 @@ def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
         check_distribution(dict(zip(xs, rows[int(np.argmin(passing))])), name)
 
 
-def _masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a|^2 + |b|^2 entrywise, bit for bit as Python's abs(a) ** 2 + abs(b) ** 2
-    (numpy's abs, square and power differ from it in the last bit)."""
-    if np.count_nonzero(a.imag) or np.count_nonzero(b.imag):
-        ma, mb = map(abs, a.tolist()), map(abs, b.tolist())
-    else:  # abs(complex(x, 0.0)) is hypot(x, 0.0), which is |x| exactly
-        ma, mb = np.abs(a.real).tolist(), np.abs(b.real).tolist()
-    return np.fromiter(map(add, map(pow, ma, repeat(2)), map(pow, mb, repeat(2))), float, len(a))
+def _masses(a: np.ndarray, b: np.ndarray):
+    """abs(a) ** 2 + abs(b) ** 2 for each entry of rows a, b, in order, as the
+    Python floats Python computes (numpy's abs, square and power differ from
+    them in the last bit). The real parts of rows whose imaginary parts are
+    all zero give the same floats: abs(complex(x, 0.0)) is hypot(x, 0.0),
+    which is |x| exactly."""
+    return map(add, map(pow, map(abs, a.tolist()), repeat(2)),
+               map(pow, map(abs, b.tolist()), repeat(2)))
 
 
 class _Stack:
@@ -136,12 +136,11 @@ class Row(Mapping):
 
     def _as_dict(self) -> dict:
         if self._dict is None:
-            i = self.index()
-            if len(self.columns) == 1:
-                values = self.columns[0][i].tolist()
-            else:
-                a, b = self.columns
-                values = zip(a[i].tolist(), b[i].tolist())
+            columns = self.columns
+            if not self.dense:
+                i = self.index()
+                columns = [c[i] for c in columns]
+            values = zip(*(c.tolist() for c in columns)) if len(columns) == 2 else columns[0].tolist()
             self._dict = dict(zip(self.xs, values))
         return self._dict
 
@@ -296,12 +295,12 @@ def localized_state(coin_amp0: complex, coin_amp1: complex) -> WalkerState:
 
 def norm(s: WalkerState) -> float:
     """Total probability carried by the state (1 for any valid state)."""
-    return float(sum(_masses(*s.rows).tolist()))
+    return float(sum(_masses(*s.rows)))
 
 
 def position_distribution(s: WalkerState) -> Row:
     """P(x) = |a(x)|^2 + |b(x)|^2 over the occupied positions."""
-    m = _masses(*s.rows)
+    m = np.fromiter(_masses(*s.rows), float, s.step + 1)
     m.flags.writeable = False
     return Row(s.step, (m,), s.amplitudes.xs)
 

@@ -119,7 +119,9 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     if not finite.all():
         t = cell_at(int(np.argmin(finite)))[0]
         WalkerState.from_rows(t, *rows[t])  # names the first amplitude that overflowed
-    dists = row_stack(_masses(a, b))
+    real = not (np.count_nonzero(a.imag) or np.count_nonzero(b.imag))
+    # Real parts give the same masses, from cheaper floats.
+    dists = row_stack(np.fromiter(_masses(*((a.real, b.real) if real else (a, b))), float, a.size))
     reports = [StepReport(0, p.initial, position_distribution(p.initial))]
     for t in range(1, p.steps + 1):
         i, j = t * (t + 1) // 2, (t + 1) * (t + 2) // 2
