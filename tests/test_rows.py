@@ -257,7 +257,7 @@ def test_sparse_state_keeps_its_keys():
 
 
 def test_similarity_of_disjoint_rows_with_negative_zeros_is_positive_zero():
-    # Every term is sqrt(1.0 * -0.0) = -0.0; the scalar sum starts from 0.0.
+    # Each scalar term is sqrt(1.0 * -0.0) = -0.0, and the scalar sum starts from 0.0.
     p, q = row_stack([1.0, -0.0, 1.0])[1], row_stack([1.0, 1.0, -0.0])[1]
     assert repr(oracle.similarity(dict(p), dict(q))) == "0.0"
     assert repr(measure.similarity(p, q)) == "0.0"
