@@ -8,7 +8,8 @@ resolution.
 
 Every reader strips each line, skips it if blank or a ``#`` comment, and
 splits it on whitespace (on ``,`` in the pulse CSV); a line it cannot read
-raises ``ParseError("bad <kind> line '<stripped line>': <reason>")``.
+raises ``ParseError("bad <kind> line '<stripped line>': <reason>")``, which
+quotes at most the first 80 characters of a longer line.
 
 Program files and target schedules laid out as ``program_to_text`` writes
 them (cell lines ``t x value`` in (t, x) order, single spaces, any blank
@@ -50,6 +51,22 @@ SHIFT_CONVENTION = "right"  # coin-|0> amplitude moves to x+1
 
 def _f(v: float) -> str:
     return repr(float(v))
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first 80 characters and ``...`` when it is longer."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
+def _bad(what: str, exc: Exception, ln: str | None = None) -> ParseError:
+    """The ParseError "bad <what> line '<ln>': <reason>", or with no line
+    "bad <what>: <reason>". A line over 80 characters is quoted by its
+    first 80 and ``...``, and so is its reason, which may quote it again
+    (float's and int's do); a header's reason is clipped the same way."""
+    if ln is None:
+        return ParseError(f"bad {what}: {_clip(str(exc))}")
+    reason = exc if len(ln) <= 80 else _clip(str(exc))
+    return ParseError(f"bad {what} line {_clip(ln)!r}: {reason}")
 
 
 def _kept(text: str) -> list[str]:
@@ -116,11 +133,11 @@ def _program_header(head: list[str]) -> tuple[int, complex, complex]:
         convention = header["convention"]
         re_a, im_a, re_b, im_b = (float(v) for v in header["initial"].split())
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad program header: {exc}") from exc
+        raise _bad("program header", exc) from exc
     if version != PROGRAM_VERSION:
-        raise ParseError(f"unsupported program version {version}")
+        raise ParseError(f"unsupported program version {_clip(str(version))}")
     if convention != SHIFT_CONVENTION:
-        raise ParseError(f"unsupported shift convention {convention!r}")
+        raise ParseError(f"unsupported shift convention {_clip(convention)!r}")
     return steps, complex(re_a, im_a), complex(re_b, im_b)
 
 
@@ -171,7 +188,7 @@ def _program_by_line(text: str) -> CoinProgram:
                     raise ValueError(f"cell ({t},{x}) repeated")
                 angles[(t, x)] = check_angle(float(parts[2]))
     except ValueError as exc:
-        raise ParseError(f"bad program line {ln!r}: {exc}") from exc
+        raise _bad("program", exc, ln) from exc
     initial = localized_state(a, b)
     cells = AngleRows(program_cells(angles, steps, float))
     return CoinProgram(
@@ -211,7 +228,7 @@ def distribution_from_text(text: str) -> dict[int, float]:
                 raise ValueError(f"position {x} repeated")
             out[x] = prob
     except ValueError as exc:
-        raise ParseError(f"bad distribution line {ln!r}: {exc}") from exc
+        raise _bad("distribution", exc, ln) from exc
     if not out:
         raise ParseError("empty distribution file")
     return out
@@ -238,7 +255,7 @@ def _schedule_by_line(text: str) -> DistributionSchedule:
                 raise ValueError(f"P({x},{t}) repeated")
             row[x] = prob
     except ValueError as exc:
-        raise ParseError(f"bad target line {ln!r}: {exc}") from exc
+        raise _bad("target", exc, ln) from exc
     if not rows:
         raise ParseError("empty schedule file")
     rows.setdefault(0, {0: 1.0})
@@ -257,7 +274,7 @@ def calibration_from_text(text: str) -> Calibration:
                 raise ValueError("expected 2 fields")
             anchors.append((float(parts[0]), float(parts[1])))
     except ValueError as exc:
-        raise ParseError(f"bad calibration line {ln!r}: {exc}") from exc
+        raise _bad("calibration", exc, ln) from exc
     if len(anchors) < 2:
         raise ParseError("calibration needs at least two anchors")
     return Calibration(anchors=tuple(anchors))
@@ -299,5 +316,5 @@ def pulse_schedule_from_text(text: str) -> PulseSchedule:
                 )
             )
     except ValueError as exc:
-        raise ParseError(f"bad schedule line {ln!r}: {exc}") from exc
+        raise _bad("schedule", exc, ln) from exc
     return PulseSchedule(events=tuple(events))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,18 +24,16 @@ def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     """Bhattacharyya overlap sum_x sqrt(p_x q_x) over the union support.
 
     Equals 1 exactly when the distributions match and 0 when their
-    supports are disjoint.
+    supports are disjoint. The terms are taken in the order of
+    set(p) | set(q) and added left to right from 0.0, so two rows, a row
+    and a dict, or two dicts give the same float on any interpreter.
     """
     check_distribution(p, "p")
     check_distribution(q, "q")
     if _dense_pair(p, q):
         return min(_similarity_dense(p.columns[0], q.columns[0]), 1.0)
     p, q = (r._as_dict() if isinstance(r, Row) else r for r in (p, q))
-    f = sum(
-        math.sqrt(max(p.get(x, 0.0), 0.0) * max(q.get(x, 0.0), 0.0))
-        for x in set(p) | set(q)
-    )
-    return min(f, 1.0)
+    return float(_similarity_rows(list(p), np.array([list(p.values())], dtype=float), q)[0])
 
 
 def _dense_pair(p: Mapping, q: Mapping) -> bool:
@@ -46,7 +45,7 @@ def _dense_pair(p: Mapping, q: Mapping) -> bool:
 def _similarity_dense(p: np.ndarray, q: np.ndarray) -> float:
     """The sum of similarity over two rows of one step t, bit for bit.
 
-    The scalar sum runs over set(p) | set(q), that is over support(t). The
+    The terms run over set(p) | set(q), that is over support(t). The
     union's table holds more than 2t + 1 slots, so no two positions
     collide: it lists x >= 0 ascending, then x < 0 ascending (hash(-1) is
     -2, still the last slot). Its terms are added left to right from 0.0.
@@ -66,36 +65,33 @@ def shannon_entropy(p: Mapping[int, float]) -> float:
     return -total
 
 
-def _similarity_rows(xs: list[int], rows: np.ndarray, q: dict[int, float]) -> np.ndarray:
+def _similarity_rows(xs: list[int], rows: np.ndarray, q: Mapping[int, float]) -> np.ndarray:
     """similarity(dict(zip(xs, row)), q) for every row of a matrix whose
     columns are the positions ``xs``, bit for bit, without the checks.
 
-    The terms are the scalar's (IEEE sqrt, like math.sqrt) and are added
-    in its order, set(p) | set(q) with p a dict keyed by xs, which is the
-    same for every row. A position outside xs adds sqrt(0 q) = +0.0, which
-    leaves every sum as it is. Bit identity holds where builtin sum adds
-    floats left to right (CPython <= 3.11).
+    The terms (IEEE sqrt, like math.sqrt) are gathered in the order of
+    set(p) | set(q), with p a dict keyed by xs, which is the same for every
+    row, after a first term 0.0; one cumsum adds them left to right. A
+    position outside xs reads zeros and adds sqrt(0 q) = +0.0, which
+    leaves every sum as it is.
     """
-    col = {x: j for j, x in enumerate(xs)}
-    f = np.zeros(len(rows))
-    for x in set(col) | set(q):
-        if x in col:
-            f = f + np.sqrt(np.maximum(rows[:, col[x]], 0.0) * max(q.get(x, 0.0), 0.0))
-    return np.minimum(f, 1.0)
+    columns = np.concatenate((np.zeros((1, len(rows))), rows.T))  # row j + 1: column j
+    col = dict(zip(xs, range(1, len(xs) + 1)))
+    union = list(set(col) | set(q))
+    p = columns[[0, *map(col.get, union, repeat(0))]]
+    qv = np.array([0.0, *map(q.get, union, repeat(0.0))])[:, None]
+    return np.minimum(np.cumsum(np.sqrt(np.maximum(p, 0.0) * np.maximum(qv, 0.0)), axis=0)[-1], 1.0)
 
 
 def _entropy_rows(rows: np.ndarray) -> np.ndarray:
     """shannon_entropy of every row of a matrix, bit for bit, without the
-    checks: math.log2 terms (np.log2 may differ in the last bit), added
-    column by column from 0.0. A term at v <= 0 is v * 0.0, a zero that
-    leaves every sum as it is."""
+    checks: math.log2 terms (np.log2 may differ in the last bit), after a
+    first term 0.0, added left to right by one cumsum. A term at v <= 0 is
+    v * 0.0, a zero that leaves every sum as it is."""
     values, index = np.unique(rows, return_inverse=True)
     logs = np.array([math.log2(v) if v > 0.0 else 0.0 for v in values.tolist()])
-    terms = rows * logs[index].reshape(rows.shape)
-    total = np.zeros(len(rows))
-    for column in terms.T:
-        total = total + column
-    return -total
+    terms = (rows * logs[index].reshape(rows.shape)).T
+    return -np.cumsum(np.concatenate((np.zeros((1, len(rows))), terms)), axis=0)[-1]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import _entropy_rows, _similarity_rows
-from .state import AngleRows, CoinProgram, _check_rows, _masses, check_distribution, support
+from .state import AngleRows, CoinProgram, _check_rows, _masses, check_distribution, norm, support
 from .walk import _rows
 
 
@@ -74,11 +74,10 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
         raise DomainError(f"step must lie in [0, {p.steps}], got {step!r}")
     if not 0.0 <= right_move_loss <= 1.0:
         raise DomainError(f"right_move_loss must lie in [0, 1], got {right_move_loss!r}")
-    a0, b0 = p.initial.pair(0)
-    if abs(a0) ** 2 + abs(b0) ** 2 == 0.0:
+    if norm(p.initial) == 0.0:
         raise DomainError("initial state has zero norm")
     *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
-    raw = list(_masses(a, b))
+    raw = _masses(a, b)
     total = sum(raw)
     if total == 0.0:
         raise DomainError(
@@ -134,8 +133,8 @@ def bootstrap_errorbars(
     (resamples, positions) matrix, checked as distributions in one pass,
     and every row's entropy and similarity is evaluated on the matrix at
     once. Each value equals, bit for bit, shannon_entropy and similarity
-    applied to that row as a dict (where builtin sum adds floats left to
-    right, CPython <= 3.11); ``theory`` is checked once, as similarity's q.
+    applied to that row as a dict; ``theory`` is checked once, as
+    similarity's q.
     """
     if not isinstance(resamples, Integral) or resamples < 100:
         raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")

@@ -16,11 +16,10 @@ evolution invariants are asserted at 1e-12.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add
 
 import numpy as np
@@ -76,14 +75,24 @@ def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
         check_distribution(dict(zip(xs, rows[int(np.argmin(passing))])), name)
 
 
-def _masses(a: np.ndarray, b: np.ndarray):
+def _masses(a: np.ndarray, b: np.ndarray) -> list[float]:
     """abs(a) ** 2 + abs(b) ** 2 for each entry of rows a, b, in order, as the
     Python floats Python computes (numpy's abs, square and power differ from
     them in the last bit). The real parts of rows whose imaginary parts are
     all zero give the same floats: abs(complex(x, 0.0)) is hypot(x, 0.0),
-    which is |x| exactly."""
-    return map(add, map(pow, map(abs, a.tolist()), repeat(2)),
-               map(pow, map(abs, b.tolist()), repeat(2)))
+    which is |x| exactly. An amplitude whose squared magnitude overflows
+    raises DomainError naming it, the first in the order of the pass."""
+    try:
+        return list(map(add, map(pow, map(abs, a.tolist()), repeat(2)),
+                        map(pow, map(abs, b.tolist()), repeat(2))))
+    except OverflowError:
+        for z in chain.from_iterable(zip(a.tolist(), b.tolist())):
+            try:
+                abs(z) ** 2
+            except OverflowError:
+                raise DomainError(f"amplitude {complex(z)!r} is too large: its "
+                                  f"squared magnitude overflows a float") from None
+        raise
 
 
 class _Stack:
@@ -189,19 +198,14 @@ def row_stack(values) -> list[Row]:
             for t in range(n)]
 
 
-def _require_finite(z: complex, what: str) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{what} must have finite components, got {z!r}")
-
-
 def _require_finite_rows(step: int, a: np.ndarray, b: np.ndarray) -> None:
     """Name the first position whose amplitude rows are not finite."""
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         i = int(np.argmin(finite))
-        x = 2 * i - step
-        _require_finite(complex(a[i]), f"amplitude a({x},{step})")
-        _require_finite(complex(b[i]), f"amplitude b({x},{step})")
+        name, z = ("a", a[i]) if not np.isfinite(a[i]) else ("b", b[i])
+        raise DomainError(f"amplitude {name}({2 * i - step},{step}) must have "
+                          f"finite components, got {complex(z)!r}")
 
 
 @dataclass(frozen=True)
@@ -224,23 +228,17 @@ class WalkerState:
         if self.step < 0:
             raise DomainError(f"step must be >= 0, got {self.step}")
         amps = self.amplitudes
-        if isinstance(amps, Row) and amps.step == self.step and len(amps.columns) == 2:
-            _require_finite_rows(self.step, *amps.columns)
-        else:
+        if not (isinstance(amps, Row) and amps.step == self.step and len(amps.columns) == 2):
             amps = {int(x): (complex(a), complex(b)) for x, (a, b) in amps.items()}
             positions = support(self.step)
-            for x, (a, b) in amps.items():
-                if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                    _require_finite(a, f"amplitude a({x},{self.step})")
-                    _require_finite(b, f"amplitude b({x},{self.step})")
-                if x not in positions:
-                    raise DomainError(
-                        f"position {x} is outside the step-{self.step} support "
-                        f"{{-t, -t+2, ..., t}}"
-                    )
+            stray = next((x for x in amps if x not in positions), None)
+            if stray is not None:
+                raise DomainError(f"position {stray} is outside the step-{self.step} "
+                                  "support {-t, -t+2, ..., t}")
             pairs = np.array([amps.get(x, (0j, 0j)) for x in positions], dtype=complex)
             pairs.flags.writeable = False
             amps = Row(self.step, (pairs[:, 0], pairs[:, 1]), sorted(amps))
+        _require_finite_rows(self.step, *amps.columns)
         object.__setattr__(self, "amplitudes", amps)
         if require_normalized:
             n = norm(self)
@@ -259,9 +257,8 @@ class WalkerState:
         if a.shape != (step + 1,) or b.shape != (step + 1,):
             raise DomainError(f"step-{step} rows must hold {step + 1} amplitudes, "
                               f"got {a.shape} and {b.shape}")
-        _require_finite_rows(step, a, b)
         a.flags.writeable = b.flags.writeable = False
-        return cls._of(Row(step, (a, b)))
+        return cls(step, Row(step, (a, b)), require_normalized=False)
 
     @classmethod
     def _of(cls, row: Row) -> WalkerState:

@@ -56,11 +56,10 @@ def position_distribution(amps):
 
 def similarity(p, q):
     """The scalar Bhattacharyya overlap of two dicts: the terms over
-    set(p) | set(q), in that set's order, added left to right by sum."""
-    f = sum(
-        math.sqrt(max(p.get(x, 0.0), 0.0) * max(q.get(x, 0.0), 0.0))
-        for x in set(p) | set(q)
-    )
+    set(p) | set(q), in that set's order, added left to right from 0.0."""
+    f = 0.0
+    for x in set(p) | set(q):
+        f += math.sqrt(max(p.get(x, 0.0), 0.0) * max(q.get(x, 0.0), 0.0))
     return min(f, 1.0)
 
 

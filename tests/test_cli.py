@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,14 @@ class TestProgramFile:
         prog.write_text(fileio.program_to_text(uniform_program(3)) + "  # note\n")
         assert run("simulate", prog, "--out-dir", tmp_path / "d") == EXIT_OK
 
+    def test_initial_amplitude_whose_mass_overflows_exits_5(self, tmp_path, capsys):
+        prog = tmp_path / "big.prog"
+        text = fileio.program_to_text(uniform_program(2))
+        prog.write_text(re.sub("(?m)^initial .*$", "initial 1e200 0.0 0.0 0.0", text))
+        assert run("simulate", prog, "--out-dir", tmp_path / "d") == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [
+            "error: amplitude (1e+200+0j) is too large: its squared magnitude overflows a float"]
+
     def test_hadamard_initial_preserved(self, tmp_path):
         prog = tmp_path / "h.prog"
         run("synthesize", "--target", "hadamard", "--steps", "3", "-o", prog)
@@ -402,6 +411,14 @@ class TestProgramFile:
         a, b = parsed.initial.pair(0)
         assert a == pytest.approx(1 / math.sqrt(2))
         assert b == pytest.approx(1j / math.sqrt(2))
+
+
+def test_megabyte_bad_line_exits_2_with_a_short_message(tmp_path, capsys):
+    dist = tmp_path / "bad.txt"
+    dist.write_text("0 0.5\n2 " + "x" * 1_000_000 + "\n")
+    assert run("entropy", dist) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad distribution line '2 xxx") and len(err) < 300
 
 
 class TestReproduce:

@@ -77,6 +77,28 @@ def test_pulse_arm_must_be_ccw_or_cw():
         fileio.pulse_schedule_from_text(PULSES + "0.0000,0.1270,1.0000,0,0,xyz\n")
 
 
+HUGE = "9" * 1_000_000 + "x"  # a field float and int cannot read, quoted whole by their errors
+
+
+@pytest.mark.parametrize("read, text", [
+    (fileio.program_from_text, PROGRAM.replace("\n0 0 ", f"\n0 0 {HUGE} ", 1)),
+    (fileio.program_from_text, PROGRAM.replace("initial ", f"initial {HUGE} ", 1)),
+    (fileio.program_from_text, PROGRAM.replace("convention right", f"convention {HUGE}")),
+    (fileio.distribution_from_text, f"0 0.5\n2 {HUGE}\n"),
+    (fileio.schedule_targets_from_text, f"0 0 1.0\n1 -1 {HUGE}\n"),
+    (fileio.calibration_from_text, f"0.785 0.127\n{HUGE} 0.263\n"),
+    (fileio.pulse_schedule_from_text, PULSES + f"{HUGE},0.1270,1.0000,0,0,ccw\n"),
+    (fileio.pulse_schedule_from_text, PULSES + f"0.0000,0.1270,1.0000,0,0,{HUGE}\n"),
+], ids=["program-cell", "program-header", "program-convention", "distribution",
+        "schedule", "calibration", "pulses-time", "pulses-arm"])
+def test_message_of_a_huge_bad_line_stays_short(read, text):
+    with pytest.raises(ParseError) as info:
+        read(text)
+    message = str(info.value)
+    assert len(message.encode()) < 300
+    assert "9" * 40 in message and "..." in message
+
+
 def random_program_text(rng, steps, final):
     """A program file as program_to_text writes it: random angles, a random
     initial coin and, if ``final``, a random orthogonal final layer."""

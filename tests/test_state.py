@@ -82,6 +82,15 @@ class TestWalkerState:
         with pytest.raises(DomainError, match=r"amplitude b\(2,2\) must have finite"):
             WalkerState(step=2, amplitudes={0: (0j, 0j), 2: (1 + 0j, complex(math.inf))})
 
+    def test_several_bad_entries_name_a_stray_key_first(self):
+        amps = {1: (complex(math.nan), 0j), 5: (1 + 0j, 0j), -1: (complex(math.inf), 0j)}
+        with pytest.raises(DomainError, match="position 5 is outside the step-1 support"):
+            WalkerState(step=1, amplitudes=amps)
+        # Without a stray key, the first non-finite position in x order is named.
+        del amps[5]
+        with pytest.raises(DomainError, match=r"amplitude a\(-1,1\) must have finite"):
+            WalkerState(step=1, amplitudes=amps)
+
     def test_from_rows_matches_public_constructor(self):
         a, b = np.array([0.6, 0.0]), np.array([0.0, 0.8j])
         s = WalkerState.from_rows(1, a, b)
