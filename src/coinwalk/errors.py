@@ -1,6 +1,12 @@
 """Exception hierarchy shared across the package."""
 
 
+def _clip(text: str) -> str:
+    """``text``, or its first 80 characters and ``...`` when it is longer:
+    how a message quotes input of unbounded length."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 class CoinWalkError(Exception):
     """Base class for all package errors."""
 

@@ -18,13 +18,13 @@ must start with its cell's ``"t x "``, the value column is parsed with
 Python ``float`` in one pass, and a program's angles get one vectorized
 [0, pi] check, the one ``CoinProgram`` applies to angle rows. Any other
 layout, and any file the column pass cannot take whole, is read line by
-line into a dict keyed by cell; that reader alone names errors, so every
+line into a dict of ``CoinOp``s keyed by cell, which goes to ``CoinProgram``
+like any other ``cells=`` dict; that reader alone names errors, so every
 message is the same whichever layout the file has. Program cells must be
-exactly those of the header's step count (``state.program_cells``, the
-coin-map check ``CoinProgram`` applies to a ``cells=`` dict). A target
-schedule's rows must lie in 0..T, T being its largest step; one read by
-column is a row schedule (``DistributionSchedule.from_rows``), checked
-once as a whole.
+exactly those of the header's step count. A target schedule's rows must
+lie in 0..T, T being its largest step; one read by column is a row
+schedule (``DistributionSchedule.from_rows``), checked once as a whole
+when it is built.
 """
 
 from __future__ import annotations
@@ -32,17 +32,16 @@ from __future__ import annotations
 from itertools import chain, islice, repeat
 from typing import Iterator, Mapping
 
-from .errors import CoinWalkError, ParseError
+from .errors import CoinWalkError, ParseError, _clip
 from .pulses import ARM_CCW, ARM_CW, Calibration, PulseEvent, PulseSchedule
 from .state import (
     AngleRows,
+    CoinOp,
     CoinProgram,
     DistributionSchedule,
     GeneralCoinOp,
     cell_at,
-    check_angle,
     localized_state,
-    program_cells,
 )
 
 PROGRAM_VERSION = 1
@@ -51,11 +50,6 @@ SHIFT_CONVENTION = "right"  # coin-|0> amplitude moves to x+1
 
 def _f(v: float) -> str:
     return repr(float(v))
-
-
-def _clip(text: str) -> str:
-    """``text``, or its first 80 characters and ``...`` when it is longer."""
-    return text if len(text) <= 80 else text[:80] + "..."
 
 
 def _bad(what: str, exc: Exception, ln: str | None = None) -> ParseError:
@@ -174,7 +168,7 @@ def _program_by_line(text: str) -> CoinProgram:
     if len(head) < 5:
         raise ParseError("program file too short")
     steps, a, b = _program_header([ln for ln, _ in head[:4]])
-    angles: dict[tuple[int, int], float] = {}
+    cells: dict[tuple[int, int], CoinOp] = {}
     final: dict[int, GeneralCoinOp] = {}
     try:
         for ln, parts in chain(head[4:], lines):
@@ -184,16 +178,13 @@ def _program_by_line(text: str) -> CoinProgram:
                 if len(parts) != 3:
                     raise ValueError("expected 3 fields")
                 t, x = int(parts[0]), int(parts[1])
-                if (t, x) in angles:
+                if (t, x) in cells:
                     raise ValueError(f"cell ({t},{x}) repeated")
-                angles[(t, x)] = check_angle(float(parts[2]))
+                cells[(t, x)] = CoinOp(float(parts[2]))
     except ValueError as exc:
         raise _bad("program", exc, ln) from exc
-    initial = localized_state(a, b)
-    cells = AngleRows(program_cells(angles, steps, float))
-    return CoinProgram(
-        steps=steps, cells=cells, initial=initial, final_layer=final or None
-    )
+    return CoinProgram(steps=steps, cells=cells, initial=localized_state(a, b),
+                       final_layer=final or None)
 
 
 def _read(by_column, by_line, text: str):

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, MustDisentangleError
+from .errors import DomainError, MustDisentangleError, _clip
 from .state import Row, WalkerState, check_distribution, support
 
 
@@ -205,7 +205,7 @@ def extract_bits(samples: Iterable[int], t: int) -> BitExtraction:
     positions = support(t)
     for x in samples:
         if x not in positions:
-            raise DomainError(f"position {x} outside the step-{t} support")
+            raise DomainError(f"position {_clip(str(x))} outside the step-{t} support")
         idx = (x + t) // 2
         if idx >= cap:
             rejected += 1

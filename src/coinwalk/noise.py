@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from numbers import Integral
+from operator import add
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _clip
 from .measure import _entropy_rows, _similarity_rows
 from .state import AngleRows, CoinProgram, _check_rows, _masses, check_distribution, norm, support
 from .walk import _rows
@@ -78,11 +80,13 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
         raise DomainError("initial state has zero norm")
     *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
     raw = _masses(a, b)
-    total = sum(raw)
+    total = reduce(add, raw, 0.0)  # left to right from 0.0, on every CPython
     if total == 0.0:
         raise DomainError(
             f"no amplitude survives {step} steps at right_move_loss {right_move_loss!r}"
         )
+    if not math.isfinite(total):
+        raise DomainError(f"the masses at step {step} sum to {total!r}, not a finite float")
     return {x: v / total for x, v in zip(support(step), raw)}
 
 
@@ -102,7 +106,7 @@ def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
     bad = ~np.isfinite(probs) | (probs < 0.0)
     if bad.any():
         x = xs[int(np.argmax(bad))]
-        raise DomainError(f"weight at x = {x} is {p[x]!r}, not finite and >= 0")
+        raise DomainError(f"weight at x = {_clip(str(x))} is {p[x]!r}, not finite and >= 0")
     total = probs.sum()
     if not 0.0 < total < math.inf:
         raise DomainError(f"weights sum to {float(total)!r}, need a positive finite total")
@@ -143,7 +147,8 @@ def bootstrap_errorbars(
     bad = ~(np.isfinite(values) & (values >= 0.0) & (values == np.floor(values)))
     if bad.any():
         x = xs[int(np.argmax(bad))]
-        raise DomainError(f"count at x = {x} is {counts[x]!r}, not a finite whole number >= 0")
+        raise DomainError(f"count at x = {_clip(str(x))} is {counts[x]!r}, "
+                          "not a finite whole number >= 0")
     n = int(sum(counts.values()))
     if n < 1:
         raise DomainError("counts must contain at least one event")

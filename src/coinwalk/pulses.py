@@ -11,6 +11,7 @@ times. Phases map to drive voltages through a measured anchor calibration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError
@@ -87,25 +88,24 @@ class Calibration:
             raise DomainError("anchor phases must be strictly increasing")
         if any(b <= a for a, b in zip(volts, volts[1:])):
             raise DomainError("anchor voltages must be strictly increasing")
+        object.__setattr__(self, "_columns", (phases, volts))
 
     def phase_to_voltage(self, phi: float) -> float:
         if not 0.0 <= phi <= math.pi + 1e-12:
             raise DomainError(f"phase {phi!r} outside [0, pi]")
-        return _piecewise(phi, [p for p, _ in self.anchors], [v for _, v in self.anchors])
+        return _piecewise(phi, *self._columns)
 
     def voltage_to_phase(self, volts: float) -> float:
-        phi = _piecewise(volts, [v for _, v in self.anchors], [p for p, _ in self.anchors])
+        if not math.isfinite(volts):
+            raise DomainError(f"voltage {volts!r} is not finite")
+        phi = _piecewise(volts, *reversed(self._columns))
         return min(max(phi, 0.0), math.pi)
 
 
 def _piecewise(x: float, xs: list[float], ys: list[float]) -> float:
-    """Linear interpolation through (xs, ys) with end-segment extrapolation."""
-    if x <= xs[0]:
-        i = 0
-    elif x >= xs[-1]:
-        i = len(xs) - 2
-    else:
-        i = max(j for j in range(len(xs) - 1) if xs[j] <= x)
+    """Linear interpolation through (xs, ys) with end-segment extrapolation:
+    the segment of the last anchor at or below x, clamped to the end ones."""
+    i = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
     slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
     return ys[i] + slope * (x - xs[i])
 

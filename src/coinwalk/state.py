@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
+from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add
 
 import numpy as np
 
-from .errors import DomainError, IncompleteLayerError, NormalizationError
+from .errors import DomainError, IncompleteLayerError, NormalizationError, _clip
 
 CONSTRUCTION_TOL = 1e-9
 EVOLUTION_TOL = 1e-12
@@ -41,16 +42,16 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
     """Require a probability row: every entry finite and >= -1e-9
     (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
 
-    A row of ``row_stack`` is looked up in its stack's one check; any other
-    row, and a failing one, is checked entry by entry as a dict."""
+    A row that ``row_stack`` accepted when it built the stack returns at
+    once; any other row, and a failing one, is checked entry by entry as a dict."""
     if isinstance(p, Row):
-        if p._stack is not None and p._stack.passes(p.step):
+        if p._checked:
             return
         p = p._as_dict()
     total = 0.0
     for x, v in p.items():
         if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
-            raise DomainError(f"{name} at x = {x} is {v!r}, not a probability")
+            raise DomainError(f"{name} at x = {_clip(str(x))} is {v!r}, not a probability")
         total += v
     if abs(total - 1.0) > CONSTRUCTION_TOL:
         raise NormalizationError(
@@ -62,8 +63,9 @@ def _passing(rows: np.ndarray) -> np.ndarray:
     """Whether check_distribution accepts each row of a matrix. Zeros after
     a row's entries change neither the entry test nor the left-to-right sum."""
     bad = ~np.isfinite(rows) | (rows < -CONSTRUCTION_TOL)
-    # cumsum adds each row left to right, as check_distribution does.
-    totals = np.cumsum(rows, axis=1)[:, -1]
+    # cumsum adds each row left to right, as check_distribution does. A bad
+    # entry fails its row anyway, so it is added as 0.0: inf + -inf would warn.
+    totals = np.cumsum(np.where(bad, 0.0, rows), axis=1)[:, -1]
     return ~bad.any(axis=1) & (abs(totals - 1.0) <= CONSTRUCTION_TOL)
 
 
@@ -95,23 +97,6 @@ def _masses(a: np.ndarray, b: np.ndarray) -> list[float]:
         raise
 
 
-class _Stack:
-    """Rows 0..T of one array laid end to end, checked as distributions
-    together when the first of them is checked."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self.passing = None
-
-    def passes(self, t: int) -> bool:
-        if self.passing is None:
-            n = cell_at(self.values.size)[0]
-            rows = np.zeros((n, n))
-            rows[np.tri(n, dtype=bool)] = self.values  # row t: its t+1 values, then zeros
-            self.passing = _passing(rows)
-        return bool(self.passing[t])
-
-
 class Row(Mapping):
     """Read-only map from position to value over dense rows at x = 2i - step.
 
@@ -124,14 +109,14 @@ class Row(Mapping):
     first read.
     """
 
-    __slots__ = ("step", "columns", "xs", "_stack", "_dict")
+    __slots__ = ("step", "columns", "xs", "_checked", "_dict")
 
     def __init__(self, step: int, columns: tuple[np.ndarray, ...],
-                 xs: Sequence[int] | None = None, stack: _Stack | None = None):
+                 xs: Sequence[int] | None = None):
         self.step = step
         self.columns = columns
         self.xs = support(step) if xs is None or len(xs) == step + 1 else xs
-        self._stack = stack
+        self._checked = False  # set by row_stack on a row it accepts
         self._dict = None
 
     @property
@@ -187,15 +172,18 @@ class Row(Mapping):
 def row_stack(values) -> list[Row]:
     """Rows t = 0..T of ``values`` laid end to end in (t, x) order, row t
     holding the t+1 values at x = 2i - t: read-only views, checked as
-    distributions together the first time one of them is checked."""
+    distributions together when the stack is built."""
     values = np.asarray(values, dtype=float)
     n, x = cell_at(values.size)
     if x != -n:
         raise DomainError(f"{values.size} values do not fill whole rows")
     values.flags.writeable = False
-    stack = _Stack(values)
-    return [Row(t, (values[t * (t + 1) // 2:(t + 1) * (t + 2) // 2],), stack=stack)
-            for t in range(n)]
+    triangle = np.zeros((n, n))
+    triangle[np.tri(n, dtype=bool)] = values  # row t: its t+1 values, then zeros
+    rows = [Row(t, (values[t * (t + 1) // 2:(t + 1) * (t + 2) // 2],)) for t in range(n)]
+    for row, passing in zip(rows, _passing(triangle).tolist()):
+        row._checked = passing
+    return rows
 
 
 def _require_finite_rows(step: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -233,7 +221,7 @@ class WalkerState:
             positions = support(self.step)
             stray = next((x for x in amps if x not in positions), None)
             if stray is not None:
-                raise DomainError(f"position {stray} is outside the step-{self.step} "
+                raise DomainError(f"position {_clip(str(stray))} is outside the step-{self.step} "
                                   "support {-t, -t+2, ..., t}")
             pairs = np.array([amps.get(x, (0j, 0j)) for x in positions], dtype=complex)
             pairs.flags.writeable = False
@@ -291,8 +279,9 @@ def localized_state(coin_amp0: complex, coin_amp1: complex) -> WalkerState:
 
 
 def norm(s: WalkerState) -> float:
-    """Total probability carried by the state (1 for any valid state)."""
-    return float(sum(_masses(*s.rows)))
+    """Total probability carried by the state (1 for any valid state): the
+    masses added left to right from 0.0, on every CPython."""
+    return reduce(add, _masses(*s.rows), 0.0)
 
 
 def position_distribution(s: WalkerState) -> Row:
@@ -302,15 +291,6 @@ def position_distribution(s: WalkerState) -> Row:
     return Row(s.step, (m,), s.amplitudes.xs)
 
 
-def check_angle(theta: float) -> float:
-    """Require a coin angle finite and in [0, pi] (DomainError); returns it."""
-    if not 0.0 <= theta <= math.pi:  # NaN fails too
-        if not math.isfinite(theta):
-            raise DomainError(f"theta must be finite, got {theta!r}")
-        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
-    return theta
-
-
 @dataclass(frozen=True)
 class CoinOp:
     """Real-orthogonal coin [[cos t, sin t], [sin t, -cos t]], determinant -1."""
@@ -318,17 +298,16 @@ class CoinOp:
     theta: float
 
     def __post_init__(self):
-        check_angle(self.theta)
+        theta = self.theta
+        if not 0.0 <= theta <= math.pi:  # NaN fails too
+            if not math.isfinite(theta):
+                raise DomainError(f"theta must be finite, got {theta!r}")
+            raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
 
     @property
     def matrix(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, s], [s, -c]])
-
-    def apply(self, pair: AmplitudePair) -> AmplitudePair:
-        a, b = pair
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return (c * a + s * b, s * a - c * b)
 
 
 HADAMARD = CoinOp(math.pi / 4)
@@ -360,10 +339,6 @@ class GeneralCoinOp:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.m00, self.m01], [self.m10, self.m11]])
-
-    def apply(self, pair: AmplitudePair) -> AmplitudePair:
-        a, b = pair
-        return (self.m00 * a + self.m01 * b, self.m10 * a + self.m11 * b)
 
 
 def cell_at(i: int) -> tuple[int, int]:
@@ -411,21 +386,9 @@ def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> 
         coins.append(coin)
     if len(given) != len(keys):
         key = min(given.keys() - set(keys))
-        raise DomainError(f"{owner} has a coin for {where(key)}, outside its support")
+        raise DomainError(f"{owner} has a coin for {_clip(where(key))}, "
+                          "outside its support")
     return coins
-
-
-def program_cells(cells: Mapping, steps: int, kind: type) -> list:
-    """The values of ``cells`` at exactly the cells (t, x) of a ``steps``-step
-    program, in (t, x) order, each a ``kind``: else IncompleteLayerError or
-    DomainError naming the first missing or mistyped cell, or the smallest stray one."""
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    # A cell past the dict's length is missing, so no more keys are needed.
-    keys = ((t, x) for t in range(steps) for x in support(t))
-    keys = list(islice(keys, len(cells) + 1))
-    return _coins_at(cells, keys, kind, "program",
-                     "cell ({0[0]},{0[1]}) at step {0[0]}, position {0[1]}".format)
 
 
 @dataclass(frozen=True)
@@ -459,7 +422,11 @@ class CoinProgram:
                 raise DomainError(f"coin angle at step {t}, position {x} is "
                                   f"{float(theta[bad[0]])!r}, not in [0, pi]")
         else:
-            coins = program_cells(self.cells, self.steps, CoinOp)
+            # A cell past the dict's length is missing, so no more keys are needed.
+            keys = ((t, x) for t in range(self.steps) for x in support(t))
+            where = "cell ({0[0]},{0[1]}) at step {0[0]}, position {0[1]}".format
+            coins = _coins_at(self.cells, list(islice(keys, len(self.cells) + 1)),
+                              CoinOp, "program", where)
             object.__setattr__(self, "cells", AngleRows([op.theta for op in coins]))
         if self.final_layer is not None:
             _coins_at(self.final_layer, support(self.steps), GeneralCoinOp,
@@ -478,7 +445,7 @@ class DistributionSchedule:
 
     Each row is a dict, whose entries are converted and checked one by one,
     or a float ``Row`` at its own step, which ``from_rows`` builds and whose
-    stack is checked once.
+    stack is checked once, when it is built.
     """
 
     steps: int
@@ -493,7 +460,7 @@ class DistributionSchedule:
         object.__setattr__(self, "rows", rows)
         stray = [t for t in rows if not 0 <= t <= self.steps]
         if stray:
-            raise DomainError(f"schedule has a row for step {min(stray)}, "
+            raise DomainError(f"schedule has a row for step {_clip(str(min(stray)))}, "
                               f"outside 0..{self.steps}")
         for t in range(self.steps + 1):
             row = rows.get(t)
@@ -505,7 +472,7 @@ class DistributionSchedule:
             for x in sorted(row.keys() - set(support(t))):
                 if row[x] > CONSTRUCTION_TOL:
                     raise DomainError(
-                        f"P({x},{t}) = {row[x]!r} lies outside the step-{t} support"
+                        f"P({_clip(str(x))},{t}) = {row[x]!r} lies outside the step-{t} support"
                     )
 
     @classmethod

@@ -64,7 +64,7 @@ def apply_coin_layer(
 
 
 def _entries(coin: CoinOp | GeneralCoinOp) -> tuple[float, float, float, float]:
-    """The coin's matrix entries m00, m01, m10, m11, those its ``apply`` uses."""
+    """The coin's matrix entries m00, m01, m10, m11, as in its ``matrix``."""
     if isinstance(coin, CoinOp):
         c, s = math.cos(coin.theta), math.sin(coin.theta)
         return c, s, s, -c

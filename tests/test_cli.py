@@ -182,6 +182,8 @@ BOUNDARY_FILES = {
     "huge_steps.prog": HUGE_STEPS_PROGRAM,
     "header_only.prog": "".join(
         fileio.program_to_text(uniform_program(1)).splitlines(keepends=True)[:4]),
+    "opposite_inf_sched.txt": "0 0 1.0\n1 -1 inf\n1 1 -inf\n",
+    "huge_stray_cell.prog": fileio.program_to_text(uniform_program(2)) + f"1 {'9' * 4000} 0.5\n",
 }
 
 BOUNDARY_CASES = {
@@ -232,6 +234,11 @@ BOUNDARY_CASES = {
                                    EXIT_DOMAIN),
     "simulate-header-only-program": (["simulate", "header_only.prog", "--out-dir", "d"],
                                      EXIT_PARSE),
+    "synthesize-opposite-infinities-schedule": (["synthesize", "--schedule",
+                                                 "opposite_inf_sched.txt", "-o", "out.prog"],
+                                                EXIT_DOMAIN),
+    "simulate-huge-stray-cell": (["simulate", "huge_stray_cell.prog", "--out-dir", "d"],
+                                 EXIT_DOMAIN),
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from coinwalk import measure, noise
+from coinwalk import measure, noise, state
 from coinwalk.errors import DomainError, NormalizationError
 from coinwalk.measure import similarity
 from coinwalk.noise import (
@@ -19,7 +19,7 @@ from coinwalk.noise import (
     perturb_program,
     sample_counts,
 )
-from coinwalk.state import CoinOp, CoinProgram, WalkerState, localized_state
+from coinwalk.state import CoinOp, CoinProgram, WalkerState, localized_state, norm
 from coinwalk.synth import gaussian_program, uniform_program
 from coinwalk.walk import circular_initial, hadamard_program, run_program
 
@@ -136,6 +136,31 @@ class TestExpectedCounts:
             lossy_distribution(prog, 5, 0.0)
         with pytest.raises(DomainError, match=r"amplitude \(1e\+200\+0j\) is too large"):
             run_program(prog)
+
+    def test_masses_whose_total_overflows_are_rejected(self):
+        # Every mass at step 3 is finite, but their total is not.
+        initial = WalkerState(step=0, amplitudes={0: (1.2e154, 1.2e154)}, require_normalized=False)
+        prog = replace(uniform_program(3), initial=initial)
+        with pytest.raises(DomainError, match="masses at step 3 sum to inf"):
+            lossy_distribution(prog, 3, 0.0)
+        with pytest.raises(DomainError, match="masses at step 3 sum to inf"):
+            expected_counts(prog, NoiseModel(), 3, 1000)
+
+    def test_counts_and_norms_are_alike_under_a_compensated_sum(self, monkeypatch):
+        # From CPython 3.12 builtin sum compensates; fsum stands in for it here.
+        # The masses must be added left to right from 0.0 on every interpreter.
+        programs = [uniform_program(60), gaussian_program(40),
+                    hadamard_program(60, circular_initial())]
+
+        def results():
+            return [repr([expected_counts(p, NoiseModel(right_move_loss=loss), p.steps, 10**6)
+                          for loss in (0.0, 0.05, 0.3)]
+                         + [norm(r.state) for r in run_program(p)]) for p in programs]
+
+        plain = results()
+        monkeypatch.setattr(state, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(noise, "sum", math.fsum, raising=False)
+        assert results() == plain
 
     def test_zero_norm_initial_state_is_rejected(self):
         initial = WalkerState(step=0, amplitudes={0: (0, 0)}, require_normalized=False)

@@ -100,6 +100,27 @@ class TestCalibration:
         with pytest.raises(DomainError):
             CAL.phase_to_voltage(math.pi + 0.01)
 
+    @pytest.mark.parametrize("volts", [math.nan, math.inf, -math.inf])
+    def test_rejects_voltage_that_is_not_finite(self, volts):
+        with pytest.raises(DomainError, match=f"voltage {volts} is not finite"):
+            CAL.voltage_to_phase(volts)
+
+    def test_lookup_takes_the_segment_of_the_last_anchor_at_or_below(self):
+        cal = Calibration(((0.0, -1.0), (0.5, 0.1), (1.0, 0.2), (2.0, 0.9), (3.0, 1.5)))
+
+        def scan(x, xs, ys):  # every segment scanned, the end ones extended
+            i = max([j for j in range(len(xs) - 1) if xs[j] <= x], default=0)
+            return ys[i] + (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) * (x - xs[i])
+
+        phases, volts = zip(*cal.anchors)
+        for inverse, xs, ys in ((False, phases, volts), (True, volts, phases)):
+            near = [v for x in xs for v in (math.nextafter(x, -9), x, math.nextafter(x, 9))]
+            for x in near + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [-0.5, 3.1]:
+                if inverse:
+                    assert cal.voltage_to_phase(x) == min(max(scan(x, xs, ys), 0.0), math.pi)
+                elif 0.0 <= x <= math.pi:
+                    assert cal.phase_to_voltage(x) == scan(x, xs, ys)
+
     def test_rejects_non_monotone_anchors(self):
         with pytest.raises(DomainError):
             Calibration(anchors=((0.1, 0.2), (0.2, 0.1)))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracle
 from coinwalk import fileio, measure, noise, state, synth, walk
+from coinwalk.errors import DomainError
 from coinwalk.state import (
     CoinOp,
     DistributionSchedule,
@@ -114,11 +115,20 @@ def test_row_schedule_is_checked_once(monkeypatch):
 
     monkeypatch.setattr(state, "_passing", counted)
     sched = synth.uniform_schedule(50)
+    assert calls == [(51, 51)]  # the schedule's stack, when it is built
     reports = walk.run_program(synth.schedule_program(sched))
-    assert calls == [(51, 51)]
+    assert calls == [(51, 51)] * 2  # and the run's
     for r in reports:
         measure.similarity(r.distribution, sched.rows[r.step])
-    assert calls == [(51, 51)] * 2  # and the run's rows once
+    assert calls == [(51, 51)] * 2  # scoring the 51 rows checks nothing again
+
+
+def test_stack_with_opposite_infinities_fails_without_a_warning():
+    # Warnings are errors here: inf + -inf must not reach the stack's sum.
+    rows = row_stack([1.0, math.inf, -math.inf])
+    check_distribution(rows[0], "row 0")
+    with pytest.raises(DomainError, match="row 1 at x = -1 is inf, not a probability"):
+        check_distribution(rows[1], "row 1")
 
 
 def outcome(f, *args):

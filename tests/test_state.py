@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from coinwalk import walk
 from coinwalk.errors import DomainError, IncompleteLayerError, NormalizationError
+from coinwalk.measure import extract_bits
+from coinwalk.noise import bootstrap_errorbars, sample_counts
 from coinwalk.state import (
     AngleRows,
     CoinOp,
@@ -273,3 +275,27 @@ class TestDistributionSchedule:
         del rows[-2]
         with pytest.raises(DomainError, match=r"row for step 5, outside 0\.\.1"):
             DistributionSchedule(steps=1, rows=rows)
+
+
+HUGE = "9" * 4000  # a position int takes, quoted clipped by every message
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: CoinProgram(steps=2, cells={**uniform_program(2).cells, (1, int(HUGE)): HADAMARD},
+                         initial=localized_state(1, 0)), "outside its support"),
+    (lambda: check_distribution({int(HUGE): math.nan}, "p"), "is nan, not a probability"),
+    (lambda: WalkerState(1, {int(HUGE): (1, 0)}), "outside the step-1 support"),
+    (lambda: DistributionSchedule(1, {0: {0: 1.0}, 1: {-1: 0.5, int(HUGE): 0.5}}),
+     "lies outside the step-1 support"),
+    (lambda: DistributionSchedule(1, {0: {0: 1.0}, 1: {-1: 1.0}, -int(HUGE): {0: 1.0}}),
+     r"outside 0\.\.1"),
+    (lambda: sample_counts({int(HUGE): math.nan}, 10, 0), "not finite and >= 0"),
+    (lambda: bootstrap_errorbars({int(HUGE): 0.5}, 100, 0), "not a finite whole number"),
+    (lambda: extract_bits([int(HUGE)], 1), "outside the step-1 support"),
+], ids=["program-cell", "distribution", "state", "schedule-entry", "schedule-row",
+        "sample-weight", "bootstrap-count", "extract-bits"])
+def test_message_quoting_a_huge_position_stays_short(make, match):
+    with pytest.raises(DomainError, match=match) as info:
+        make()
+    message = str(info.value)
+    assert len(message) < 200 and "9" * 40 in message and "..." in message
