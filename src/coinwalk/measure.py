@@ -32,7 +32,6 @@ def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     check_distribution(q, "q")
     if _dense_pair(p, q):
         return min(_similarity_dense(p.columns[0], q.columns[0]), 1.0)
-    p, q = (r._as_dict() if isinstance(r, Row) else r for r in (p, q))
     return float(_similarity_rows(list(p), np.array([list(p.values())], dtype=float), q)[0])
 
 

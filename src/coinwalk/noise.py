@@ -159,7 +159,6 @@ def bootstrap_errorbars(
     sigma_p = {x: float(s) for x, s in zip(xs, draws.std(axis=0))}
     sigma_f = None
     if theory is not None:
-        theory = dict(theory)
         check_distribution(theory, "q")
         sigma_f = float(_similarity_rows(xs, draws, theory).std())
     return BootstrapResult(

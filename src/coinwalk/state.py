@@ -43,11 +43,10 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
     (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
 
     A row that ``row_stack`` accepted when it built the stack returns at
-    once; any other row, and a failing one, is checked entry by entry as a dict."""
-    if isinstance(p, Row):
-        if p._checked:
-            return
-        p = p._as_dict()
+    once; any other map, a ``Row`` included, is checked entry by entry
+    through its ``items()``."""
+    if isinstance(p, Row) and p._checked:
+        return
     total = 0.0
     for x, v in p.items():
         if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
@@ -103,10 +102,10 @@ class Row(Mapping):
     ``columns`` holds one row of floats (a distribution), or the two rows
     a, b of complex amplitudes, whose values are the pairs (a, b). ``xs``
     are the keys in ascending order: every support position, or those of
-    the sparse dict the row was built from, with zeros at the others. The
-    row reads like that dict (keys, order, repr, ==, get, items, keys() set
-    operations) through one dict, built with one tolist() per column when
-    first read.
+    the sparse dict the row was built from, with zeros at the others. As a
+    read-only ``Mapping`` it reads like that dict (keys, order, repr, ==,
+    get, items, keys() set operations): ``__getitem__`` reads one dict,
+    built with one tolist() per column when first read.
     """
 
     __slots__ = ("step", "columns", "xs", "_checked", "_dict")
@@ -146,24 +145,6 @@ class Row(Mapping):
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    def __contains__(self, x) -> bool:
-        return x in self._as_dict()
-
-    def get(self, x, default=None):
-        return self._as_dict().get(x, default)
-
-    def keys(self):
-        return self._as_dict().keys()
-
-    def items(self):
-        return self._as_dict().items()
-
-    def values(self):
-        return self._as_dict().values()
-
-    def __eq__(self, other) -> bool:
-        return self._as_dict() == (other._as_dict() if isinstance(other, Row) else other)
 
     def __repr__(self) -> str:
         return repr(self._as_dict())
