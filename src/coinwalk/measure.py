@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, MustDisentangleError, _clip
-from .state import Row, WalkerState, check_distribution, support
+from .state import Row, WalkerState, _at_least, _integer, check_distribution, support
 
 
 def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
@@ -113,7 +113,7 @@ def _walker_amplitudes(source) -> dict[int, complex]:
                 )
             amps[x] = a
         return amps
-    return {int(x): complex(a) for x, a in source.items()}
+    return {_integer(x, "position"): complex(a) for x, a in source.items()}
 
 
 def _require_retention(gamma: float) -> None:
@@ -195,8 +195,7 @@ def extract_bits(samples: Iterable[int], t: int) -> BitExtraction:
     above the largest power of two are rejected (unbiased, no
     post-processing on accepted samples).
     """
-    if t < 1:
-        raise DomainError(f"step count must be >= 1, got {t}")
+    t = _at_least(t, 1, "step count")
     width = int(math.floor(math.log2(t + 1)))
     cap = 1 << width
     chunks = []

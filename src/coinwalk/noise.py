@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DomainError, _clip
 from .measure import _entropy_rows, _similarity_rows
-from .state import AngleRows, CoinProgram, _check_rows, _masses, check_distribution, norm, support
+from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _masses, check_distribution,
+                    norm, support)
 from .walk import _rows
 
 
@@ -41,6 +42,7 @@ class NoiseModel:
         if not 0.0 <= self.coin_angle_jitter_rad < math.inf:
             raise DomainError(f"coin_angle_jitter_rad must be finite and >= 0, "
                               f"got {self.coin_angle_jitter_rad!r}")
+        _at_least(self.seed, 0, "seed")  # numpy's default_rng takes an integer >= 0
 
 
 def expected_counts(
@@ -99,8 +101,9 @@ def _require_event_total(n, what: str) -> None:
 
 def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
     """Multinomial draw of n events from nonnegative weights, renormalized,
-    reproducible per seed; n must be a whole number in [0, 2**63)."""
+    reproducible per seed, an integer >= 0; n must be a whole number in [0, 2**63)."""
     _require_event_total(n, "n")
+    _at_least(seed, 0, "seed")
     xs = sorted(p)
     probs = np.array([p[x] for x in xs], dtype=float)
     bad = ~np.isfinite(probs) | (probs < 0.0)
@@ -142,6 +145,7 @@ def bootstrap_errorbars(
     """
     if not isinstance(resamples, Integral) or resamples < 100:
         raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")
+    _at_least(seed, 0, "seed")
     xs = sorted(counts)
     values = np.array([counts[x] for x in xs], dtype=float)
     bad = ~(np.isfinite(values) & (values >= 0.0) & (values == np.floor(values)))

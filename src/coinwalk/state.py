@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import add
+from operator import add, index
 
 import numpy as np
 
@@ -36,6 +36,22 @@ AmplitudePair = tuple[complex, complex]
 def support(t: int) -> range:
     """Positions -t, -t+2, ..., t the walker can occupy after t steps."""
     return range(-t, t + 1, 2)
+
+
+def _integer(v, name: str) -> int:
+    """``v`` by operator.index (int() truncates 1.7, parses '0'): else DomainError."""
+    try:
+        return index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {_clip(repr(v))}") from None
+
+
+def _at_least(v, low: int, name: str) -> int:
+    """``v`` as an integer >= ``low``: else DomainError naming it."""
+    v = _integer(v, name)
+    if v < low:
+        raise DomainError(f"{name} must be >= {low}, got {_clip(str(v))}")
+    return v
 
 
 def check_distribution(p: Mapping[int, float], name: str) -> None:
@@ -154,10 +170,10 @@ def row_stack(values) -> list[Row]:
     """Rows t = 0..T of ``values`` laid end to end in (t, x) order, row t
     holding the t+1 values at x = 2i - t: read-only views, checked as
     distributions together when the stack is built."""
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)  # a copy: the caller's array stays writeable
     n, x = cell_at(values.size)
-    if x != -n:
-        raise DomainError(f"{values.size} values do not fill whole rows")
+    if n == 0 or x != -n:
+        raise DomainError(f"{values.size} values do not fill rows 0..T")
     values.flags.writeable = False
     triangle = np.zeros((n, n))
     triangle[np.tri(n, dtype=bool)] = values  # row t: its t+1 values, then zeros
@@ -194,11 +210,10 @@ class WalkerState:
     require_normalized: InitVar[bool] = True
 
     def __post_init__(self, require_normalized: bool):
-        if self.step < 0:
-            raise DomainError(f"step must be >= 0, got {self.step}")
+        object.__setattr__(self, "step", _at_least(self.step, 0, "step"))
         amps = self.amplitudes
         if not (isinstance(amps, Row) and amps.step == self.step and len(amps.columns) == 2):
-            amps = {int(x): (complex(a), complex(b)) for x, (a, b) in amps.items()}
+            amps = {_integer(x, "position"): (complex(a), complex(b)) for x, (a, b) in amps.items()}
             positions = support(self.step)
             stray = next((x for x in amps if x not in positions), None)
             if stray is not None:
@@ -220,8 +235,7 @@ class WalkerState:
     def from_rows(cls, step: int, a: np.ndarray, b: np.ndarray) -> WalkerState:
         """Unnormalized state at ``step`` from dense rows a, b at x = 2i - step,
         checked once per row: one entry per support position, every one finite."""
-        if step < 0:
-            raise DomainError(f"step must be >= 0, got {step}")
+        step = _at_least(step, 0, "step")
         a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
         if a.shape != (step + 1,) or b.shape != (step + 1,):
             raise DomainError(f"step-{step} rows must hold {step + 1} amplitudes, "
@@ -389,8 +403,7 @@ class CoinProgram:
     final_layer: dict[int, GeneralCoinOp] | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
+        object.__setattr__(self, "steps", _at_least(self.steps, 1, "steps"))
         if self.initial.step != 0:
             raise DomainError("initial state must be at step 0")
         if isinstance(self.cells, AngleRows):
@@ -433,10 +446,10 @@ class DistributionSchedule:
     rows: dict[int, Mapping[int, float]]
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
-        rows = {int(t): row if isinstance(row, Row) and row.step == t and len(row.columns) == 1
-                else {int(x): float(p) for x, p in row.items()}
+        object.__setattr__(self, "steps", _at_least(self.steps, 1, "steps"))
+        rows = {_integer(t, "schedule row"): row
+                if isinstance(row, Row) and row.step == t and len(row.columns) == 1
+                else {_integer(x, "position"): float(p) for x, p in row.items()}
                 for t, row in self.rows.items()}
         object.__setattr__(self, "rows", rows)
         stray = [t for t in rows if not 0 <= t <= self.steps]

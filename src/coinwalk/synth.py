@@ -36,6 +36,7 @@ from .state import (
     GeneralCoinOp,
     Row,
     WalkerState,
+    _at_least,
     cell_at,
     localized_state,
     support,
@@ -210,6 +211,7 @@ def schedule_program(sched: DistributionSchedule) -> CoinProgram:
 
 def binomial_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = C(t, (t+x)/2) / 2^t, the classical-walk profile."""
+    steps = _at_least(steps, 1, "steps")
     values = []
     comb = [1]  # C(t, k) for k = 0..t, exact, one Pascal row per step
     for t in range(steps + 1):
@@ -221,6 +223,7 @@ def binomial_schedule(steps: int) -> DistributionSchedule:
 
 def uniform_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = 1/(t+1) over the t+1 admissible positions."""
+    steps = _at_least(steps, 1, "steps")
     n = np.arange(1, steps + 2)
     return DistributionSchedule.from_rows(np.repeat(1.0 / n, n))
 

@@ -239,6 +239,11 @@ BOUNDARY_CASES = {
                                                 EXIT_DOMAIN),
     "simulate-huge-stray-cell": (["simulate", "huge_stray_cell.prog", "--out-dir", "d"],
                                  EXIT_DOMAIN),
+    "sample-negative-seed": (["--seed", "-1", "sample", "one.txt", "--events", "10",
+                              "-o", "out.txt"], EXIT_DOMAIN),
+    "extract-bits-negative-seed": (["--seed", "-1", "extract-bits", "one.txt", "--steps", "1",
+                                    "--events", "10", "-o", "out.txt"], EXIT_DOMAIN),
+    "reproduce-negative-seed": (["--seed", "-1", "reproduce", "--out-dir", "d"], EXIT_DOMAIN),
 }
 
 

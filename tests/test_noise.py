@@ -40,6 +40,31 @@ class TestNoiseModel:
             NoiseModel(coin_angle_jitter_rad=jitter)
 
 
+@pytest.mark.parametrize("seed, match", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.0, "seed must be an integer, got 1.0"),
+    ("3", "seed must be an integer, got '3'"),
+    (None, "seed must be an integer, got None"),
+], ids=["negative", "float", "string", "none"])
+def test_a_seed_that_is_not_an_integer_at_least_0_is_rejected(seed, match):
+    with pytest.raises(DomainError, match=re.escape(match)):
+        NoiseModel(coin_angle_jitter_rad=0.01, seed=seed)
+    with pytest.raises(DomainError, match=re.escape(match)):
+        replace(NoiseModel(coin_angle_jitter_rad=0.01), seed=seed)
+    with pytest.raises(DomainError, match=re.escape(match)):
+        sample_counts({0: 1.0}, 10, seed)
+    with pytest.raises(DomainError, match=re.escape(match)):
+        bootstrap_errorbars({0: 10}, 100, seed)
+
+
+def test_any_integer_seed_at_least_0_is_taken():
+    p = uniform_program(3)
+    for seed in (0, np.int64(3), 2**70):
+        perturb_program(p, NoiseModel(coin_angle_jitter_rad=0.01, seed=seed))
+        assert sum(sample_counts({0: 1.0}, 10, seed).values()) == 10
+        assert bootstrap_errorbars({0: 10}, 100, seed).sigma_p == {0: 0.0}
+
+
 class TestExpectedCounts:
     def test_uniform_split(self):
         counts = expected_counts(uniform_program(7), NoiseModel(), 7, 8000)

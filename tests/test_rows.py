@@ -7,6 +7,7 @@ is checked against the dict it stands for, entry point by entry point.
 
 import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -257,6 +258,13 @@ def test_dict_built_and_row_built_states_compare_equal():
 def test_sparse_state_keeps_its_keys():
     s = WalkerState(4, {2: (0.6, 0.8j)})
     assert list(s.amplitudes) == s.positions() == [2]
+    # The support positions off the keys hold zeros in the columns, yet are no keys.
+    row = s.amplitudes
+    assert row.get(2) == (0.6 + 0j, 0.8j) and row.get(0) is None and row.get(0, 1) == 1
+    assert 2 in row and 0 not in row and -4 not in row and 6 not in row
+    assert list(row.items()) == [(2, (0.6 + 0j, 0.8j))]
+    assert row == {2: (0.6, 0.8j)} and {2: (0.6, 0.8j)} == row
+    assert row != {0: (0j, 0j), 2: (0.6, 0.8j)} and row == WalkerState(4, {2: (0.6, 0.8j)}).amplitudes
     assert list(position_distribution(s).items()) == [(2, abs(0.6) ** 2 + abs(0.8j) ** 2)]
     assert walk.apply_shift(s).positions() == [1, 3]
     assert walk.apply_shift(s).amplitudes == {1: (0j, 0.8j), 3: (0.6 + 0j, 0j)}
@@ -271,3 +279,23 @@ def test_similarity_of_disjoint_rows_with_negative_zeros_is_positive_zero():
     p, q = row_stack([1.0, -0.0, 1.0])[1], row_stack([1.0, 1.0, -0.0])[1]
     assert repr(oracle.similarity(dict(p), dict(q))) == "0.0"
     assert repr(measure.similarity(p, q)) == "0.0"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: row_stack([]), "0 values do not fill rows 0..T"),
+    (lambda: DistributionSchedule.from_rows([]), "0 values do not fill rows 0..T"),
+    (lambda: synth.uniform_program(-1), "steps must be >= 1, got -1"),
+    (lambda: synth.gaussian_program(-1), "steps must be >= 1, got -1"),
+    (lambda: synth.binomial_schedule(-2), "steps must be >= 1, got -2"),
+], ids=["row-stack", "from-rows", "uniform-program", "gaussian-program", "binomial-schedule"])
+def test_an_empty_stack_is_a_domain_error(make, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make()
+
+
+def test_a_stack_copies_the_callers_array():
+    v = np.array([1.0, 0.5, 0.5])
+    sched = DistributionSchedule.from_rows(v)
+    v[0] = 2.0
+    assert v.tolist() == [2.0, 0.5, 0.5]
+    assert sched.rows == {0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}}

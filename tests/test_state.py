@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from coinwalk import walk
 from coinwalk.errors import DomainError, IncompleteLayerError, NormalizationError
-from coinwalk.measure import extract_bits
+from coinwalk.measure import extract_bits, purity_criterion
 from coinwalk.noise import bootstrap_errorbars, sample_counts
 from coinwalk.state import (
     AngleRows,
@@ -292,10 +293,43 @@ HUGE = "9" * 4000  # a position int takes, quoted clipped by every message
     (lambda: sample_counts({int(HUGE): math.nan}, 10, 0), "not finite and >= 0"),
     (lambda: bootstrap_errorbars({int(HUGE): 0.5}, 100, 0), "not a finite whole number"),
     (lambda: extract_bits([int(HUGE)], 1), "outside the step-1 support"),
+    (lambda: WalkerState(0, {HUGE: (1, 0)}), "position must be an integer"),
 ], ids=["program-cell", "distribution", "state", "schedule-entry", "schedule-row",
-        "sample-weight", "bootstrap-count", "extract-bits"])
+        "sample-weight", "bootstrap-count", "extract-bits", "state-string-key"])
 def test_message_quoting_a_huge_position_stays_short(make, match):
     with pytest.raises(DomainError, match=match) as info:
         make()
     message = str(info.value)
     assert len(message) < 200 and "9" * 40 in message and "..." in message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WalkerState(1, {1.7: (0.6, 0), -1.2: (0.8, 0)}), "position must be an integer, got 1.7"),
+    (lambda: WalkerState(0, {"0": (1, 0)}), "position must be an integer, got '0'"),
+    (lambda: WalkerState(1.0, {-1: (0.6, 0), 1: (0.8, 0)}), "step must be an integer, got 1.0"),
+    (lambda: WalkerState.from_rows(1.0, [0.6, 0], [0, 0.8]), "step must be an integer, got 1.0"),
+    (lambda: DistributionSchedule(1, {0.4: {0: 1.0}, 1: {-1.2: 0.5, 1.7: 0.5}}),
+     "schedule row must be an integer, got 0.4"),
+    (lambda: DistributionSchedule(1, {0: {0: 1.0}, 1: {-1.2: 0.5, 1.7: 0.5}}),
+     "position must be an integer, got -1.2"),
+    (lambda: DistributionSchedule(steps=1.5, rows={0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}}),
+     "steps must be an integer, got 1.5"),
+    (lambda: CoinProgram(steps=2.0, cells=uniform_program(2).cells, initial=localized_state(1, 0)),
+     "steps must be an integer, got 2.0"),
+    (lambda: purity_criterion({0.5: 1.0, 2: 0.0}), "position must be an integer, got 0.5"),
+    (lambda: extract_bits([0], 1.5), "step count must be an integer, got 1.5"),
+], ids=["state-float-keys", "state-string-key", "state-step", "state-from-rows-step",
+        "schedule-row", "schedule-position", "schedule-steps", "program-steps", "purity-position",
+        "extract-bits-steps"])
+def test_a_coordinate_that_is_not_an_integer_is_named(make, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make()
+
+
+def test_integer_coordinates_of_any_integer_type_are_taken_as_ints():
+    s = WalkerState(np.int64(1), {np.int64(-1): (0.6, 0), np.int16(1): (0.8, 0)})
+    assert type(s.step) is int and [type(x) for x in s.amplitudes] == [int, int]
+    sched = DistributionSchedule(np.int64(1), {np.int64(0): {np.int8(0): 1.0},
+                                               1: {-1: 0.5, np.int64(1): 0.5}})
+    assert type(sched.steps) is int and sched.rows == {0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}}
+    assert type(CoinProgram(np.int64(2), uniform_program(2).cells, localized_state(1, 0)).steps) is int
