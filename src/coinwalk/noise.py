@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, _clip
 from .measure import _entropy_rows, _similarity_rows
-from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _masses, check_distribution,
-                    norm, support)
+from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _integer, _masses,
+                    check_distribution, norm, support)
 from .walk import _rows
 
 
@@ -74,7 +74,7 @@ def detected_event_budget(nm: NoiseModel, launches: float, step: int) -> float:
 def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dict[int, float]:
     """Distribution at a step with amplitude damping on every right-move,
     renormalized at detection."""
-    if not 0 <= step <= p.steps:
+    if not 0 <= _integer(step, "step") <= p.steps:
         raise DomainError(f"step must lie in [0, {p.steps}], got {step!r}")
     if not 0.0 <= right_move_loss <= 1.0:
         raise DomainError(f"right_move_loss must lie in [0, 1], got {right_move_loss!r}")
@@ -136,7 +136,7 @@ def bootstrap_errorbars(
     when a theory distribution is given, the similarity against it.
 
     ``counts`` must be finite whole numbers >= 0 with 1 to 2**63 - 1 events,
-    and ``resamples`` an integer >= 100. The resamples are drawn as one
+    ``resamples`` an integer >= 100 and ``seed`` an integer >= 0. The resamples are drawn as one
     (resamples, positions) matrix, checked as distributions in one pass,
     and every row's entropy and similarity is evaluated on the matrix at
     once. Each value equals, bit for bit, shannon_entropy and similarity

@@ -428,7 +428,7 @@ class CoinProgram:
 
     def layer(self, t: int) -> dict[int, CoinOp]:
         """The coins of step t, keyed by position."""
-        if not 0 <= t < self.steps:
+        if not 0 <= _integer(t, "step") < self.steps:
             raise DomainError(f"step {t} outside program range [0, {self.steps})")
         return {x: self.cells[(t, x)] for x in support(t)}
 

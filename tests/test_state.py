@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coinwalk import walk
 from coinwalk.errors import DomainError, IncompleteLayerError, NormalizationError
 from coinwalk.measure import extract_bits, purity_criterion
-from coinwalk.noise import bootstrap_errorbars, sample_counts
+from coinwalk.noise import bootstrap_errorbars, lossy_distribution, sample_counts
 from coinwalk.state import (
     AngleRows,
     CoinOp,
@@ -318,9 +318,11 @@ def test_message_quoting_a_huge_position_stays_short(make, match):
      "steps must be an integer, got 2.0"),
     (lambda: purity_criterion({0.5: 1.0, 2: 0.0}), "position must be an integer, got 0.5"),
     (lambda: extract_bits([0], 1.5), "step count must be an integer, got 1.5"),
+    (lambda: uniform_program(2).layer(1.0), "step must be an integer, got 1.0"),
+    (lambda: lossy_distribution(uniform_program(2), 1.5, 0.0), "step must be an integer, got 1.5"),
 ], ids=["state-float-keys", "state-string-key", "state-step", "state-from-rows-step",
         "schedule-row", "schedule-position", "schedule-steps", "program-steps", "purity-position",
-        "extract-bits-steps"])
+        "extract-bits-steps", "program-layer", "lossy-step"])
 def test_a_coordinate_that_is_not_an_integer_is_named(make, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         make()
