@@ -50,8 +50,6 @@ def test_a_seed_that_is_not_an_integer_at_least_0_is_rejected(seed, match):
     with pytest.raises(DomainError, match=re.escape(match)):
         NoiseModel(coin_angle_jitter_rad=0.01, seed=seed)
     with pytest.raises(DomainError, match=re.escape(match)):
-        replace(NoiseModel(coin_angle_jitter_rad=0.01), seed=seed)
-    with pytest.raises(DomainError, match=re.escape(match)):
         sample_counts({0: 1.0}, 10, seed)
     with pytest.raises(DomainError, match=re.escape(match)):
         bootstrap_errorbars({0: 10}, 100, seed)

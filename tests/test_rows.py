@@ -264,7 +264,8 @@ def test_sparse_state_keeps_its_keys():
     assert 2 in row and 0 not in row and -4 not in row and 6 not in row
     assert list(row.items()) == [(2, (0.6 + 0j, 0.8j))]
     assert row == {2: (0.6, 0.8j)} and {2: (0.6, 0.8j)} == row
-    assert row != {0: (0j, 0j), 2: (0.6, 0.8j)} and row == WalkerState(4, {2: (0.6, 0.8j)}).amplitudes
+    assert row != {0: (0j, 0j), 2: (0.6, 0.8j)}
+    assert row == WalkerState(4, {2: (0.6, 0.8j)}).amplitudes
     assert list(position_distribution(s).items()) == [(2, abs(0.6) ** 2 + abs(0.8j) ** 2)]
     assert walk.apply_shift(s).positions() == [1, 3]
     assert walk.apply_shift(s).amplitudes == {1: (0j, 0.8j), 3: (0.6 + 0j, 0j)}

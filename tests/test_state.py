@@ -304,7 +304,8 @@ def test_message_quoting_a_huge_position_stays_short(make, match):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: WalkerState(1, {1.7: (0.6, 0), -1.2: (0.8, 0)}), "position must be an integer, got 1.7"),
+    (lambda: WalkerState(1, {1.7: (0.6, 0), -1.2: (0.8, 0)}),
+     "position must be an integer, got 1.7"),
     (lambda: WalkerState(0, {"0": (1, 0)}), "position must be an integer, got '0'"),
     (lambda: WalkerState(1.0, {-1: (0.6, 0), 1: (0.8, 0)}), "step must be an integer, got 1.0"),
     (lambda: WalkerState.from_rows(1.0, [0.6, 0], [0, 0.8]), "step must be an integer, got 1.0"),
@@ -314,7 +315,7 @@ def test_message_quoting_a_huge_position_stays_short(make, match):
      "position must be an integer, got -1.2"),
     (lambda: DistributionSchedule(steps=1.5, rows={0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}}),
      "steps must be an integer, got 1.5"),
-    (lambda: CoinProgram(steps=2.0, cells=uniform_program(2).cells, initial=localized_state(1, 0)),
+    (lambda: CoinProgram(2.0, uniform_program(2).cells, localized_state(1, 0)),
      "steps must be an integer, got 2.0"),
     (lambda: purity_criterion({0.5: 1.0, 2: 0.0}), "position must be an integer, got 0.5"),
     (lambda: extract_bits([0], 1.5), "step count must be an integer, got 1.5"),
@@ -334,4 +335,5 @@ def test_integer_coordinates_of_any_integer_type_are_taken_as_ints():
     sched = DistributionSchedule(np.int64(1), {np.int64(0): {np.int8(0): 1.0},
                                                1: {-1: 0.5, np.int64(1): 0.5}})
     assert type(sched.steps) is int and sched.rows == {0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}}
-    assert type(CoinProgram(np.int64(2), uniform_program(2).cells, localized_state(1, 0)).steps) is int
+    program = CoinProgram(np.int64(2), uniform_program(2).cells, localized_state(1, 0))
+    assert type(program.steps) is int
