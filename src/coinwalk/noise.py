@@ -80,8 +80,8 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
         raise DomainError(f"right_move_loss must lie in [0, 1], got {right_move_loss!r}")
     if norm(p.initial) == 0.0:
         raise DomainError("initial state has zero norm")
-    *_, (a, b) = _rows(p, step, math.sqrt(1.0 - right_move_loss))
-    raw = _masses(a, b)
+    a, b = _rows(p, step, math.sqrt(1.0 - right_move_loss))
+    raw = _masses(a[-step - 1:], b[-step - 1:]).tolist()  # the last row
     total = reduce(add, raw, 0.0)  # left to right from 0.0, on every CPython
     if total == 0.0:
         raise DomainError(
@@ -104,7 +104,7 @@ def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
     reproducible per seed, an integer >= 0; n must be a whole number in [0, 2**63)."""
     _require_event_total(n, "n")
     _at_least(seed, 0, "seed")
-    xs = sorted(p)
+    xs = sorted(_integer(x, "position") for x in p)
     probs = np.array([p[x] for x in xs], dtype=float)
     bad = ~np.isfinite(probs) | (probs < 0.0)
     if bad.any():
@@ -146,7 +146,7 @@ def bootstrap_errorbars(
     if not isinstance(resamples, Integral) or resamples < 100:
         raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")
     _at_least(seed, 0, "seed")
-    xs = sorted(counts)
+    xs = sorted(_integer(x, "position") for x in counts)
     values = np.array([counts[x] for x in xs], dtype=float)
     bad = ~(np.isfinite(values) & (values >= 0.0) & (values == np.floor(values)))
     if bad.any():

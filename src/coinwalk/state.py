@@ -8,7 +8,8 @@ row of probabilities, and a coin program as read-only angle rows, row t
 holding the t+1 angles of step t. States and distributions read as
 read-only maps from position to value (``Row``), so a state built from a
 dict keeps exactly its keys, and a key off the step's support is rejected
-when the state is built.
+when the state is built. Every mass |a|^2 + |b|^2 is taken in numpy by
+``_masses``, bit for bit the float Python's abs(z) ** 2 gives.
 
 Tolerance policy: user-facing construction checks run at 1e-9, internal
 evolution invariants are asserted at 1e-12.
@@ -20,7 +21,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import islice
 from operator import add, index
 
 import numpy as np
@@ -59,9 +60,11 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
     (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
 
     A row that ``row_stack`` accepted when it built the stack returns at
-    once; any other map, a ``Row`` included, is checked entry by entry
-    through its ``items()``."""
-    if isinstance(p, Row) and p._checked:
+    once, any other float ``Row`` with keys is checked on its column, and
+    any other map entry by entry through its ``items()``."""
+    if isinstance(p, Row) and len(p.columns) == 1 and p.xs:
+        if not p._checked:
+            _check_rows(p.xs, p.columns[0][p.index()][None], name)
         return
     total = 0.0
     for x, v in p.items():
@@ -89,27 +92,29 @@ def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
     positions ``xs``: the first failing row raises what it raises alone."""
     passing = _passing(rows)
     if not passing.all():
-        check_distribution(dict(zip(xs, rows[int(np.argmin(passing))])), name)
+        check_distribution(dict(zip(xs, rows[int(np.argmin(passing))].tolist())), name)
 
 
-def _masses(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """abs(a) ** 2 + abs(b) ** 2 for each entry of rows a, b, in order, as the
-    Python floats Python computes (numpy's abs, square and power differ from
-    them in the last bit). The real parts of rows whose imaginary parts are
-    all zero give the same floats: abs(complex(x, 0.0)) is hypot(x, 0.0),
-    which is |x| exactly. An amplitude whose squared magnitude overflows
-    raises DomainError naming it, the first in the order of the pass."""
+def _masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """abs(a) ** 2 + abs(b) ** 2 for each entry of rows a, b, bit for bit the
+    Python floats: hypot is Python's abs of a complex and float_power, which
+    calls libm's pow as Python does, its ** 2 (numpy's abs, square and power
+    differ in the last bit). A sum of finite squares that overflows is inf,
+    as with Python's +; a square that overflows raises DomainError naming the
+    first such amplitude in the order a0, b0, a1, b1, ..."""
     try:
-        return list(map(add, map(pow, map(abs, a.tolist()), repeat(2)),
-                        map(pow, map(abs, b.tolist()), repeat(2))))
-    except OverflowError:
-        for z in chain.from_iterable(zip(a.tolist(), b.tolist())):
-            try:
-                abs(z) ** 2
-            except OverflowError:
-                raise DomainError(f"amplitude {complex(z)!r} is too large: its "
-                                  f"squared magnitude overflows a float") from None
-        raise
+        with np.errstate(over="raise"):
+            return (np.float_power(np.hypot(a.real, a.imag), 2.0)
+                    + np.float_power(np.hypot(b.real, b.imag), 2.0))
+    except FloatingPointError:  # a square overflows, or only a sum does
+        with np.errstate(over="ignore"):
+            sa, sb = (np.float_power(np.hypot(z.real, z.imag), 2.0) for z in (a, b))
+            total = sa + sb
+    z = np.ravel([a, b], order="F")[np.isinf(np.ravel([sa, sb], order="F"))]
+    if z.size:
+        raise DomainError(f"amplitude {complex(z[0])!r} is too large: its "
+                          f"squared magnitude overflows a float")
+    return total
 
 
 class Row(Mapping):
@@ -276,12 +281,12 @@ def localized_state(coin_amp0: complex, coin_amp1: complex) -> WalkerState:
 def norm(s: WalkerState) -> float:
     """Total probability carried by the state (1 for any valid state): the
     masses added left to right from 0.0, on every CPython."""
-    return reduce(add, _masses(*s.rows), 0.0)
+    return reduce(add, _masses(*s.rows).tolist(), 0.0)
 
 
 def position_distribution(s: WalkerState) -> Row:
     """P(x) = |a(x)|^2 + |b(x)|^2 over the occupied positions."""
-    m = np.fromiter(_masses(*s.rows), float, s.step + 1)
+    m = _masses(*s.rows)
     m.flags.writeable = False
     return Row(s.step, (m,), s.amplitudes.xs)
 

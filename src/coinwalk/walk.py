@@ -4,7 +4,8 @@ Shift convention: the coin-|0> amplitude a(x, t) feeds position x+1 and the
 coin-|1> amplitude b(x, t) feeds x-1. The mirror convention (a moves left)
 is available through :func:`mirror_program`. States, coin layers, shifts
 and whole programs all run on the dense rows at x = 2i - t; ``_rows`` is
-the one kernel that steps a program.
+the one kernel that steps a program, on one preallocated triangle each for
+the a and b rows of every step.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .state import (
     GeneralCoinOp,
     Row,
     WalkerState,
+    _at_least,
     _masses,
-    cell_at,
     localized_state,
     position_distribution,
     row_stack,
@@ -71,18 +72,14 @@ def _entries(coin: CoinOp | GeneralCoinOp) -> tuple[float, float, float, float]:
     return coin.m00, coin.m01, coin.m10, coin.m11
 
 
-def _shift(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows at step t+1 of the conditional shift of rows a, b at step t."""
-    return np.append(0j, a), np.append(b, 0j)
-
-
 def apply_shift(s: WalkerState) -> WalkerState:
     """Conditional shift: a(x) -> a(x+1), b(x) -> b(x-1), step t -> t+1."""
     xs = None  # every position of the next step
     if not s.amplitudes.dense:
         xs = sorted({x + d for x in s.amplitudes.xs for d in (-1, 1)})
-    t = s.step + 1
-    return WalkerState(t, Row(t, _shift(*s.rows), xs), require_normalized=False)
+    (a, b), t = s.rows, s.step + 1
+    shifted = np.append(0j, a), np.append(b, 0j)
+    return WalkerState(t, Row(t, shifted, xs), require_normalized=False)
 
 
 def step(s: WalkerState, coins_at_t: dict[int, CoinOp]) -> WalkerState:
@@ -90,15 +87,20 @@ def step(s: WalkerState, coins_at_t: dict[int, CoinOp]) -> WalkerState:
     return apply_shift(apply_coin_layer(s, coins_at_t))
 
 
-def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0):
-    """Rows a, b at x = 2i - t for t = 0..steps, every right-move scaled by ``right_damping``."""
-    a, b = p.initial.rows
-    yield a, b
+def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Rows a, b at x = 2i - t for t = 0..steps, laid end to end in one
+    triangle each, every right-move scaled by ``right_damping``."""
+    a, b = np.zeros((2, (steps + 1) * (steps + 2) // 2), dtype=complex)
+    a[:1], b[:1] = p.initial.rows
+    theta = p.cells.theta[:steps * (steps + 1) // 2]
+    cos, sin = np.cos(theta), np.sin(theta)
     for t in range(steps):
-        theta = p.cells.rows[t]
-        c, s = np.cos(theta), np.sin(theta)
-        a, b = _shift(right_damping * (c * a + s * b), s * a - c * b)
-        yield a, b
+        i, j, k = t * (t + 1) // 2, (t + 1) * (t + 2) // 2, (t + 2) * (t + 3) // 2
+        c, s, x, y = cos[i:j], sin[i:j], a[i:j], b[i:j]
+        # Each step is written straight into row t+1; the product with 1.0 sets signed zeros.
+        np.multiply(right_damping, c * x + s * y, out=a[j + 1:k])
+        np.subtract(s * x, c * y, out=b[j:k - 1])
+    return a, b
 
 
 def run_program(p: CoinProgram) -> list[StepReport]:
@@ -110,28 +112,24 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     The states and distributions of steps 1..steps are views of one array
     of the run, and the masses of all steps are taken in one pass.
     """
-    rows = list(_rows(p, p.steps))
+    a, b = _rows(p, p.steps)
     if p.final_layer is not None:
-        rows[-1] = apply_coin_layer(WalkerState.from_rows(p.steps, *rows[-1]), p.final_layer).rows
-    a, b = (np.concatenate(r) for r in zip(*rows))
+        last = WalkerState.from_rows(p.steps, a[-p.steps - 1:], b[-p.steps - 1:])
+        a[-p.steps - 1:], b[-p.steps - 1:] = apply_coin_layer(last, p.final_layer).rows
     a.flags.writeable = b.flags.writeable = False
-    finite = np.isfinite(a) & np.isfinite(b)
-    if not finite.all():
-        t = cell_at(int(np.argmin(finite)))[0]
-        WalkerState.from_rows(t, *rows[t])  # names the first amplitude that overflowed
-    real = not (np.count_nonzero(a.imag) or np.count_nonzero(b.imag))
-    # Real parts give the same masses, from cheaper floats.
-    dists = row_stack(np.fromiter(_masses(*((a.real, b.real) if real else (a, b))), float, a.size))
-    reports = [StepReport(0, p.initial, position_distribution(p.initial))]
-    for t in range(1, p.steps + 1):
-        i, j = t * (t + 1) // 2, (t + 1) * (t + 2) // 2
-        s = WalkerState._of(Row(t, (a[i:j], b[i:j])))
-        reports.append(StepReport(t, s, dists[t]))
-    return reports
+    starts = [t * (t + 1) // 2 for t in range(p.steps + 2)]
+    rows = [(a[i:j], b[i:j]) for i, j in zip(starts, starts[1:])]
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        for t, row in enumerate(rows):  # names the first amplitude that overflowed
+            WalkerState.from_rows(t, *row)
+    dists = row_stack(_masses(a, b))
+    return [StepReport(0, p.initial, position_distribution(p.initial))] + [
+        StepReport(t, WalkerState._of(Row(t, rows[t])), dists[t]) for t in range(1, p.steps + 1)]
 
 
 def hadamard_program(steps: int, initial: WalkerState) -> CoinProgram:
     """Homogeneous walk with theta = pi/4 everywhere, no final layer."""
+    steps = _at_least(steps, 1, "steps")
     cells = AngleRows(np.full(steps * (steps + 1) // 2, math.pi / 4))
     return CoinProgram(steps=steps, cells=cells, initial=initial)
 

@@ -121,7 +121,9 @@ def test_row_schedule_is_checked_once(monkeypatch):
     assert calls == [(51, 51)] * 2  # and the run's
     for r in reports:
         measure.similarity(r.distribution, sched.rows[r.step])
-    assert calls == [(51, 51)] * 2  # scoring the 51 rows checks nothing again
+    # Scoring checks no stacked row again; the step-0 report's distribution,
+    # which no stack holds, is checked once on its column.
+    assert calls == [(51, 51)] * 2 + [(1, 1)]
 
 
 def test_stack_with_opposite_infinities_fails_without_a_warning():

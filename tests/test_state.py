@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from coinwalk import walk
 from coinwalk.errors import DomainError, IncompleteLayerError, NormalizationError
 from coinwalk.measure import extract_bits, purity_criterion
@@ -18,8 +19,10 @@ from coinwalk.state import (
     DistributionSchedule,
     GeneralCoinOp,
     HADAMARD,
+    Row,
     WalkerState,
     _check_rows,
+    _masses,
     check_distribution,
     localized_state,
     norm,
@@ -38,9 +41,22 @@ class TestCheckRows:
         xs = [-2, 0, 2]
         rows = np.array([[0.25, 0.5, 0.25], bad_row, [0.5, 0.5, 1.0]])
         with pytest.raises((DomainError, NormalizationError)) as expected:
-            check_distribution(dict(zip(xs, rows[1])), "p")
+            check_distribution(dict(zip(xs, rows[1].tolist())), "p")
         with pytest.raises(expected.type) as got:
             _check_rows(xs, rows, "p")
+        assert str(got.value) == str(expected.value)
+        assert "np." not in str(got.value)  # it quotes Python floats
+
+    @pytest.mark.parametrize("column, xs", [
+        ([1.1, -0.1, 0.0], None), ([0.5, 0.5, 0.1], None), ([0.5, 0.25, 0.75], [-2, 2]),
+        ([0.2, -0.3, 1.1], [0]), ([1.0, 0.0, 0.0], []),
+    ], ids=["negative", "off-norm", "sparse-off-norm", "sparse-negative", "no-keys"])
+    def test_unchecked_row_raises_what_its_dict_raises(self, column, xs):
+        row = Row(2, (np.array(column),), xs)
+        with pytest.raises((DomainError, NormalizationError)) as expected:
+            check_distribution(dict(row), "p")
+        with pytest.raises(expected.type) as got:
+            check_distribution(row, "p")
         assert str(got.value) == str(expected.value)
 
     def test_accepts_rows_within_tolerance(self):
@@ -127,6 +143,58 @@ class TestPositionDistribution:
         d = position_distribution(s)
         assert d == pytest.approx({-1: 0.5, 1: 0.5})
         assert sum(d.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _scalar_masses(a, b):
+    """oracle's abs(a) ** 2 + abs(b) ** 2 of each pair, in order."""
+    return list(oracle.position_distribution(dict(enumerate(zip(a.tolist(), b.tolist())))).values())
+
+
+class TestMasses:
+    """``_masses`` bit for bit against the scalar formula of ``oracle``: a
+    platform whose numpy hypot or float_power differs from CPython's abs and
+    ** fails here instead of drifting."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_entries_are_the_scalar_masses(self, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes from e^-340 to e^340, up to where a square nears the
+        # largest float (10^154.1 squared is 1.6e308) and down through the
+        # subnormals, at random phases; then parts that are subnormal or +-0.
+        r = np.concatenate([np.exp(rng.uniform(-340.0, 340.0, 4000)),
+                            10.0 ** rng.uniform(150.0, 154.1, 500),
+                            10.0 ** rng.uniform(-330.0, -150.0, 500)])
+        z = r * np.exp(1j * rng.uniform(0.0, 2 * math.pi, r.size))
+        parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-160, 1.0]
+        z = np.concatenate([z, [complex(x, y) for x in parts for y in parts]])
+        rng.shuffle(z)
+        a, b = z[:z.size // 2], z[z.size // 2:2 * (z.size // 2)]
+        assert repr(_masses(a, b).tolist()) == repr(_scalar_masses(a, b))
+
+    @pytest.mark.parametrize("a, b, first", [
+        ([0.6, 2e154, 1e300j], [0.8, 0.0, 0.0], 2e154),  # ** overflows, abs does not
+        ([0.6, 1.0, 0.0], [0.8, complex(1e308, 1e308), 3e200], complex(1e308, 1e308)),  # abs does
+        ([0.6, 0.1, 1e200j], [0.8, 3e160j, 0.0], 3e160j),  # b1 comes before a2
+        ([0.6, 4e160, 0.0], [0.8j, 3e160j, 0.0], 4e160),  # and a1 before b1
+    ], ids=["square", "abs", "b-before-next-a", "a-before-b"])
+    def test_the_first_square_that_overflows_is_named(self, a, b, first):
+        a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+        scalar = []
+        for z in np.ravel([a, b], order="F").tolist():  # a0, b0, a1, b1, ...
+            try:
+                abs(z) ** 2
+            except OverflowError:
+                scalar.append(z)
+        assert scalar[0] == first
+        with pytest.raises(DomainError, match=re.escape(f"amplitude {complex(first)!r} is too large")):
+            _masses(a, b)
+
+    def test_a_sum_of_finite_squares_that_overflows_is_inf(self):
+        a, b = np.array([0.6, 1.2e154, 0.0]), np.array([0.8j, -1.2e154j, 0.0])
+        got = _masses(a, b).tolist()
+        assert repr(got) == repr(_scalar_masses(a, b))
+        assert got[1] == math.inf and math.isfinite(1.2e154 ** 2)
 
 
 class TestCoinOp:
@@ -321,9 +389,18 @@ def test_message_quoting_a_huge_position_stays_short(make, match):
     (lambda: extract_bits([0], 1.5), "step count must be an integer, got 1.5"),
     (lambda: uniform_program(2).layer(1.0), "step must be an integer, got 1.0"),
     (lambda: lossy_distribution(uniform_program(2), 1.5, 0.0), "step must be an integer, got 1.5"),
+    (lambda: walk.hadamard_program(1.5, walk.circular_initial()),
+     "steps must be an integer, got 1.5"),
+    (lambda: walk.hadamard_program("3", walk.circular_initial()),
+     "steps must be an integer, got '3'"),
+    (lambda: sample_counts({"a": 1.0, 0: 1.0}, 10, 0), "position must be an integer, got 'a'"),
+    (lambda: sample_counts({0: 1.0, 0.5: 1.0}, 10, 0), "position must be an integer, got 0.5"),
+    (lambda: bootstrap_errorbars({0: 10, 0.5: 5}, 100, 0),
+     "position must be an integer, got 0.5"),
 ], ids=["state-float-keys", "state-string-key", "state-step", "state-from-rows-step",
         "schedule-row", "schedule-position", "schedule-steps", "program-steps", "purity-position",
-        "extract-bits-steps", "program-layer", "lossy-step"])
+        "extract-bits-steps", "program-layer", "lossy-step", "hadamard-float-steps",
+        "hadamard-string-steps", "sample-string-key", "sample-float-key", "bootstrap-float-key"])
 def test_a_coordinate_that_is_not_an_integer_is_named(make, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         make()
