@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -21,7 +23,7 @@ from coinwalk.pulses import (
     compile_schedule,
     decompile_schedule,
 )
-from coinwalk.state import CoinOp, CoinProgram
+from coinwalk.state import AngleRows, CoinOp, CoinProgram
 from coinwalk.synth import gaussian_program, uniform_program
 from coinwalk.walk import circular_initial, hadamard_program
 
@@ -281,3 +283,170 @@ class TestScheduleFile:
         assert lines[0] == "time_ns,voltage_v,width_ns,step,position,arm"
         assert lines[1] == "0.0000,0.1270,1.0000,0,0,ccw"
         assert lines[2] == "39.1000,0.3920,1.0000,0,0,cw"
+
+
+SPECIAL_ANGLES = [0.0, math.pi, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
+
+
+def random_program(steps):
+    """Seeded angles in [0, pi]: the first is -0.0, a quarter are 0, pi or
+    an anchor phase of the default calibration, the rest uniform."""
+    rng = random.Random(steps)
+    theta = [-0.0]
+    while len(theta) < steps * (steps + 1) // 2:
+        u = rng.random()
+        theta.append(rng.choice(SPECIAL_ANGLES) if u < 0.25 else rng.uniform(0.0, math.pi))
+    return CoinProgram(steps=steps, cells=AngleRows(theta), initial=circular_initial())
+
+
+def random_calibration(seed):
+    """2 to 5 anchors at seeded increasing phases in [0, pi] and voltages."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    phases = sorted(rng.uniform(0.0, math.pi) for _ in range(n))
+    volts = sorted(rng.uniform(-0.2, 0.8) for _ in range(n))
+    return Calibration(tuple(zip(phases, volts)))
+
+
+CALIBRATIONS = [CAL, random_calibration(1), random_calibration(2), random_calibration(3)]
+
+# sha256 of the pulse CSVs and of repr(decompile_schedule(...)) of
+# random_program(T) for T = 1..13, per calibration and launch offset.
+DIGESTS = {
+    (0, 0.0): (
+        "d960e288257ae6364252fb040b1c20eaa49c9816195a0bb0f52d634254d913cc",
+        "3a13ff401c7e802ebc2076a897a33e45e368bb885386a2f7371af80ac7bb23fb",
+    ),
+    (0, 3.7): (
+        "af37882cdab2d1b2487e8aa492c610688dbf5df1adecc40e5d7860dddb03f5c8",
+        "3a13ff401c7e802ebc2076a897a33e45e368bb885386a2f7371af80ac7bb23fb",
+    ),
+    (1, 0.0): (
+        "dc08ce33f50d3b5a9f2ac38318f619912d8207235509790215aba2a744147b71",
+        "f99a5135468fd9c18c53ac64cc3a69bd765fe66c8e7a198713647ade238600b3",
+    ),
+    (1, 3.7): (
+        "24e69eaa3353e06c5421214bbba5fcbac5e5e11a21d8016c693c3df2c6819caa",
+        "f99a5135468fd9c18c53ac64cc3a69bd765fe66c8e7a198713647ade238600b3",
+    ),
+    (2, 0.0): (
+        "56ec30f5b9792c076f13e88ee3a7219b8610bc21c0911bef4f5bcd3a156d1fc5",
+        "dd0325f1ddef0a2a516c0fcbf03b6f952fa1ba5ce24c9e51d4fe251ac2dd007c",
+    ),
+    (2, 3.7): (
+        "c09627f38016cc9ff0c10cc6666bde75a19c9b80c5b3d2d340ec91257e15bacf",
+        "dd0325f1ddef0a2a516c0fcbf03b6f952fa1ba5ce24c9e51d4fe251ac2dd007c",
+    ),
+    (3, 0.0): (
+        "d10aa7bed8cd763d0792a619c72154b3c10ab68aa79a4847dcbd7a826dce94c7",
+        "77c6546c5e172b59a6125f4df73c9eaad863cce811720c32d39908c039ef324a",
+    ),
+    (3, 3.7): (
+        "d4098ed6db7c0ef954f5a709241b0f3d4b927e26398d85845c80cdf714eb8a59",
+        "77c6546c5e172b59a6125f4df73c9eaad863cce811720c32d39908c039ef324a",
+    ),
+}
+
+
+@pytest.mark.parametrize("cal_index", range(len(CALIBRATIONS)))
+@pytest.mark.parametrize("offset", [0.0, 3.7])
+def test_schedules_and_decompiled_cells_match_their_digests(cal_index, offset):
+    cal = CALIBRATIONS[cal_index]
+    csv, cells = hashlib.sha256(), hashlib.sha256()
+    for steps in range(1, 14):
+        sched = compile_schedule(random_program(steps), TM, cal, offset)
+        csv.update(pulse_schedule_to_text(sched).encode())
+        cells.update(repr(decompile_schedule(sched, TM, cal)).encode())
+    assert (csv.hexdigest(), cells.hexdigest()) == DIGESTS[cal_index, offset]
+
+
+class TestDecompileErrorOrder:
+    """Two faults in a shuffled schedule: the one met first in event order
+    is named, and within one event a bad cell or arm comes before its
+    time, its time before its voltage, its voltage before a duplicate."""
+
+    @staticmethod
+    def shuffled(seed):
+        """The events of uniform_program(4), shuffled, the earliest (which
+        sets the launch offset) moved to the front, and two indices i < j
+        after it."""
+        events = list(compile_schedule(uniform_program(4)).events)
+        rng = random.Random(seed)
+        rest = events[1:]
+        rng.shuffle(rest)
+        i, j = sorted(rng.sample(range(1, len(events)), 2))
+        return [events[0], *rest], i, j
+
+    @staticmethod
+    def decompile(events):
+        return decompile_schedule(PulseSchedule(events=tuple(events)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bad_cell_or_arm(self, seed):
+        events, i, j = self.shuffled(seed)
+        e = events[i]
+        events[i] = replace(e, position=e.step + 2)
+        events[j] = replace(events[j], arm="up")
+        with pytest.raises(DomainError, match=rf"^\({e.step},{e.step + 2}\) is not a valid"):
+            self.decompile(events)
+        events[i] = replace(e, arm="up")
+        with pytest.raises(DomainError, match="^unknown arm 'up'$"):
+            self.decompile(events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_alignment(self, seed):
+        events, i, j = self.shuffled(seed)
+        e = events[i]
+        events[i] = replace(e, time_ns=e.time_ns + 0.2)
+        events[j] = replace(events[j], time_ns=math.nan)
+        with pytest.raises(AlignmentError, match=rf"^event \({e.step},{e.position},{e.arm}\) at "):
+            self.decompile(events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_voltage(self, seed):
+        events, i, j = self.shuffled(seed)
+        e = events[i]
+        events[i] = replace(e, voltage_v=math.inf)
+        events[j] = replace(events[j], voltage_v=math.nan)
+        with pytest.raises(DomainError, match=rf"^event \({e.step},{e.position},{e.arm}\) has voltage inf$"):
+            self.decompile(events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate(self, seed):
+        events, i, j = self.shuffled(seed)
+        a, b = random.Random(seed).sample(events[:i], 2)
+        events[j:j] = [b]
+        events[i:i] = [a]
+        with pytest.raises(AlignmentError, match=rf"^duplicate {a.arm} event for cell \({a.step},{a.position}\)$"):
+            self.decompile(events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_orphan_is_the_first_cell_missing_an_arm(self, seed):
+        events, i, j = self.shuffled(seed)
+        a, b = events[i], events[j]
+        first = min((a.step, a.position), (b.step, b.position))
+        assert (a.step, a.position) != (b.step, b.position)
+        del events[j], events[i]
+        missing = a.arm if (a.step, a.position) == first else b.arm
+        with pytest.raises(OrphanEventError, match=rf"^cell \({first[0]},{first[1]}\) is missing its {missing} event$"):
+            self.decompile(events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_event_order_comes_before_fault_kind(self, seed):
+        events, i, j = self.shuffled(seed)
+        a = random.Random(seed).choice(events[:i])
+        e = events[j]
+        events[j] = replace(e, position=e.step + 2)  # a bad cell after ...
+        events[i:i] = [a]  # ... a duplicate
+        with pytest.raises(AlignmentError, match="^duplicate "):
+            self.decompile(events)
+
+    def test_one_event_is_checked_cell_time_voltage_in_turn(self):
+        events, i, _ = self.shuffled(0)
+        e = events[i]
+        events[i] = replace(e, time_ns=e.time_ns + 0.2, voltage_v=math.nan)
+        with pytest.raises(AlignmentError):
+            self.decompile(events)
+        events[i] = replace(e, position=e.step + 2, time_ns=e.time_ns + 0.2)
+        with pytest.raises(DomainError, match="not a valid"):
+            self.decompile(events)
