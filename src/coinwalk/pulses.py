@@ -6,19 +6,27 @@ horizontal component travels the counter-clockwise arm of the Sagnac loop
 and the vertical one the clockwise arm, arriving at the modulator a fixed
 delay later, so a single modulator addresses both phases at distinct
 times. Phases map to drive voltages through a measured anchor calibration.
+
+Both directions compute on numpy columns in (t, x) cell order and name the
+first bad event, as a per-event loop would.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
+from numbers import Real
+from operator import attrgetter
 
-from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError
-from .state import CoinProgram, support
+import numpy as np
+
+from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError, _clip
+from .state import CoinProgram, _integer, support
 
 ARM_CCW = "ccw"  # horizontal polarization, undelayed
 ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
+ARMS = (ARM_CCW, ARM_CW)  # in sort order, indexed by the cw flag
 
 # Time (ns) tolerance when matching an event to its (t, x, arm) slot.
 ALIGNMENT_TOL_NS = 0.05
@@ -50,8 +58,8 @@ class TimingModel:
     def __post_init__(self):
         for name in ("t_ns", "dt_ns", "sagnac_delay_ns", "pulse_width_ns", "rep_period_ns"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be positive, got {v!r}")
+            if not (isinstance(v, Real) and math.isfinite(v) and v > 0):
+                raise DomainError(f"{name} must be positive, got {_clip(repr(v))}")
         if self.dt_ns <= self.pulse_width_ns:
             raise DomainError(
                 f"position bins unresolvable: dt_ns = {self.dt_ns} must exceed "
@@ -82,32 +90,36 @@ class Calibration:
             raise DomainError("calibration needs at least two anchors")
         if not all(math.isfinite(p) and math.isfinite(v) for p, v in self.anchors):
             raise DomainError(f"calibration anchors must be finite, got {self.anchors!r}")
-        phases = [p for p, _ in self.anchors]
-        volts = [v for _, v in self.anchors]
-        if any(b <= a for a, b in zip(phases, phases[1:])):
-            raise DomainError("anchor phases must be strictly increasing")
-        if any(b <= a for a, b in zip(volts, volts[1:])):
-            raise DomainError("anchor voltages must be strictly increasing")
+        phases, volts = np.array(self.anchors, dtype=float).T.copy()
+        for name, column in (("phases", phases), ("voltages", volts)):
+            if (np.diff(column) <= 0.0).any():
+                raise DomainError(f"anchor {name} must be strictly increasing")
         object.__setattr__(self, "_columns", (phases, volts))
 
     def phase_to_voltage(self, phi: float) -> float:
         if not 0.0 <= phi <= math.pi + 1e-12:
             raise DomainError(f"phase {phi!r} outside [0, pi]")
-        return _piecewise(phi, *self._columns)
+        return float(_piecewise(phi, *self._columns))
 
     def voltage_to_phase(self, volts: float) -> float:
         if not math.isfinite(volts):
             raise DomainError(f"voltage {volts!r} is not finite")
-        phi = _piecewise(volts, *reversed(self._columns))
-        return min(max(phi, 0.0), math.pi)
+        return float(_clamp_phase(_piecewise(volts, *reversed(self._columns))))
 
 
-def _piecewise(x: float, xs: list[float], ys: list[float]) -> float:
-    """Linear interpolation through (xs, ys) with end-segment extrapolation:
-    the segment of the last anchor at or below x, clamped to the end ones."""
-    i = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
-    slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-    return ys[i] + slope * (x - xs[i])
+def _piecewise(x, xs: np.ndarray, ys: np.ndarray):
+    """Linear interpolation through (xs, ys) with end-segment extrapolation,
+    elementwise over x: the segment of the last anchor at or below x,
+    clamped to the end ones. Overflow gives inf, as Python floats do."""
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        return ys[i] + slope * (x - xs[i])
+
+
+def _clamp_phase(phi):
+    """``min(max(phi, 0.0), pi)`` elementwise: -0.0 stays, as with Python's max."""
+    return np.where(math.pi < phi, math.pi, np.where(phi < 0.0, 0.0, phi))
 
 
 @dataclass(frozen=True)
@@ -139,22 +151,42 @@ def coin_to_phases(p: CoinProgram) -> list[PhaseCell]:
     ]
 
 
+def _slot(t, x, tm: TimingModel, launch_offset_ns: float):
+    """Undelayed arrival time (ns) of cell (t, x), elementwise: each step
+    adds the base round-trip time, each right-move one bin delay."""
+    return launch_offset_ns + t * tm.t_ns + (t + x) // 2 * tm.dt_ns
+
+
 def arrival_time(
     t: int, x: int, arm: str, tm: TimingModel, launch_offset_ns: float = 0.0
 ) -> float:
-    """Arrival time (ns) of the (t, x) pulse on one arm at the modulator.
-
-    Each step adds the base round-trip time; each right-move adds one bin
-    delay; the clockwise arm adds the Sagnac delay.
-    """
+    """Arrival time (ns) of the (t, x) pulse on one arm at the modulator;
+    the clockwise arm adds the Sagnac delay."""
     if x not in support(t):
         raise DomainError(f"({t},{x}) is not a valid (step, position) pair")
-    if arm not in (ARM_CCW, ARM_CW):
+    if arm not in ARMS:
         raise DomainError(f"unknown arm {arm!r}")
-    time = launch_offset_ns + t * tm.t_ns + ((t + x) // 2) * tm.dt_ns
+    time = _slot(t, x, tm, launch_offset_ns)
     if arm == ARM_CW:
         time += tm.sagnac_delay_ns
     return time
+
+
+def max_steps(tm: TimingModel) -> int:
+    """The largest step count T whose last pulse, cw at (T-1, T-1), ends
+    within the laser period at launch offset 0, as compile_schedule checks."""
+
+    def fits(steps: int) -> bool:
+        end = arrival_time(steps - 1, steps - 1, ARM_CW, tm) + tm.pulse_width_ns
+        return not end > 0.0 + tm.rep_period_ns
+
+    low, high = 0, 1  # fits(low); the last pulse ends later as T grows
+    while fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low
 
 
 def compile_schedule(
@@ -169,44 +201,33 @@ def compile_schedule(
     last pulse ends after the laser period that starts at the launch offset;
     overlaps are reported, never silently merged.
     """
-    if not math.isfinite(launch_offset_ns):
-        raise DomainError(f"launch offset must be finite, got {launch_offset_ns!r}")
-    tm = tm or TimingModel()
-    cal = cal or Calibration()
-    events = []
-    for cell in coin_to_phases(p):
-        for arm, phi in ((ARM_CCW, cell.phi_h), (ARM_CW, cell.phi_v)):
-            events.append(
-                PulseEvent(
-                    time_ns=arrival_time(cell.t, cell.x, arm, tm, launch_offset_ns),
-                    voltage_v=cal.phase_to_voltage(phi),
-                    width_ns=tm.pulse_width_ns,
-                    step=cell.t,
-                    position=cell.x,
-                    arm=arm,
-                )
-            )
-    events.sort(key=lambda e: (e.time_ns, e.step, e.position, e.arm))
-    collisions = [
-        ((a.step, a.position, a.arm), (b.step, b.position, b.arm))
-        for a, b in zip(events, events[1:])
-        if b.time_ns < a.time_ns + a.width_ns
-    ]
-    if collisions:
+    if not (isinstance(launch_offset_ns, Real) and math.isfinite(launch_offset_ns)):
+        raise DomainError(f"launch offset must be finite, got {_clip(repr(launch_offset_ns))}")
+    tm, cal = tm or TimingModel(), cal or Calibration()
+    # Every cell in (t, x) order on its ccw arm (phi_H = theta), then on its cw arm.
+    t = np.repeat(np.arange(p.steps), np.arange(1, p.steps + 1))
+    x = 2 * (np.arange(t.size) - t * (t + 1) // 2) - t
+    time = _slot(t, x, tm, float(launch_offset_ns))
+    time = np.concatenate([time, time + tm.sagnac_delay_ns])
+    volts = _piecewise(np.concatenate([p.cells.theta, math.pi - p.cells.theta]), *cal._columns)
+    t, x, arm = np.concatenate([t, t]), np.concatenate([x, x]), np.repeat([0, 1], t.size)
+    order = np.lexsort((arm, x, t, time))
+    time, t, x = time[order], t[order].tolist(), x[order].tolist()
+    arm = [ARMS[a] for a in arm[order].tolist()]
+    hits = np.flatnonzero(time[1:] < time[:-1] + tm.pulse_width_ns).tolist()
+    if hits:
+        collisions = [((t[i], x[i], arm[i]), (t[i + 1], x[i + 1], arm[i + 1])) for i in hits]
         more = " ..." if len(collisions) > REPORTED_COLLISIONS else ""
-        raise CollisionError(
-            f"{len(collisions)} overlapping pulse pair(s): "
-            f"{collisions[:REPORTED_COLLISIONS]}{more}",
-            collisions=collisions,
-        )
+        raise CollisionError(f"{len(collisions)} overlapping pulse pair(s): "
+                             f"{collisions[:REPORTED_COLLISIONS]}{more}", collisions=collisions)
+    time = time.tolist()
     # Events are time-sorted and share one width, so the last one ends last.
-    last = events[-1]
-    end, period_end = last.time_ns + last.width_ns, launch_offset_ns + tm.rep_period_ns
+    end, period_end = time[-1] + tm.pulse_width_ns, launch_offset_ns + tm.rep_period_ns
     if end > period_end:
-        raise CollisionError(
-            f"pulse ({last.step},{last.position},{last.arm}) ends at {end:.1f} ns, "
-            f"after the laser period ends at {period_end:.1f} ns"
-        )
+        raise CollisionError(f"pulse ({t[-1]},{x[-1]},{arm[-1]}) ends at {end:.1f} ns, after "
+                             f"the laser period ends at {period_end:.1f} ns "
+                             f"(max_steps {max_steps(tm)})")
+    events = map(PulseEvent, time, volts[order].tolist(), repeat(tm.pulse_width_ns), t, x, arm)
     return PulseSchedule(events=tuple(events))
 
 
@@ -217,46 +238,46 @@ def decompile_schedule(
 
     Pairs the two arm events of each cell, validates their times against
     the timing model (a common launch offset is inferred from the first
-    event), and inverts the calibration. Raises OrphanEventError for a
-    cell missing an arm, AlignmentError for a time off its slot and
-    DomainError for a non-finite voltage.
+    event), and inverts the calibration. Steps and positions must be
+    integers. The first bad event raises: DomainError for no such cell or
+    arm, else AlignmentError for a time off its slot, else DomainError for
+    a non-finite voltage, else AlignmentError for a repeated (cell, arm).
+    Then OrphanEventError names the first (t, x) cell missing an arm.
     """
-    tm = tm or TimingModel()
-    cal = cal or Calibration()
+    tm, cal = tm or TimingModel(), cal or Calibration()
     if not ps.events:
         return []
-    first = min(ps.events, key=lambda e: e.time_ns)
-    offset = first.time_ns - arrival_time(first.step, first.position, first.arm, tm)
-    by_cell: dict[tuple[int, int], dict[str, PulseEvent]] = {}
-    for e in ps.events:
-        expected = arrival_time(e.step, e.position, e.arm, tm, offset)
-        # Written so that a NaN time fails it.
-        if not abs(e.time_ns - expected) <= ALIGNMENT_TOL_NS:
-            raise AlignmentError(
-                f"event ({e.step},{e.position},{e.arm}) at {e.time_ns} ns does "
-                f"not match its slot at {expected} ns"
-            )
+    fields = attrgetter("time_ns", "voltage_v", "step", "position", "arm")
+    times, volts, steps, positions, arms = zip(*map(fields, ps.events))
+    t = np.array(list(map(_integer, steps, repeat("step"))), dtype=np.int64)
+    x = np.array(list(map(_integer, positions, repeat("position"))), dtype=np.int64)
+    first = min(range(len(times)), key=times.__getitem__)
+    offset = times[first] - arrival_time(steps[first], positions[first], arms[first], tm)
+    cw, ccw = (np.array(arms, dtype=object) == a for a in (ARM_CW, ARM_CCW))
+    arm = np.where(cw, 1, np.where(ccw, 0, 2))
+    expected = _slot(t, x, tm, offset) + tm.sagnac_delay_ns * cw
+    off_slot = ~(np.abs(np.array(times, dtype=float) - expected) <= ALIGNMENT_TOL_NS)
+    volts = np.array(volts, dtype=float)
+    bad = (np.abs(x) > t) | ((t + x) % 2 != 0) | (arm == 2) | off_slot | ~np.isfinite(volts)
+    order = np.lexsort((arm, x, t))  # stable: a repeat sorts after the event it repeats
+    t, x, arm = t[order], x[order], arm[order]
+    same_cell = (t[1:] == t[:-1]) & (x[1:] == x[:-1])
+    bad[order[1:]] |= same_cell & (arm[1:] == arm[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        e = ps.events[i]
+        expected = arrival_time(e.step, e.position, e.arm, tm, offset)  # a bad cell or arm raises
+        where = f"event ({e.step},{e.position},{e.arm})"
+        if off_slot[i]:
+            raise AlignmentError(f"{where} at {e.time_ns} ns does not match its slot at "
+                                 f"{expected} ns")
         if not math.isfinite(e.voltage_v):
-            raise DomainError(
-                f"event ({e.step},{e.position},{e.arm}) has voltage {e.voltage_v!r}"
-            )
-        slot = by_cell.setdefault((e.step, e.position), {})
-        if e.arm in slot:
-            raise AlignmentError(
-                f"duplicate {e.arm} event for cell ({e.step},{e.position})"
-            )
-        slot[e.arm] = e
-    cells = []
-    for (t, x), arms in sorted(by_cell.items()):
-        if set(arms) != {ARM_CCW, ARM_CW}:
-            missing = ({ARM_CCW, ARM_CW} - set(arms)).pop()
-            raise OrphanEventError(f"cell ({t},{x}) is missing its {missing} event")
-        cells.append(
-            PhaseCell(
-                t=t,
-                x=x,
-                phi_h=cal.voltage_to_phase(arms[ARM_CCW].voltage_v),
-                phi_v=cal.voltage_to_phase(arms[ARM_CW].voltage_v),
-            )
-        )
-    return cells
+            raise DomainError(f"{where} has voltage {e.voltage_v!r}")
+        raise AlignmentError(f"duplicate {e.arm} event for cell ({e.step},{e.position})")
+    paired = np.append(False, same_cell) | np.append(same_cell, False)  # ccw sorts before cw
+    if not paired.all():
+        k = int(np.argmin(paired))
+        raise OrphanEventError(f"cell ({t[k]},{x[k]}) is missing its {ARMS[1 - arm[k]]} event")
+    phi = _clamp_phase(_piecewise(volts[order], *reversed(cal._columns)))
+    cells = t[::2].tolist(), x[::2].tolist(), phi[::2].tolist(), phi[1::2].tolist()
+    return list(map(PhaseCell, *cells))

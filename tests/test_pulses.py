@@ -22,6 +22,7 @@ from coinwalk.pulses import (
     coin_to_phases,
     compile_schedule,
     decompile_schedule,
+    max_steps,
 )
 from coinwalk.state import AngleRows, CoinOp, CoinProgram
 from coinwalk.synth import gaussian_program, uniform_program
@@ -77,6 +78,14 @@ class TestArrivalTime:
             arrival_time(1, 0, ARM_CCW, TM)
         with pytest.raises(DomainError):
             arrival_time(1, 3, ARM_CCW, TM)
+
+
+class TestTimingModel:
+    @pytest.mark.parametrize("value", ["a", None, 1j, "x" * 100, math.nan, 0.0])
+    def test_rejects_what_is_not_a_positive_number(self, value):
+        with pytest.raises(DomainError, match="^t_ns must be positive, got ") as err:
+            TimingModel(t_ns=value)
+        assert len(str(err.value)) < 120
 
 
 class TestCalibration:
@@ -176,8 +185,30 @@ class TestCompile:
     def test_last_pulse_must_end_within_the_laser_period(self):
         last = compile_schedule(uniform_program(13)).events[-1]
         assert last.time_ns + last.width_ns == pytest.approx(942.5)
-        with pytest.raises(CollisionError, match="ends at 1017.7 ns"):
+        with pytest.raises(CollisionError, match="ends at 1017.7 ns") as err:
             compile_schedule(uniform_program(14))
+        assert str(err.value).endswith("after the laser period ends at 1000.0 ns (max_steps 13)")
+
+    @pytest.mark.parametrize("tm", [TM, TimingModel(rep_period_ns=500.0)], ids=["default", "500ns"])
+    def test_max_steps_is_the_largest_program_compile_accepts(self, tm):
+        accepted = []
+        for steps in range(1, 21):
+            try:
+                compile_schedule(uniform_program(steps), tm)
+                accepted.append(steps)
+            except CollisionError:
+                pass
+        assert accepted == list(range(1, max_steps(tm) + 1))
+        assert max_steps(TM) == 13
+
+    def test_max_steps_is_zero_when_no_step_fits(self):
+        assert max_steps(TimingModel(sagnac_delay_ns=999.5)) == 0
+
+    @pytest.mark.parametrize("offset", ["a", None, "x" * 100])
+    def test_launch_offset_must_be_a_number(self, offset):
+        with pytest.raises(DomainError, match="^launch offset must be finite, got ") as err:
+            compile_schedule(uniform_program(2), launch_offset_ns=offset)
+        assert len(str(err.value)) < 120
 
     def test_determinism_byte_identical(self):
         p = gaussian_program(7)
@@ -253,6 +284,19 @@ class TestDecompile:
         events[2] = replace(e, voltage_v=volts)
         with pytest.raises(DomainError, match=rf"\({e.step},{e.position},{e.arm}\)"):
             decompile_schedule(PulseSchedule(events=tuple(events)))
+
+    @pytest.mark.parametrize("field, value", [("step", 1.5), ("position", "0"), ("step", None)])
+    def test_step_and_position_must_be_integers(self, field, value):
+        events = list(compile_schedule(hadamard_program(2, circular_initial())).events)
+        events[3] = replace(events[3], **{field: value})
+        with pytest.raises(DomainError, match=rf"^{field} must be an integer, got {value!r}$"):
+            decompile_schedule(PulseSchedule(events=tuple(events)))
+
+    def test_voltage_that_overflows_the_map_clamps_to_pi(self):
+        events = list(compile_schedule(hadamard_program(1, circular_initial())).events)
+        events[0] = replace(events[0], voltage_v=1e308)
+        cells = decompile_schedule(PulseSchedule(events=tuple(events)))
+        assert cells[0].phi_h == math.pi == CAL.voltage_to_phase(1e308)
 
     def test_voltage_perturbation_linearity(self):
         sched = compile_schedule(hadamard_program(1, circular_initial()))
