@@ -125,8 +125,9 @@ class Row(Mapping):
     are the keys in ascending order: every support position, or those of
     the sparse dict the row was built from, with zeros at the others. As a
     read-only ``Mapping`` it reads like that dict (keys, order, repr, ==,
-    get, items, keys() set operations): ``__getitem__`` reads one dict,
-    built with one tolist() per column when first read.
+    get, items, keys() set operations): ``__getitem__``, ``get``, ``items``
+    and ``values`` read one dict, built with one tolist() per column when
+    first read.
     """
 
     __slots__ = ("step", "columns", "xs", "_checked", "_dict")
@@ -160,6 +161,15 @@ class Row(Mapping):
 
     def __getitem__(self, x):
         return self._as_dict()[x]
+
+    def get(self, x, default=None):
+        return self._as_dict().get(x, default)
+
+    def items(self):
+        return self._as_dict().items()
+
+    def values(self):
+        return self._as_dict().values()
 
     def __iter__(self):
         return iter(self.xs)

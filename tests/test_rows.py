@@ -228,6 +228,7 @@ def test_row_reads_like_its_dict():
     assert row == d and d == row and not row != d and row != {-2: 0.2}
     assert list(row) == list(d) and list(row.items()) == list(d.items())
     assert list(row.values()) == [0.2, 0.3, 0.5] and len(row) == 3
+    assert type(row.items()) is type(d.items()) and type(row.values()) is type(d.values())
     assert row.keys() - {0} == {-2, 2} and row.keys() & {0, 4} == {0}
     assert row.keys() | {4} == {-2, 0, 2, 4} and row.keys() ^ {2, 4} == {-2, 0, 4}
     assert row[0] == 0.3 and row.get(4) is None and row.get(4, 0.0) == 0.0
