@@ -359,40 +359,50 @@ def random_calibration(seed):
 
 CALIBRATIONS = [CAL, random_calibration(1), random_calibration(2), random_calibration(3)]
 
-# sha256 of the pulse CSVs and of repr(decompile_schedule(...)) of
-# random_program(T) for T = 1..13, per calibration and launch offset.
+# sha256 of the pulse CSVs, of repr(decompile_schedule(...)) of the compiled
+# schedules and of repr(decompile_schedule(...)) of the schedules read back
+# from those CSVs, for random_program(T), T = 1..13, per calibration and
+# launch offset.
 DIGESTS = {
     (0, 0.0): (
         "d960e288257ae6364252fb040b1c20eaa49c9816195a0bb0f52d634254d913cc",
         "3a13ff401c7e802ebc2076a897a33e45e368bb885386a2f7371af80ac7bb23fb",
+        "ad30fcd9ef92912326da58e6ebcbbba733d6951f7bb5e6f56ec9396f678b9157",
     ),
     (0, 3.7): (
         "af37882cdab2d1b2487e8aa492c610688dbf5df1adecc40e5d7860dddb03f5c8",
         "3a13ff401c7e802ebc2076a897a33e45e368bb885386a2f7371af80ac7bb23fb",
+        "ad30fcd9ef92912326da58e6ebcbbba733d6951f7bb5e6f56ec9396f678b9157",
     ),
     (1, 0.0): (
         "dc08ce33f50d3b5a9f2ac38318f619912d8207235509790215aba2a744147b71",
         "f99a5135468fd9c18c53ac64cc3a69bd765fe66c8e7a198713647ade238600b3",
+        "4b8ae12f7d607bee155db4f6a8bcbb7c41982108438315fbd271c499a4377fbf",
     ),
     (1, 3.7): (
         "24e69eaa3353e06c5421214bbba5fcbac5e5e11a21d8016c693c3df2c6819caa",
         "f99a5135468fd9c18c53ac64cc3a69bd765fe66c8e7a198713647ade238600b3",
+        "4b8ae12f7d607bee155db4f6a8bcbb7c41982108438315fbd271c499a4377fbf",
     ),
     (2, 0.0): (
         "56ec30f5b9792c076f13e88ee3a7219b8610bc21c0911bef4f5bcd3a156d1fc5",
         "dd0325f1ddef0a2a516c0fcbf03b6f952fa1ba5ce24c9e51d4fe251ac2dd007c",
+        "757affb99f4b0b918bb1e93aa0377a7a1f297e584df6a396cb59cc3c64e07ff9",
     ),
     (2, 3.7): (
         "c09627f38016cc9ff0c10cc6666bde75a19c9b80c5b3d2d340ec91257e15bacf",
         "dd0325f1ddef0a2a516c0fcbf03b6f952fa1ba5ce24c9e51d4fe251ac2dd007c",
+        "757affb99f4b0b918bb1e93aa0377a7a1f297e584df6a396cb59cc3c64e07ff9",
     ),
     (3, 0.0): (
         "d10aa7bed8cd763d0792a619c72154b3c10ab68aa79a4847dcbd7a826dce94c7",
         "77c6546c5e172b59a6125f4df73c9eaad863cce811720c32d39908c039ef324a",
+        "1aa770f9ae25bbe3ae3e9c3d9a6b07e85f7d7069b8e5a2efcf150452e3288607",
     ),
     (3, 3.7): (
         "d4098ed6db7c0ef954f5a709241b0f3d4b927e26398d85845c80cdf714eb8a59",
         "77c6546c5e172b59a6125f4df73c9eaad863cce811720c32d39908c039ef324a",
+        "1aa770f9ae25bbe3ae3e9c3d9a6b07e85f7d7069b8e5a2efcf150452e3288607",
     ),
 }
 
@@ -401,12 +411,15 @@ DIGESTS = {
 @pytest.mark.parametrize("offset", [0.0, 3.7])
 def test_schedules_and_decompiled_cells_match_their_digests(cal_index, offset):
     cal = CALIBRATIONS[cal_index]
-    csv, cells = hashlib.sha256(), hashlib.sha256()
+    csv, cells, read = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for steps in range(1, 14):
         sched = compile_schedule(random_program(steps), TM, cal, offset)
-        csv.update(pulse_schedule_to_text(sched).encode())
+        text = pulse_schedule_to_text(sched)
+        csv.update(text.encode())
         cells.update(repr(decompile_schedule(sched, TM, cal)).encode())
-    assert (csv.hexdigest(), cells.hexdigest()) == DIGESTS[cal_index, offset]
+        read.update(repr(decompile_schedule(pulse_schedule_from_text(text), TM, cal)).encode())
+    digests = csv.hexdigest(), cells.hexdigest(), read.hexdigest()
+    assert digests == DIGESTS[cal_index, offset]
 
 
 class TestDecompileErrorOrder:
