@@ -24,17 +24,19 @@ message is the same whichever layout the file has. Program cells must be
 exactly those of the header's step count. A target schedule's rows must
 lie in 0..T, T being its largest step; one read by column is a row
 schedule (``DistributionSchedule.from_rows``), checked once as a whole
-when it is built.
+when it is built. The pulse CSV is also read by column: one split per
+line, then each field column converted in one pass into the schedule's
+columns; a CSV that pass cannot take whole goes to the line reader, which
+names the bad line.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice, repeat
-from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .errors import CoinWalkError, ParseError, _clip
-from .pulses import ARM_CCW, ARM_CW, Calibration, PulseEvent, PulseSchedule
+from .pulses import ARMS, Calibration, PulseEvents, PulseSchedule
 from .state import (
     AngleRows,
     CoinOp,
@@ -73,8 +75,8 @@ def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]
     """Each kept line (see ``_kept``) with its fields, split one line at a
     time so that no list of field lists is kept. This line-by-line reading
     is the only one that names a bad line; program files and schedules in
-    the writers' layout are read by column instead (``_cell_column``, then
-    one vectorized angle check), and any other layout comes back here."""
+    the writers' layout, and pulse CSVs, are read by column instead, and any
+    file the column pass cannot take whole comes back here."""
     kept = _kept(text)
     return zip(kept, map(str.split, kept, repeat(sep)))
 
@@ -277,11 +279,25 @@ SCHEDULE_HEADER = "time_ns,voltage_v,width_ns,step,position,arm"
 
 def pulse_schedule_to_text(ps: PulseSchedule) -> str:
     rows = "%.4f,%.4f,%.4f,%s,%s,%s\n" * len(ps.events)  # one % pass; the header holds no %
-    fields = map(attrgetter(*SCHEDULE_HEADER.split(",")), ps.events)
+    fields = zip(*ps.events.columns)  # the events' columns are in header order
     return (SCHEDULE_HEADER + "\n" + rows) % tuple(chain.from_iterable(fields))
 
 
-def pulse_schedule_from_text(text: str) -> PulseSchedule:
+def _pulses_by_column(text: str) -> PulseSchedule | None:
+    """A pulse CSV whose lines after the header all have 6 fields and a
+    known arm, each column converted in one pass; else None."""
+    kept = _kept(text)
+    rows = list(map(str.split, kept[1:], repeat(",")))
+    if kept[:1] != [SCHEDULE_HEADER] or set(map(len, rows)) - {6}:
+        return None
+    time, volts, width, step, position, arm = list(zip(*rows)) or [()] * 6
+    if not set(arm).issubset(ARMS):
+        return None
+    numbers = map(map, (float, float, float, int, int), (time, volts, width, step, position))
+    return PulseSchedule(events=PulseEvents(*numbers, arm))
+
+
+def _pulses_by_line(text: str) -> PulseSchedule:
     lines = _lines(text, ",")
     header = next(lines, None)
     if header is None or header[0] != SCHEDULE_HEADER:
@@ -291,18 +307,14 @@ def pulse_schedule_from_text(text: str) -> PulseSchedule:
         for ln, parts in lines:
             if len(parts) != 6:
                 raise ValueError("expected 6 fields")
-            if parts[5] not in (ARM_CCW, ARM_CW):
+            if parts[5] not in ARMS:
                 raise ValueError(f"unknown arm {parts[5]!r}")
-            events.append(
-                PulseEvent(
-                    time_ns=float(parts[0]),
-                    voltage_v=float(parts[1]),
-                    width_ns=float(parts[2]),
-                    step=int(parts[3]),
-                    position=int(parts[4]),
-                    arm=parts[5],
-                )
-            )
+            events.append((float(parts[0]), float(parts[1]), float(parts[2]),
+                           int(parts[3]), int(parts[4]), parts[5]))
     except ValueError as exc:
         raise _bad("schedule", exc, ln) from exc
-    return PulseSchedule(events=tuple(events))
+    return PulseSchedule(events=PulseEvents(*zip(*events)))
+
+
+def pulse_schedule_from_text(text: str) -> PulseSchedule:
+    return _read(_pulses_by_column, _pulses_by_line, text)

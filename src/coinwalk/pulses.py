@@ -8,12 +8,15 @@ delay later, so a single modulator addresses both phases at distinct
 times. Phases map to drive voltages through a measured anchor calibration.
 
 Both directions compute on numpy columns in (t, x) cell order and name the
-first bad event, as a per-event loop would.
+first bad event, as a per-event loop would. A schedule holds its events as
+six columns in CSV field order; ``events`` builds a PulseEvent only for the
+event it reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from numbers import Real
@@ -45,6 +48,14 @@ class PhaseCell:
     phi_v: float
 
 
+def _float(v, name: str) -> float:
+    """float(v); DomainError quoting ``v`` if it is too large for a float."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError(f"{name} must fit a float, got {_clip(repr(v))}") from None
+
+
 @dataclass(frozen=True)
 class TimingModel:
     """Arrival-time geometry of the optical loop, all values in ns."""
@@ -58,7 +69,7 @@ class TimingModel:
     def __post_init__(self):
         for name in ("t_ns", "dt_ns", "sagnac_delay_ns", "pulse_width_ns", "rep_period_ns"):
             v = getattr(self, name)
-            if not (isinstance(v, Real) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, Real) and math.isfinite(_float(v, name)) and v > 0):
                 raise DomainError(f"{name} must be positive, got {_clip(repr(v))}")
         if self.dt_ns <= self.pulse_width_ns:
             raise DomainError(
@@ -88,7 +99,7 @@ class Calibration:
     def __post_init__(self):
         if len(self.anchors) < 2:
             raise DomainError("calibration needs at least two anchors")
-        if not all(math.isfinite(p) and math.isfinite(v) for p, v in self.anchors):
+        if not all(math.isfinite(_float(a, "anchor")) for pair in self.anchors for a in pair):
             raise DomainError(f"calibration anchors must be finite, got {self.anchors!r}")
         phases, volts = np.array(self.anchors, dtype=float).T.copy()
         for name, column in (("phases", phases), ("voltages", volts)):
@@ -98,11 +109,11 @@ class Calibration:
 
     def phase_to_voltage(self, phi: float) -> float:
         if not 0.0 <= phi <= math.pi + 1e-12:
-            raise DomainError(f"phase {phi!r} outside [0, pi]")
+            raise DomainError(f"phase {_clip(repr(phi))} outside [0, pi]")
         return float(_piecewise(phi, *self._columns))
 
     def voltage_to_phase(self, volts: float) -> float:
-        if not math.isfinite(volts):
+        if not math.isfinite(_float(volts, "voltage")):
             raise DomainError(f"voltage {volts!r} is not finite")
         return float(_clamp_phase(_piecewise(volts, *reversed(self._columns))))
 
@@ -134,9 +145,52 @@ class PulseEvent:
     arm: str
 
 
+_EVENT_FIELDS = attrgetter("time_ns", "voltage_v", "width_ns", "step", "position", "arm")
+
+
+class PulseEvents(Sequence):
+    """Read-only pulse events held as the six columns of PulseEvent's fields
+    (none given: no events). Reading one event builds its PulseEvent; a
+    slice is again PulseEvents."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns):
+        self.columns = tuple(map(tuple, columns)) or ((),) * 6
+
+    def __getitem__(self, i):
+        kind = PulseEvents if isinstance(i, slice) else PulseEvent
+        return kind(*(c[i] for c in self.columns))
+
+    def __iter__(self):
+        return map(PulseEvent, *self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __eq__(self, other):
+        if isinstance(other, PulseEvents):
+            return self.columns == other.columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the tuple of the same events, which it equals
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
-    events: tuple[PulseEvent, ...] = field(default_factory=tuple)
+    """Electrical pulses; ``events`` is held as PulseEvents, and PulseEvent
+    records given in its place are turned into columns once."""
+
+    events: Sequence[PulseEvent] = field(default_factory=PulseEvents)
+
+    def __post_init__(self):
+        if not isinstance(self.events, PulseEvents):
+            columns = zip(*map(_EVENT_FIELDS, self.events))
+            object.__setattr__(self, "events", PulseEvents(*columns))
 
 
 def coin_to_phases(p: CoinProgram) -> list[PhaseCell]:
@@ -201,7 +255,8 @@ def compile_schedule(
     last pulse ends after the laser period that starts at the launch offset;
     overlaps are reported, never silently merged.
     """
-    if not (isinstance(launch_offset_ns, Real) and math.isfinite(launch_offset_ns)):
+    if not (isinstance(launch_offset_ns, Real)
+            and math.isfinite(_float(launch_offset_ns, "launch offset"))):
         raise DomainError(f"launch offset must be finite, got {_clip(repr(launch_offset_ns))}")
     tm, cal = tm or TimingModel(), cal or Calibration()
     # Every cell in (t, x) order on its ccw arm (phi_H = theta), then on its cw arm.
@@ -227,8 +282,8 @@ def compile_schedule(
         raise CollisionError(f"pulse ({t[-1]},{x[-1]},{arm[-1]}) ends at {end:.1f} ns, after "
                              f"the laser period ends at {period_end:.1f} ns "
                              f"(max_steps {max_steps(tm)})")
-    events = map(PulseEvent, time, volts[order].tolist(), repeat(tm.pulse_width_ns), t, x, arm)
-    return PulseSchedule(events=tuple(events))
+    width = [tm.pulse_width_ns] * len(time)
+    return PulseSchedule(events=PulseEvents(time, volts[order].tolist(), width, t, x, arm))
 
 
 def decompile_schedule(
@@ -247,17 +302,24 @@ def decompile_schedule(
     tm, cal = tm or TimingModel(), cal or Calibration()
     if not ps.events:
         return []
-    fields = attrgetter("time_ns", "voltage_v", "step", "position", "arm")
-    times, volts, steps, positions, arms = zip(*map(fields, ps.events))
+    times, volts, _, steps, positions, arms = ps.events.columns
     t = np.array(list(map(_integer, steps, repeat("step"))), dtype=np.int64)
     x = np.array(list(map(_integer, positions, repeat("position"))), dtype=np.int64)
     first = min(range(len(times)), key=times.__getitem__)
-    offset = times[first] - arrival_time(steps[first], positions[first], arms[first], tm)
+    try:
+        offset = times[first] - arrival_time(steps[first], positions[first], arms[first], tm)
+        time, volts = np.array(times, dtype=float), np.array(volts, dtype=float)
+    except OverflowError:  # a number too large for a float: name the first
+        for name, column in (("time_ns", times), ("voltage_v", volts)):
+            for v in column:
+                if isinstance(v, Real):
+                    _float(v, name)
+        raise
     cw, ccw = (np.array(arms, dtype=object) == a for a in (ARM_CW, ARM_CCW))
     arm = np.where(cw, 1, np.where(ccw, 0, 2))
     expected = _slot(t, x, tm, offset) + tm.sagnac_delay_ns * cw
-    off_slot = ~(np.abs(np.array(times, dtype=float) - expected) <= ALIGNMENT_TOL_NS)
-    volts = np.array(volts, dtype=float)
+    with np.errstate(invalid="ignore"):  # -inf - -inf is nan, as with Python floats
+        off_slot = ~(np.abs(time - expected) <= ALIGNMENT_TOL_NS)
     bad = (np.abs(x) > t) | ((t + x) % 2 != 0) | (arm == 2) | off_slot | ~np.isfinite(volts)
     order = np.lexsort((arm, x, t))  # stable: a repeat sorts after the event it repeats
     t, x, arm = t[order], x[order], arm[order]

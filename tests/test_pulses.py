@@ -4,7 +4,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coinwalk import fileio
 from coinwalk.errors import (
     AlignmentError,
     CollisionError,
@@ -16,6 +19,7 @@ from coinwalk.pulses import (
     ARM_CCW,
     ARM_CW,
     Calibration,
+    PulseEvent,
     PulseSchedule,
     TimingModel,
     arrival_time,
@@ -87,6 +91,10 @@ class TestTimingModel:
             TimingModel(t_ns=value)
         assert len(str(err.value)) < 120
 
+    def test_rejects_an_integer_too_large_for_a_float(self):
+        with pytest.raises(DomainError, match=r"^t_ns must fit a float, got 10{79}\.\.\.$"):
+            TimingModel(t_ns=10**400)
+
 
 class TestCalibration:
     def test_anchor_values_exact(self):
@@ -131,6 +139,14 @@ class TestCalibration:
                     assert cal.voltage_to_phase(x) == min(max(scan(x, xs, ys), 0.0), math.pi)
                 elif 0.0 <= x <= math.pi:
                     assert cal.phase_to_voltage(x) == scan(x, xs, ys)
+
+    def test_rejects_an_integer_too_large_for_a_float(self):
+        with pytest.raises(DomainError, match=r"^anchor must fit a float, got 10{79}\.\.\.$"):
+            Calibration(anchors=((0.1, 0.1), (10**400, 0.2)))
+        with pytest.raises(DomainError, match=r"^voltage must fit a float, got -10{78}\.\.\.$"):
+            CAL.voltage_to_phase(-(10**400))
+        with pytest.raises(DomainError, match=r"^phase 10{79}\.\.\. outside \[0, pi\]$"):
+            CAL.phase_to_voltage(10**400)
 
     def test_rejects_non_monotone_anchors(self):
         with pytest.raises(DomainError):
@@ -215,6 +231,11 @@ class TestCompile:
             compile_schedule(uniform_program(2), launch_offset_ns=offset)
         assert len(str(err.value)) < 120
 
+    def test_launch_offset_too_large_for_a_float(self):
+        match = r"^launch offset must fit a float, got 10{79}\.\.\.$"
+        with pytest.raises(DomainError, match=match):
+            compile_schedule(uniform_program(2), launch_offset_ns=10**400)
+
     def test_determinism_byte_identical(self):
         p = gaussian_program(7)
         a = pulse_schedule_to_text(compile_schedule(p))
@@ -282,6 +303,13 @@ class TestDecompile:
         with pytest.raises(AlignmentError, match="at nan ns"):
             decompile_schedule(PulseSchedule(events=tuple(events)))
 
+    def test_minus_infinite_first_time_fails_alignment_without_a_warning(self):
+        # Every slot is then -inf, and -inf - -inf is nan: numpy must not warn.
+        events = list(compile_schedule(hadamard_program(2, circular_initial())).events)
+        events[0] = replace(events[0], time_ns=-math.inf)
+        with pytest.raises(AlignmentError, match=r"^event \(0,0,ccw\) at -inf ns"):
+            decompile_schedule(PulseSchedule(events=tuple(events)))
+
     @pytest.mark.parametrize("volts", [math.nan, math.inf])
     def test_non_finite_voltage_names_event(self, volts):
         events = list(compile_schedule(hadamard_program(2, circular_initial())).events)
@@ -295,6 +323,14 @@ class TestDecompile:
         events = list(compile_schedule(hadamard_program(2, circular_initial())).events)
         events[3] = replace(events[3], **{field: value})
         with pytest.raises(DomainError, match=rf"^{field} must be an integer, got {value!r}$"):
+            decompile_schedule(PulseSchedule(events=tuple(events)))
+
+    @pytest.mark.parametrize("field", ["time_ns", "voltage_v"])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_time_or_voltage_too_large_for_a_float(self, field, index):
+        events = list(compile_schedule(hadamard_program(2, circular_initial())).events)
+        events[index] = replace(events[index], **{field: 10**400})
+        with pytest.raises(DomainError, match=rf"^{field} must fit a float, got 10{{79}}\.\.\.$"):
             decompile_schedule(PulseSchedule(events=tuple(events)))
 
     def test_voltage_that_overflows_the_map_clamps_to_pi(self):
@@ -332,6 +368,119 @@ class TestScheduleFile:
         assert lines[0] == "time_ns,voltage_v,width_ns,step,position,arm"
         assert lines[1] == "0.0000,0.1270,1.0000,0,0,ccw"
         assert lines[2] == "39.1000,0.3920,1.0000,0,0,cw"
+
+    def test_written_file_is_read_by_column(self, monkeypatch):
+        text = pulse_schedule_to_text(compile_schedule(gaussian_program(13)))
+        expected = fileio._pulses_by_line(text)
+
+        def line_reader(text):
+            raise AssertionError("a written file reached the line reader")
+
+        monkeypatch.setattr(fileio, "_pulses_by_line", line_reader)
+        assert pulse_schedule_from_text(text) == expected
+        assert pulse_schedule_from_text("# no events\n" + text[:text.index("\n") + 1]) == \
+            PulseSchedule()
+
+
+class TestEvents:
+    """A schedule holds its events as columns; ``events`` reads as the tuple
+    of PulseEvent it was built from."""
+
+    SCHED = compile_schedule(gaussian_program(5))
+    RECORDS = tuple(SCHED.events)
+
+    def test_reads_as_its_records(self):
+        records = self.RECORDS
+        assert len(self.SCHED.events) == len(records) == 30
+        assert all(type(e) is PulseEvent for e in records)
+        assert list(self.SCHED.events) == list(records)
+        assert [self.SCHED.events[i] for i in range(-30, 30)] == list(records * 2)
+        assert self.SCHED.events[-1] == records[-1] == PulseEvent(
+            records[-1].time_ns, records[-1].voltage_v, 1.0, 4, 4, ARM_CW)
+        with pytest.raises(IndexError):
+            self.SCHED.events[30]
+        assert repr(self.SCHED) == f"PulseSchedule(events={records!r})"
+
+    def test_built_from_records(self):
+        rebuilt = PulseSchedule(events=self.RECORDS)
+        assert rebuilt == self.SCHED and hash(rebuilt) == hash(self.SCHED)
+        assert PulseSchedule(events=list(self.RECORDS)) == self.SCHED
+        assert PulseSchedule(events=self.RECORDS[:-1]) != self.SCHED
+        assert self.SCHED.events == self.RECORDS and hash(self.SCHED.events) == hash(self.RECORDS)
+        assert self.SCHED.events != list(self.RECORDS)
+
+    def test_slices_build_schedules(self):
+        head = PulseSchedule(events=self.SCHED.events[:1])
+        assert list(head.events) == [self.RECORDS[0]]
+        assert head == PulseSchedule(events=self.RECORDS[:1])
+        assert list(self.SCHED.events[::-2]) == list(self.RECORDS[::-2])
+        assert list(self.SCHED.events[5:2]) == []
+
+    def test_replace(self):
+        moved = [replace(e, time_ns=e.time_ns + 1000.0) for e in self.RECORDS]
+        sched = replace(self.SCHED, events=moved)
+        assert list(sched.events) == moved
+        assert replace(self.SCHED) == self.SCHED
+        assert decompile_schedule(sched) == decompile_schedule(self.SCHED)
+
+    def test_empty(self):
+        empty = PulseSchedule()
+        assert empty == PulseSchedule(events=()) == replace(self.SCHED, events=[])
+        assert hash(empty) == hash(PulseSchedule(events=()))
+        assert len(empty.events) == 0 and list(empty.events) == [] and not empty.events
+        assert repr(empty) == "PulseSchedule(events=())"
+        assert decompile_schedule(empty) == []
+        assert pulse_schedule_from_text(pulse_schedule_to_text(empty)) == empty
+
+
+FIELD_TOKENS = ["1_0", "+3", "-0", "nan", "inf", "-inf", "NaN", "1e400", "x"]
+BAD_ARMS = ["xyz", "CCW", "", "cw ", "ccw,"]
+
+
+@st.composite
+def pulse_files(draw):
+    """The CSV of a compiled schedule, changed up to three times: lines
+    swapped, blank and comment lines added, spaces around a field, 5 or 7
+    fields, a bad arm, or a token such as 1_0, +3, nan or inf as a field."""
+    steps = draw(st.integers(1, 13))
+    sched = compile_schedule(random_program(steps), TM, CAL, draw(st.sampled_from([0.0, 3.7])))
+    lines = pulse_schedule_to_text(sched).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        parts = lines[i].split(",")
+        k = draw(st.integers(0, len(parts) - 1))
+        kind = draw(st.sampled_from(["swap", "blank", "space", "fields", "arm", "token"]))
+        if kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "# note", "  # note", "\t"])))
+        elif kind == "space":
+            parts[k] = draw(st.sampled_from([" ", "  ", "\t"])) + parts[k] + " "
+        elif kind == "fields":
+            parts = parts[:-1] if draw(st.booleans()) else parts + ["0"]
+        elif kind == "arm":
+            parts[-1] = draw(st.sampled_from(BAD_ARMS))
+        else:
+            parts[k] = draw(st.sampled_from(FIELD_TOKENS))
+        if kind != "swap" and kind != "blank":
+            lines[i] = ",".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(read, text):
+    """repr of what ``read`` returns (nan compares equal), or the type and
+    message of what it raises."""
+    try:
+        return repr(read(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pulse_files())
+def test_pulse_reader_agrees_with_the_line_reader(text):
+    assert outcome(pulse_schedule_from_text, text) == outcome(fileio._pulses_by_line, text)
 
 
 SPECIAL_ANGLES = [0.0, math.pi, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
