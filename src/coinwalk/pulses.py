@@ -48,10 +48,10 @@ class PhaseCell:
     phi_v: float
 
 
-def _float(v, name: str) -> float:
-    """float(v); DomainError quoting ``v`` if it is too large for a float."""
+def _finite(v, name: str) -> bool:
+    """math.isfinite(v); DomainError quoting ``v`` if it is too large for a float."""
     try:
-        return float(v)
+        return math.isfinite(v)
     except OverflowError:
         raise DomainError(f"{name} must fit a float, got {_clip(repr(v))}") from None
 
@@ -69,7 +69,7 @@ class TimingModel:
     def __post_init__(self):
         for name in ("t_ns", "dt_ns", "sagnac_delay_ns", "pulse_width_ns", "rep_period_ns"):
             v = getattr(self, name)
-            if not (isinstance(v, Real) and math.isfinite(_float(v, name)) and v > 0):
+            if not (isinstance(v, Real) and _finite(v, name) and v > 0):
                 raise DomainError(f"{name} must be positive, got {_clip(repr(v))}")
         if self.dt_ns <= self.pulse_width_ns:
             raise DomainError(
@@ -99,7 +99,7 @@ class Calibration:
     def __post_init__(self):
         if len(self.anchors) < 2:
             raise DomainError("calibration needs at least two anchors")
-        if not all(math.isfinite(_float(a, "anchor")) for pair in self.anchors for a in pair):
+        if not all(_finite(p, "anchor") and _finite(v, "anchor") for p, v in self.anchors):
             raise DomainError(f"calibration anchors must be finite, got {self.anchors!r}")
         phases, volts = np.array(self.anchors, dtype=float).T.copy()
         for name, column in (("phases", phases), ("voltages", volts)):
@@ -113,7 +113,7 @@ class Calibration:
         return float(_piecewise(phi, *self._columns))
 
     def voltage_to_phase(self, volts: float) -> float:
-        if not math.isfinite(_float(volts, "voltage")):
+        if not _finite(volts, "voltage"):
             raise DomainError(f"voltage {volts!r} is not finite")
         return float(_clamp_phase(_piecewise(volts, *reversed(self._columns))))
 
@@ -255,8 +255,7 @@ def compile_schedule(
     last pulse ends after the laser period that starts at the launch offset;
     overlaps are reported, never silently merged.
     """
-    if not (isinstance(launch_offset_ns, Real)
-            and math.isfinite(_float(launch_offset_ns, "launch offset"))):
+    if not (isinstance(launch_offset_ns, Real) and _finite(launch_offset_ns, "launch offset")):
         raise DomainError(f"launch offset must be finite, got {_clip(repr(launch_offset_ns))}")
     tm, cal = tm or TimingModel(), cal or Calibration()
     # Every cell in (t, x) order on its ccw arm (phi_H = theta), then on its cw arm.
@@ -313,7 +312,7 @@ def decompile_schedule(
         for name, column in (("time_ns", times), ("voltage_v", volts)):
             for v in column:
                 if isinstance(v, Real):
-                    _float(v, name)
+                    _finite(v, name)
         raise
     cw, ccw = (np.array(arms, dtype=object) == a for a in (ARM_CW, ARM_CCW))
     arm = np.where(cw, 1, np.where(ccw, 0, 2))
