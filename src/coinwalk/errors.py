@@ -7,6 +7,14 @@ def _clip(text: str) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
+def _quote(v) -> str:
+    """``_clip(repr(v))``, or an int too long for repr by its bit length."""
+    try:
+        return _clip(repr(v))
+    except ValueError:
+        return f"<int of {v.bit_length()} bits>"
+
+
 class CoinWalkError(Exception):
     """Base class for all package errors."""
 

@@ -68,6 +68,8 @@ def _bad(what: str, exc: Exception, ln: str | None = None) -> ParseError:
 
 def _kept(text: str) -> list[str]:
     """Each line stripped, without the blank and ``#`` comment lines."""
+    if not isinstance(text, str):
+        raise ParseError(f"text must be a str, got a {type(text).__name__}")
     return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
 
 

@@ -16,8 +16,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, MustDisentangleError, _clip
-from .state import Row, WalkerState, _at_least, _integer, check_distribution, support
+from .errors import DomainError, MustDisentangleError, _quote
+from .state import (CONSTRUCTION_TOL, Row, WalkerState, _at_least, _complex, _integer, _real,
+                    check_distribution, support)
 
 
 def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
@@ -78,7 +79,7 @@ def _similarity_rows(xs: list[int], rows: np.ndarray, q: Mapping[int, float]) ->
     col = dict(zip(xs, range(1, len(xs) + 1)))
     union = list(set(col) | set(q))
     p = columns[[0, *map(col.get, union, repeat(0))]]
-    qv = np.array([0.0, *map(q.get, union, repeat(0.0))])[:, None]
+    qv = np.array([0.0, *map(q.get, union, repeat(0.0))], dtype=float)[:, None]
     return np.minimum(np.cumsum(np.sqrt(np.maximum(p, 0.0) * np.maximum(qv, 0.0)), axis=0)[-1], 1.0)
 
 
@@ -113,12 +114,11 @@ def _walker_amplitudes(source) -> dict[int, complex]:
                 )
             amps[x] = a
         return amps
-    return {_integer(x, "position"): complex(a) for x, a in source.items()}
-
-
-def _require_retention(gamma: float) -> None:
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+    amps = {_integer(x, "position"): _complex(a, "amplitude") for x, a in source.items()}
+    for x, a in amps.items():
+        if not math.hypot(a.real, a.imag) <= 1.0 + CONSTRUCTION_TOL:  # NaN fails too
+            raise DomainError(f"amplitude at x = {_quote(x)} is {_quote(a)}, not of modulus <= 1")
+    return amps
 
 
 def pair_density(source, x: int, gamma: float = 1.0) -> PairDensity:
@@ -129,10 +129,10 @@ def pair_density(source, x: int, gamma: float = 1.0) -> PairDensity:
     coherence (1 = pure, the ensemble-averaged dephasing factor
     otherwise), a retention in [0, 1].
     """
-    _require_retention(gamma)
+    gamma, x = _real(gamma, "gamma", 0.0, 1.0, "lie in [0, 1]"), _integer(x, "position")
     amps = _walker_amplitudes(source)
     if x not in amps and x + 2 not in amps:
-        raise DomainError(f"neither {x} nor {x + 2} is occupied")
+        raise DomainError(f"neither {_quote(x)} nor {_quote(x + 2)} is occupied")
     c1 = amps.get(x, 0j)
     c2 = amps.get(x + 2, 0j)
     rho = np.array(
@@ -166,7 +166,8 @@ def purity_criterion(
     one-sided test captures equality). ``tol`` should be widened to three
     propagated standard errors when the matrix comes from finite counts.
     """
-    _require_retention(gamma)
+    gamma = _real(gamma, "gamma", 0.0, 1.0, "lie in [0, 1]")
+    tol = _real(tol, "tol", 0.0, rule="be finite and >= 0")
     amps = _walker_amplitudes(source)
     records = []
     for x in sorted(amps)[:-1]:
@@ -201,9 +202,9 @@ def extract_bits(samples: Iterable[int], t: int) -> BitExtraction:
     chunks = []
     rejected = 0
     positions = support(t)
-    for x in samples:
+    for x in map(_integer, samples, repeat("position")):
         if x not in positions:
-            raise DomainError(f"position {_clip(str(x))} outside the step-{t} support")
+            raise DomainError(f"position {_quote(x)} outside the step-{t} support")
         idx = (x + t) // 2
         if idx >= cap:
             rejected += 1

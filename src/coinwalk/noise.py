@@ -19,10 +19,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, _clip
+from .errors import DomainError, _quote
 from .measure import _entropy_rows, _similarity_rows
-from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _integer, _masses,
-                    check_distribution, norm, support)
+from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _floats, _integer, _masses,
+                    _real, check_distribution, norm, support)
 from .walk import _rows
 
 
@@ -36,12 +36,8 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("round_trip_survival", "outcoupling_fraction", "right_move_loss"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        if not 0.0 <= self.coin_angle_jitter_rad < math.inf:
-            raise DomainError(f"coin_angle_jitter_rad must be finite and >= 0, "
-                              f"got {self.coin_angle_jitter_rad!r}")
+            _real(getattr(self, name), name, 0.0, 1.0, "lie in [0, 1]")
+        _real(self.coin_angle_jitter_rad, "coin_angle_jitter_rad", 0.0, rule="be finite and >= 0")
         _at_least(self.seed, 0, "seed")  # numpy's default_rng takes an integer >= 0
 
 
@@ -55,8 +51,7 @@ def expected_counts(
     only when ``right_move_loss > 0`` and renormalized, so the counts sum
     to ``total_events``.
     """
-    if not 0 <= total_events < math.inf:
-        raise DomainError(f"total_events must be finite and >= 0, got {total_events!r}")
+    _real(total_events, "total_events", 0.0, rule="be finite and >= 0")
     dist = lossy_distribution(p, step, nm.right_move_loss)
     return {x: prob * total_events for x, prob in dist.items()}
 
@@ -75,17 +70,16 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
     """Distribution at a step with amplitude damping on every right-move,
     renormalized at detection."""
     if not 0 <= _integer(step, "step") <= p.steps:
-        raise DomainError(f"step must lie in [0, {p.steps}], got {step!r}")
-    if not 0.0 <= right_move_loss <= 1.0:
-        raise DomainError(f"right_move_loss must lie in [0, 1], got {right_move_loss!r}")
+        raise DomainError(f"step must lie in [0, {p.steps}], got {_quote(step)}")
+    loss = _real(right_move_loss, "right_move_loss", 0.0, 1.0, "lie in [0, 1]")
     if norm(p.initial) == 0.0:
         raise DomainError("initial state has zero norm")
-    a, b = _rows(p, step, math.sqrt(1.0 - right_move_loss))
+    a, b = _rows(p, step, math.sqrt(1.0 - loss))
     raw = _masses(a[-step - 1:], b[-step - 1:]).tolist()  # the last row
     total = reduce(add, raw, 0.0)  # left to right from 0.0, on every CPython
     if total == 0.0:
         raise DomainError(
-            f"no amplitude survives {step} steps at right_move_loss {right_move_loss!r}"
+            f"no amplitude survives {step} steps at right_move_loss {_quote(right_move_loss)}"
         )
     if not math.isfinite(total):
         raise DomainError(f"the masses at step {step} sum to {total!r}, not a finite float")
@@ -95,8 +89,10 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
 def _require_event_total(n, what: str) -> None:
     """Require a whole event total in [0, 2**63), the 64-bit integer range
     numpy's multinomial takes."""
-    if not (0 <= n < 2**63 and n == math.floor(n)):  # NaN fails the first test
-        raise DomainError(f"{what} must be a whole number in [0, 2**63), got {n!r}")
+    rule = "be a whole number in [0, 2**63)"
+    _real(n, what, 0.0, rule=rule)
+    if not (n < 2**63 and n == math.floor(n)):
+        raise DomainError(f"{what} must {rule}, got {_quote(n)}")
 
 
 def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
@@ -105,11 +101,11 @@ def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
     _require_event_total(n, "n")
     _at_least(seed, 0, "seed")
     xs = sorted(_integer(x, "position") for x in p)
-    probs = np.array([p[x] for x in xs], dtype=float)
+    probs = _floats([p[x] for x in xs], (f"weight at x = {_quote(x)}" for x in xs))
     bad = ~np.isfinite(probs) | (probs < 0.0)
     if bad.any():
         x = xs[int(np.argmax(bad))]
-        raise DomainError(f"weight at x = {_clip(str(x))} is {p[x]!r}, not finite and >= 0")
+        raise DomainError(f"weight at x = {_quote(x)} is {_quote(p[x])}, not finite and >= 0")
     total = probs.sum()
     if not 0.0 < total < math.inf:
         raise DomainError(f"weights sum to {float(total)!r}, need a positive finite total")
@@ -143,15 +139,15 @@ def bootstrap_errorbars(
     applied to that row as a dict; ``theory`` is checked once, as
     similarity's q.
     """
-    if not isinstance(resamples, Integral) or resamples < 100:
-        raise DomainError(f"resamples must be an integer >= 100, got {resamples!r}")
+    if not (isinstance(resamples, Integral) and 100 <= resamples < 2**63):
+        raise DomainError(f"resamples must be an integer in [100, 2**63), got {_quote(resamples)}")
     _at_least(seed, 0, "seed")
     xs = sorted(_integer(x, "position") for x in counts)
-    values = np.array([counts[x] for x in xs], dtype=float)
+    values = _floats([counts[x] for x in xs], (f"count at x = {_quote(x)}" for x in xs))
     bad = ~(np.isfinite(values) & (values >= 0.0) & (values == np.floor(values)))
     if bad.any():
         x = xs[int(np.argmax(bad))]
-        raise DomainError(f"count at x = {_clip(str(x))} is {counts[x]!r}, "
+        raise DomainError(f"count at x = {_quote(x)} is {_quote(counts[x])}, "
                           "not a finite whole number >= 0")
     n = int(sum(counts.values()))
     if n < 1:

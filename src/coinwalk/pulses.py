@@ -24,8 +24,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError, _clip
-from .state import CoinProgram, _integer, support
+from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError, _quote
+from .state import _FMAX, CoinProgram, _floats, _integer, _number, _real, support
 
 ARM_CCW = "ccw"  # horizontal polarization, undelayed
 ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
@@ -48,14 +48,6 @@ class PhaseCell:
     phi_v: float
 
 
-def _finite(v, name: str) -> bool:
-    """math.isfinite(v); DomainError quoting ``v`` if it is too large for a float."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        raise DomainError(f"{name} must fit a float, got {_clip(repr(v))}") from None
-
-
 @dataclass(frozen=True)
 class TimingModel:
     """Arrival-time geometry of the optical loop, all values in ns."""
@@ -69,12 +61,12 @@ class TimingModel:
     def __post_init__(self):
         for name in ("t_ns", "dt_ns", "sagnac_delay_ns", "pulse_width_ns", "rep_period_ns"):
             v = getattr(self, name)
-            if not (isinstance(v, Real) and _finite(v, name) and v > 0):
-                raise DomainError(f"{name} must be positive, got {_clip(repr(v))}")
+            if not (type(v) is float and 0.0 < v <= _FMAX):  # else name the failure, if any
+                _real(v, name, math.ulp(0.0), rule="be positive")
         if self.dt_ns <= self.pulse_width_ns:
             raise DomainError(
-                f"position bins unresolvable: dt_ns = {self.dt_ns} must exceed "
-                f"pulse_width_ns = {self.pulse_width_ns}"
+                f"position bins unresolvable: dt_ns = {_quote(self.dt_ns)} must exceed "
+                f"pulse_width_ns = {_quote(self.pulse_width_ns)}"
             )
 
 
@@ -99,23 +91,25 @@ class Calibration:
     def __post_init__(self):
         if len(self.anchors) < 2:
             raise DomainError("calibration needs at least two anchors")
-        if not all(_finite(p, "anchor") and _finite(v, "anchor") for p, v in self.anchors):
-            raise DomainError(f"calibration anchors must be finite, got {self.anchors!r}")
-        phases, volts = np.array(self.anchors, dtype=float).T.copy()
+        anchors = np.array(self.anchors)
+        if anchors.dtype.kind not in "biuf" or not np.isfinite(anchors).all():
+            anchors = np.array([[_real(v, "anchor") for v in a] for a in self.anchors])
+        phases, volts = anchors.T.astype(float)
         for name, column in (("phases", phases), ("voltages", volts)):
             if (np.diff(column) <= 0.0).any():
                 raise DomainError(f"anchor {name} must be strictly increasing")
         object.__setattr__(self, "_columns", (phases, volts))
 
     def phase_to_voltage(self, phi: float) -> float:
-        if not 0.0 <= phi <= math.pi + 1e-12:
-            raise DomainError(f"phase {_clip(repr(phi))} outside [0, pi]")
-        return float(_piecewise(phi, *self._columns))
+        # An int phase compares exactly, so one too large for a float is out of range.
+        if not (isinstance(phi, Real) and 0.0 <= phi <= math.pi + 1e-12):
+            raise DomainError(f"phase {_quote(phi)} outside [0, pi]")
+        return float(_piecewise(float(phi), *self._columns))
 
     def voltage_to_phase(self, volts: float) -> float:
-        if not _finite(volts, "voltage"):
-            raise DomainError(f"voltage {volts!r} is not finite")
-        return float(_clamp_phase(_piecewise(volts, *reversed(self._columns))))
+        if not math.isfinite(v := _number(volts, "voltage")):
+            raise DomainError(f"voltage {_quote(volts)} is not finite")
+        return float(_clamp_phase(_piecewise(v, *reversed(self._columns))))
 
 
 def _piecewise(x, xs: np.ndarray, ys: np.ndarray):
@@ -216,11 +210,12 @@ def arrival_time(
 ) -> float:
     """Arrival time (ns) of the (t, x) pulse on one arm at the modulator;
     the clockwise arm adds the Sagnac delay."""
+    t, x = _integer(t, "step"), _integer(x, "position")
     if x not in support(t):
-        raise DomainError(f"({t},{x}) is not a valid (step, position) pair")
+        raise DomainError(f"({_quote(t)},{_quote(x)}) is not a valid (step, position) pair")
     if arm not in ARMS:
-        raise DomainError(f"unknown arm {arm!r}")
-    time = _slot(t, x, tm, launch_offset_ns)
+        raise DomainError(f"unknown arm {_quote(arm)}")
+    time = _slot(_real(t, "step"), x, tm, launch_offset_ns)
     if arm == ARM_CW:
         time += tm.sagnac_delay_ns
     return time
@@ -255,13 +250,12 @@ def compile_schedule(
     last pulse ends after the laser period that starts at the launch offset;
     overlaps are reported, never silently merged.
     """
-    if not (isinstance(launch_offset_ns, Real) and _finite(launch_offset_ns, "launch offset")):
-        raise DomainError(f"launch offset must be finite, got {_clip(repr(launch_offset_ns))}")
+    launch_offset_ns = _real(launch_offset_ns, "launch offset")
     tm, cal = tm or TimingModel(), cal or Calibration()
     # Every cell in (t, x) order on its ccw arm (phi_H = theta), then on its cw arm.
     t = np.repeat(np.arange(p.steps), np.arange(1, p.steps + 1))
     x = 2 * (np.arange(t.size) - t * (t + 1) // 2) - t
-    time = _slot(t, x, tm, float(launch_offset_ns))
+    time = _slot(t, x, tm, launch_offset_ns)
     time = np.concatenate([time, time + tm.sagnac_delay_ns])
     volts = _piecewise(np.concatenate([p.cells.theta, math.pi - p.cells.theta]), *cal._columns)
     t, x, arm = np.concatenate([t, t]), np.concatenate([x, x]), np.repeat([0, 1], t.size)
@@ -304,16 +298,9 @@ def decompile_schedule(
     times, volts, _, steps, positions, arms = ps.events.columns
     t = np.array(list(map(_integer, steps, repeat("step"))), dtype=np.int64)
     x = np.array(list(map(_integer, positions, repeat("position"))), dtype=np.int64)
+    time, volts = _floats(times, repeat("time_ns")), _floats(volts, repeat("voltage_v"))
     first = min(range(len(times)), key=times.__getitem__)
-    try:
-        offset = times[first] - arrival_time(steps[first], positions[first], arms[first], tm)
-        time, volts = np.array(times, dtype=float), np.array(volts, dtype=float)
-    except OverflowError:  # a number too large for a float: name the first
-        for name, column in (("time_ns", times), ("voltage_v", volts)):
-            for v in column:
-                if isinstance(v, Real):
-                    _finite(v, name)
-        raise
+    offset = times[first] - arrival_time(steps[first], positions[first], arms[first], tm)
     cw, ccw = (np.array(arms, dtype=object) == a for a in (ARM_CW, ARM_CCW))
     arm = np.where(cw, 1, np.where(ccw, 0, 2))
     expected = _slot(t, x, tm, offset) + tm.sagnac_delay_ns * cw
@@ -330,10 +317,10 @@ def decompile_schedule(
         expected = arrival_time(e.step, e.position, e.arm, tm, offset)  # a bad cell or arm raises
         where = f"event ({e.step},{e.position},{e.arm})"
         if off_slot[i]:
-            raise AlignmentError(f"{where} at {e.time_ns} ns does not match its slot at "
+            raise AlignmentError(f"{where} at {_quote(e.time_ns)} ns does not match its slot at "
                                  f"{expected} ns")
-        if not math.isfinite(e.voltage_v):
-            raise DomainError(f"{where} has voltage {e.voltage_v!r}")
+        if not math.isfinite(volts[i]):
+            raise DomainError(f"{where} has voltage {_quote(e.voltage_v)}")
         raise AlignmentError(f"duplicate {e.arm} event for cell ({e.step},{e.position})")
     paired = np.append(False, same_cell) | np.append(same_cell, False)  # ccw sorts before cw
     if not paired.all():

@@ -13,23 +13,30 @@ when the state is built. Every mass |a|^2 + |b|^2 is taken in numpy by
 
 Tolerance policy: user-facing construction checks run at 1e-9, internal
 evolution invariants are asserted at 1e-12.
+
+Argument policy: a real is checked by ``_real``, an integer by ``_integer``,
+a column of reals by numpy in one pass; anything else is a DomainError, whose
+message quotes each value through ``errors._quote``, clipped to 80 characters.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import reduce
 from itertools import islice
+from numbers import Complex, Real
 from operator import add, index
 
 import numpy as np
 
-from .errors import DomainError, IncompleteLayerError, NormalizationError, _clip
+from .errors import DomainError, IncompleteLayerError, NormalizationError, _clip, _quote
 
 CONSTRUCTION_TOL = 1e-9
 EVOLUTION_TOL = 1e-12
+_FMAX = sys.float_info.max
 
 AmplitudePair = tuple[complex, complex]
 
@@ -44,15 +51,52 @@ def _integer(v, name: str) -> int:
     try:
         return index(v)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {_clip(repr(v))}") from None
+        raise DomainError(f"{name} must be an integer, got {_quote(v)}") from None
 
 
 def _at_least(v, low: int, name: str) -> int:
     """``v`` as an integer >= ``low``: else DomainError naming it."""
     v = _integer(v, name)
     if v < low:
-        raise DomainError(f"{name} must be >= {low}, got {_clip(str(v))}")
+        raise DomainError(f"{name} must be >= {low}, got {_quote(v)}")
     return v
+
+
+def _real(v, name: str, low=-_FMAX, high=_FMAX, rule="be finite") -> float:
+    """float(v) for a numbers.Real (no str, bytes, None or complex) in [low, high], finite by
+    default, never NaN: else DomainError, "<name> must fit a float" or "must <rule>, got <v>"."""
+    if isinstance(v, Real):
+        try:
+            f = float(v)
+        except OverflowError:
+            raise DomainError(f"{name} must fit a float, got {_quote(v)}") from None
+        if low <= f <= high:
+            return f
+    raise DomainError(f"{name} must {rule}, got {_quote(v)}")
+
+
+def _number(v, name: str) -> float:
+    """``_real`` on the whole line, but any float, NaN too, is left to the caller's checks."""
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return _real(v, name, -math.inf, math.inf, "be a real number")
+
+
+def _floats(values: Sequence, names: Iterable[str]) -> np.ndarray:
+    """``values`` as floats: one numpy pass, or if numpy reads no numbers, ``_number`` on each."""
+    column = np.array(values)
+    if column.ndim != 1 or column.dtype.kind not in "biuf":
+        column = np.array(list(map(_number, values, names)))
+    return column.astype(float, copy=False)
+
+
+def _complex(z, name: str) -> complex:
+    """complex(z) for a numbers.Complex whose parts fit a float: else DomainError."""
+    if isinstance(z, (complex, float)):  # a builtin or numpy float or complex, fast
+        return complex(z)
+    if isinstance(z, Complex):
+        return complex(_number(z.real, name), _number(z.imag, name))
+    raise DomainError(f"{name} must be a complex number, got {_quote(z)}")
 
 
 def check_distribution(p: Mapping[int, float], name: str) -> None:
@@ -61,20 +105,21 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
 
     A row that ``row_stack`` accepted when it built the stack returns at
     once, any other float ``Row`` with keys is checked on its column, and
-    any other map entry by entry through its ``items()``."""
+    any other map entry by entry, its keys integers and its values reals."""
     if isinstance(p, Row) and len(p.columns) == 1 and p.xs:
         if not p._checked:
             _check_rows(p.xs, p.columns[0][p.index()][None], name)
         return
     total = 0.0
     for x, v in p.items():
+        x = _integer(x, "position")
+        if type(v) is not float:
+            v = _number(v, f"{name} at x = {_quote(x)}")
         if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
-            raise DomainError(f"{name} at x = {_clip(str(x))} is {v!r}, not a probability")
+            raise DomainError(f"{name} at x = {_quote(x)} is {v!r}, not a probability")
         total += v
     if abs(total - 1.0) > CONSTRUCTION_TOL:
-        raise NormalizationError(
-            f"{name} sums to {total!r}, expected 1 within {CONSTRUCTION_TOL}"
-        )
+        raise NormalizationError(f"{name} sums to {total!r}, expected 1 within {CONSTRUCTION_TOL}")
 
 
 def _passing(rows: np.ndarray) -> np.ndarray:
@@ -228,11 +273,12 @@ class WalkerState:
         object.__setattr__(self, "step", _at_least(self.step, 0, "step"))
         amps = self.amplitudes
         if not (isinstance(amps, Row) and amps.step == self.step and len(amps.columns) == 2):
-            amps = {_integer(x, "position"): (complex(a), complex(b)) for x, (a, b) in amps.items()}
+            amps = {_integer(x, "position"): (_complex(a, "amplitude"), _complex(b, "amplitude"))
+                    for x, (a, b) in amps.items()}
             positions = support(self.step)
             stray = next((x for x in amps if x not in positions), None)
             if stray is not None:
-                raise DomainError(f"position {_clip(str(stray))} is outside the step-{self.step} "
+                raise DomainError(f"position {_quote(stray)} is outside the step-{self.step} "
                                   "support {-t, -t+2, ..., t}")
             pairs = np.array([amps.get(x, (0j, 0j)) for x in positions], dtype=complex)
             pairs.flags.writeable = False
@@ -309,10 +355,9 @@ class CoinOp:
 
     def __post_init__(self):
         theta = self.theta
-        if not 0.0 <= theta <= math.pi:  # NaN fails too
-            if not math.isfinite(theta):
-                raise DomainError(f"theta must be finite, got {theta!r}")
-            raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
+        if type(theta) is not float or not 0.0 <= theta <= math.pi:  # NaN fails too
+            _real(theta, "theta")  # a non-float real in [0, pi] passes both
+            _real(theta, "theta", 0.0, math.pi, "lie in [0, pi]")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -338,8 +383,9 @@ class GeneralCoinOp:
 
     def __post_init__(self):
         m00, m01, m10, m11 = self.m00, self.m01, self.m10, self.m11
-        if not all(map(math.isfinite, (m00, m01, m10, m11))):
-            raise DomainError("coin entries must be finite")
+        if not (type(m00) is type(m01) is type(m10) is type(m11) is float
+                and all(map(math.isfinite, (m00, m01, m10, m11)))):  # else name the failure
+            m00, m01, m10, m11 = (_real(m, "coin entry") for m in (m00, m01, m10, m11))
         # The entries of m^T m - I: column norms minus one and the column product.
         residuals = (m00 * m00 + m10 * m10 - 1.0, m01 * m01 + m11 * m11 - 1.0,
                      m00 * m01 + m10 * m11)
@@ -443,8 +489,8 @@ class CoinProgram:
 
     def layer(self, t: int) -> dict[int, CoinOp]:
         """The coins of step t, keyed by position."""
-        if not 0 <= _integer(t, "step") < self.steps:
-            raise DomainError(f"step {t} outside program range [0, {self.steps})")
+        if not 0 <= (t := _integer(t, "step")) < self.steps:
+            raise DomainError(f"step {_quote(t)} outside program range [0, {self.steps})")
         return {x: self.cells[(t, x)] for x in support(t)}
 
 
@@ -462,14 +508,18 @@ class DistributionSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _at_least(self.steps, 1, "steps"))
-        rows = {_integer(t, "schedule row"): row
-                if isinstance(row, Row) and row.step == t and len(row.columns) == 1
-                else {_integer(x, "position"): float(p) for x, p in row.items()}
-                for t, row in self.rows.items()}
+        rows = {}
+        for t, row in self.rows.items():
+            t = _integer(t, "schedule row")
+            if not (isinstance(row, Row) and row.step == t and len(row.columns) == 1):
+                xs = [_integer(x, "position") for x in row]
+                names = (f"P({_quote(x)},{_quote(t)})" for x in xs)
+                row = dict(zip(xs, _floats(list(row.values()), names).tolist()))
+            rows[t] = row
         object.__setattr__(self, "rows", rows)
         stray = [t for t in rows if not 0 <= t <= self.steps]
         if stray:
-            raise DomainError(f"schedule has a row for step {_clip(str(min(stray)))}, "
+            raise DomainError(f"schedule has a row for step {_quote(min(stray))}, "
                               f"outside 0..{self.steps}")
         for t in range(self.steps + 1):
             row = rows.get(t)
@@ -481,7 +531,7 @@ class DistributionSchedule:
             for x in sorted(row.keys() - set(support(t))):
                 if row[x] > CONSTRUCTION_TOL:
                     raise DomainError(
-                        f"P({_clip(str(x))},{t}) = {row[x]!r} lies outside the step-{t} support"
+                        f"P({_quote(x)},{t}) = {row[x]!r} lies outside the step-{t} support"
                     )
 
     @classmethod
