@@ -61,8 +61,11 @@ def detected_event_budget(nm: NoiseModel, launches: float, step: int) -> float:
 
     Whether the per-round-trip survival already includes the tap is
     ambiguous in practice; the two knobs are exposed separately so either
-    reading can be configured.
+    reading can be configured. ``launches`` is a finite real >= 0 and
+    ``step`` an integer >= 0 that fits a float: else DomainError.
     """
+    launches = _real(launches, "launches", 0.0, rule="be finite and >= 0")
+    step = _real(_at_least(step, 0, "step"), "step")  # float ** int takes float(int)
     return launches * nm.round_trip_survival ** step * nm.outcoupling_fraction
 
 

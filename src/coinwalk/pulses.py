@@ -11,6 +11,12 @@ Both directions compute on numpy columns in (t, x) cell order and name the
 first bad event, as a per-event loop would. A schedule holds its events as
 six columns in CSV field order; ``events`` builds a PulseEvent only for the
 event it reads.
+
+The loop's geometry is fixed while the coin program changes from run to run,
+so what depends only on the geometry is built once: the default TimingModel
+and Calibration, and compile's slot table (times, sort order and tags of
+every pulse), cached for the last ``SLOT_TABLES`` (steps, timing model,
+launch offset) keys.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from numbers import Real
 from operator import attrgetter
@@ -25,11 +32,16 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError, _quote
-from .state import _FMAX, CoinProgram, _floats, _integer, _number, _real, support
+from .state import (_FMAX, CoinProgram, _array, _floats, _integer, _integers, _number, _real,
+                    support)
 
 ARM_CCW = "ccw"  # horizontal polarization, undelayed
 ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
 ARMS = (ARM_CCW, ARM_CW)  # in sort order, indexed by the cw flag
+_ARM_CODES = {ARM_CCW: 0, ARM_CW: 1}  # any other arm is code 2
+
+# Slot tables compile_schedule keeps, one per (steps, timing model, launch offset).
+SLOT_TABLES = 4
 
 # Time (ns) tolerance when matching an event to its (t, x, arm) slot.
 ALIGNMENT_TOL_NS = 0.05
@@ -91,13 +103,14 @@ class Calibration:
     def __post_init__(self):
         if len(self.anchors) < 2:
             raise DomainError("calibration needs at least two anchors")
-        anchors = np.array(self.anchors)
-        if anchors.dtype.kind not in "biuf" or not np.isfinite(anchors).all():
-            anchors = np.array([[_real(v, "anchor") for v in a] for a in self.anchors])
+        anchors = _array(self.anchors, "biuf")
+        if anchors is None or anchors.shape[1:] != (2,) or not np.isfinite(anchors).all():
+            anchors = np.array(list(map(_anchor, self.anchors)))
         phases, volts = anchors.T.astype(float)
         for name, column in (("phases", phases), ("voltages", volts)):
             if (np.diff(column) <= 0.0).any():
                 raise DomainError(f"anchor {name} must be strictly increasing")
+        phases.flags.writeable = volts.flags.writeable = False
         object.__setattr__(self, "_columns", (phases, volts))
 
     def phase_to_voltage(self, phi: float) -> float:
@@ -110,6 +123,15 @@ class Calibration:
         if not math.isfinite(v := _number(volts, "voltage")):
             raise DomainError(f"voltage {_quote(volts)} is not finite")
         return float(_clamp_phase(_piecewise(v, *reversed(self._columns))))
+
+
+def _anchor(a) -> tuple[float, float]:
+    """One (phase, voltage) anchor as two finite floats: else DomainError."""
+    try:
+        phase, volts = a
+    except (TypeError, ValueError):
+        raise DomainError(f"anchor must be a (phase, voltage) pair, got {_quote(a)}") from None
+    return _real(phase, "anchor"), _real(volts, "anchor")
 
 
 def _piecewise(x, xs: np.ndarray, ys: np.ndarray):
@@ -125,6 +147,11 @@ def _piecewise(x, xs: np.ndarray, ys: np.ndarray):
 def _clamp_phase(phi):
     """``min(max(phi, 0.0), pi)`` elementwise: -0.0 stays, as with Python's max."""
     return np.where(math.pi < phi, math.pi, np.where(phi < 0.0, 0.0, phi))
+
+
+# The models compile_schedule and decompile_schedule use when given none,
+# built once; the calibration's columns are read-only, so no caller changes them.
+_TIMING, _CALIBRATION = TimingModel(), Calibration()
 
 
 @dataclass(frozen=True)
@@ -215,7 +242,7 @@ def arrival_time(
         raise DomainError(f"({_quote(t)},{_quote(x)}) is not a valid (step, position) pair")
     if arm not in ARMS:
         raise DomainError(f"unknown arm {_quote(arm)}")
-    time = _slot(_real(t, "step"), x, tm, launch_offset_ns)
+    time = _slot(_real(t, "step"), x, tm, _number(launch_offset_ns, "launch offset"))
     if arm == ARM_CW:
         time += tm.sagnac_delay_ns
     return time
@@ -238,26 +265,20 @@ def max_steps(tm: TimingModel) -> int:
     return low
 
 
-def compile_schedule(
-    p: CoinProgram,
-    tm: TimingModel | None = None,
-    cal: Calibration | None = None,
-    launch_offset_ns: float = 0.0,
-) -> PulseSchedule:
-    """Emit one time-sorted electrical pulse per (cell, arm).
-
-    Raises CollisionError when any two pulses overlap in time, or when the
-    last pulse ends after the laser period that starts at the launch offset;
-    overlaps are reported, never silently merged.
-    """
-    launch_offset_ns = _real(launch_offset_ns, "launch offset")
-    tm, cal = tm or TimingModel(), cal or Calibration()
+@lru_cache(maxsize=SLOT_TABLES)
+def _slot_table(steps: int, tm: TimingModel, launch_offset_ns: float) -> tuple:
+    """The pulses of every ``steps``-step program on this loop, time-sorted:
+    the read-only order that sorts the ccw then cw voltages of the cells in
+    (t, x) order, then the time, width, t, x and arm columns. Raises what
+    compile_schedule raises for an overlap or an overrun; an error is not
+    cached, so it is raised on every call."""
     # Every cell in (t, x) order on its ccw arm (phi_H = theta), then on its cw arm.
-    t = np.repeat(np.arange(p.steps), np.arange(1, p.steps + 1))
+    t = np.repeat(np.arange(steps), np.arange(1, steps + 1))
     x = 2 * (np.arange(t.size) - t * (t + 1) // 2) - t
-    time = _slot(t, x, tm, launch_offset_ns)
+    # Float steps, as in arrival_time: t * tm.t_ns never wraps in int64 for an
+    # int field, so a timing model and its float twin, equal keys, agree.
+    time = _slot(t.astype(float), x, tm, launch_offset_ns)
     time = np.concatenate([time, time + tm.sagnac_delay_ns])
-    volts = _piecewise(np.concatenate([p.cells.theta, math.pi - p.cells.theta]), *cal._columns)
     t, x, arm = np.concatenate([t, t]), np.concatenate([x, x]), np.repeat([0, 1], t.size)
     order = np.lexsort((arm, x, t, time))
     time, t, x = time[order], t[order].tolist(), x[order].tolist()
@@ -275,7 +296,36 @@ def compile_schedule(
         raise CollisionError(f"pulse ({t[-1]},{x[-1]},{arm[-1]}) ends at {end:.1f} ns, after "
                              f"the laser period ends at {period_end:.1f} ns "
                              f"(max_steps {max_steps(tm)})")
-    width = [tm.pulse_width_ns] * len(time)
+    order.flags.writeable = False
+    width = (tm.pulse_width_ns,) * len(time)
+    return order, tuple(time), width, tuple(t), tuple(x), tuple(arm)
+
+
+def compile_schedule(
+    p: CoinProgram,
+    tm: TimingModel | None = None,
+    cal: Calibration | None = None,
+    launch_offset_ns: float = 0.0,
+) -> PulseSchedule:
+    """Emit one time-sorted electrical pulse per (cell, arm).
+
+    Raises CollisionError when any two pulses overlap in time, or when the
+    last pulse ends after the laser period that starts at the launch offset;
+    overlaps are reported, never silently merged.
+
+    The times, order and tags of the pulses depend only on the geometry, not
+    on the angles: they are built once per (p.steps, tm, launch offset) key
+    and kept for the last ``SLOT_TABLES`` keys (an lru_cache), so only the
+    voltages are computed per call. Equal keys give equal tables: an offset
+    of -0.0 is that of 0.0, and a timing model with int fields that of its
+    float twin. At the defaults a table holds at most 2 * 91 pulses
+    (T <= max_steps = 13); a larger T under a longer laser period is kept
+    in memory just the same, up to ``SLOT_TABLES`` tables.
+    """
+    launch_offset_ns = _real(launch_offset_ns, "launch offset")
+    tm, cal = tm or _TIMING, cal or _CALIBRATION
+    order, time, width, t, x, arm = _slot_table(p.steps, tm, launch_offset_ns)
+    volts = _piecewise(np.concatenate([p.cells.theta, math.pi - p.cells.theta]), *cal._columns)
     return PulseSchedule(events=PulseEvents(time, volts[order].tolist(), width, t, x, arm))
 
 
@@ -292,18 +342,19 @@ def decompile_schedule(
     a non-finite voltage, else AlignmentError for a repeated (cell, arm).
     Then OrphanEventError names the first (t, x) cell missing an arm.
     """
-    tm, cal = tm or TimingModel(), cal or Calibration()
+    tm, cal = tm or _TIMING, cal or _CALIBRATION
     if not ps.events:
         return []
     times, volts, _, steps, positions, arms = ps.events.columns
-    t = np.array(list(map(_integer, steps, repeat("step"))), dtype=np.int64)
-    x = np.array(list(map(_integer, positions, repeat("position"))), dtype=np.int64)
+    t, x = _integers(steps, "step"), _integers(positions, "position")
     time, volts = _floats(times, repeat("time_ns")), _floats(volts, repeat("voltage_v"))
     first = min(range(len(times)), key=times.__getitem__)
     offset = times[first] - arrival_time(steps[first], positions[first], arms[first], tm)
-    cw, ccw = (np.array(arms, dtype=object) == a for a in (ARM_CW, ARM_CCW))
-    arm = np.where(cw, 1, np.where(ccw, 0, 2))
-    expected = _slot(t, x, tm, offset) + tm.sagnac_delay_ns * cw
+    try:
+        arm = np.fromiter(map(_ARM_CODES.get, arms, repeat(2)), np.int64, len(arms))
+    except TypeError:  # an unhashable arm is no arm
+        arm = np.array([_ARM_CODES.get(a, 2) if isinstance(a, str) else 2 for a in arms])
+    expected = _slot(t, x, tm, offset) + tm.sagnac_delay_ns * (arm == 1)
     with np.errstate(invalid="ignore"):  # -inf - -inf is nan, as with Python floats
         off_slot = ~(np.abs(time - expected) <= ALIGNMENT_TOL_NS)
     bad = (np.abs(x) > t) | ((t + x) % 2 != 0) | (arm == 2) | off_slot | ~np.isfinite(volts)

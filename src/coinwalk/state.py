@@ -15,7 +15,8 @@ Tolerance policy: user-facing construction checks run at 1e-9, internal
 evolution invariants are asserted at 1e-12.
 
 Argument policy: a real is checked by ``_real``, an integer by ``_integer``,
-a column of reals by numpy in one pass; anything else is a DomainError, whose
+a column of reals or of integers by numpy in one pass, and value by value
+only where numpy reads no such column; anything else is a DomainError, whose
 message quotes each value through ``errors._quote``, clipped to 80 characters.
 """
 
@@ -37,6 +38,7 @@ from .errors import DomainError, IncompleteLayerError, NormalizationError, _clip
 CONSTRUCTION_TOL = 1e-9
 EVOLUTION_TOL = 1e-12
 _FMAX = sys.float_info.max
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 AmplitudePair = tuple[complex, complex]
 
@@ -82,12 +84,36 @@ def _number(v, name: str) -> float:
     return _real(v, name, -math.inf, math.inf, "be a real number")
 
 
+def _array(values, kinds: str) -> np.ndarray | None:
+    """``values`` read by numpy in one pass, if that gives an array of one of
+    the dtype ``kinds``; else None, as for a ragged sequence numpy rejects."""
+    try:
+        array = np.array(values)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return array if array.dtype.kind in kinds else None
+
+
 def _floats(values: Sequence, names: Iterable[str]) -> np.ndarray:
     """``values`` as floats: one numpy pass, or if numpy reads no numbers, ``_number`` on each."""
-    column = np.array(values)
-    if column.ndim != 1 or column.dtype.kind not in "biuf":
+    column = _array(values, "biuf")
+    if column is None or column.ndim != 1:
         column = np.array(list(map(_number, values, names)))
     return column.astype(float, copy=False)
+
+
+def _integers(values: Sequence, name: str) -> np.ndarray:
+    """``values`` as int64: one numpy pass, or if numpy reads no signed integers,
+    ``_integer`` on each; one outside int64 is a DomainError naming its index."""
+    column = _array(values, "bi")
+    if column is not None and column.ndim == 1:
+        return column.astype(np.int64, copy=False)
+    column = np.empty(len(values), dtype=np.int64)
+    for i, v in enumerate(values):
+        if not _INT64_MIN <= (v := _integer(v, name)) <= _INT64_MAX:
+            raise DomainError(f"{name} at index {i} must fit int64, got {_quote(v)}")
+        column[i] = v
+    return column
 
 
 def _complex(z, name: str) -> complex:
@@ -430,19 +456,24 @@ class AngleRows(Mapping):
 
 def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> list:
     """The coins of ``given`` at exactly ``keys``, in key order, each a ``kind``:
-    else IncompleteLayerError or DomainError naming the first bad key."""
+    else IncompleteLayerError or DomainError naming the first bad key, which
+    ``where`` formats from the parts of the key, each quoted by ``_quote``."""
+
+    def name(key) -> str:
+        return where(*map(_quote, key if isinstance(key, tuple) else (key,)))
+
     coins = []
     for key in keys:
         coin = given.get(key)
         if coin is None:
-            raise IncompleteLayerError(f"{owner} is missing the coin for {where(key)}")
+            raise IncompleteLayerError(f"{owner} is missing the coin for {name(key)}")
         if not isinstance(coin, kind):
-            raise DomainError(f"{owner} coin for {where(key)} is a "
+            raise DomainError(f"{owner} coin for {name(key)} is a "
                               f"{type(coin).__name__}, not a {kind.__name__}")
         coins.append(coin)
     if len(given) != len(keys):
         key = min(given.keys() - set(keys))
-        raise DomainError(f"{owner} has a coin for {_clip(where(key))}, "
+        raise DomainError(f"{owner} has a coin for {_clip(name(key))}, "
                           "outside its support")
     return coins
 
@@ -479,7 +510,7 @@ class CoinProgram:
         else:
             # A cell past the dict's length is missing, so no more keys are needed.
             keys = ((t, x) for t in range(self.steps) for x in support(t))
-            where = "cell ({0[0]},{0[1]}) at step {0[0]}, position {0[1]}".format
+            where = "cell ({0},{1}) at step {0}, position {1}".format
             coins = _coins_at(self.cells, list(islice(keys, len(self.cells) + 1)),
                               CoinOp, "program", where)
             object.__setattr__(self, "cells", AngleRows([op.theta for op in coins]))

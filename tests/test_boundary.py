@@ -16,8 +16,8 @@ from coinwalk import fileio
 from coinwalk.errors import CoinWalkError, DomainError, _quote
 from coinwalk.measure import (extract_bits, pair_density, purity_criterion, shannon_entropy,
                               similarity)
-from coinwalk.noise import (NoiseModel, bootstrap_errorbars, expected_counts, lossy_distribution,
-                            sample_counts)
+from coinwalk.noise import (NoiseModel, bootstrap_errorbars, detected_event_budget, expected_counts,
+                            lossy_distribution, sample_counts)
 from coinwalk.pulses import (ARM_CCW, Calibration, PulseSchedule, TimingModel, arrival_time,
                              compile_schedule, decompile_schedule)
 from coinwalk.state import (CoinOp, DistributionSchedule, GeneralCoinOp, WalkerState,
@@ -66,14 +66,21 @@ SITES = {
                                                     "pulse_width_ns", "rep_period_ns")},
     "Calibration.phase": lambda v: Calibration(((0.1, 0.1), (v, 0.2))),
     "Calibration.voltage": lambda v: Calibration(((0.1, 0.1), (0.2, v))),
+    "Calibration.anchor": lambda v: Calibration(((0.1, 0.1), v)),
     "phase_to_voltage": CAL.phase_to_voltage,
     "voltage_to_phase": CAL.voltage_to_phase,
     "compile_schedule.launch_offset_ns": lambda v: compile_schedule(PROGRAM, launch_offset_ns=v),
     "decompile_schedule.time_ns": decompile_with("time_ns", 0),
     "decompile_schedule.voltage_v": decompile_with("voltage_v", 2),
+    "decompile_schedule.step": decompile_with("step", 1),
+    "decompile_schedule.position": decompile_with("position", 2),
+    "decompile_schedule.arm": decompile_with("arm", 1),
     "arrival_time.t": lambda v: arrival_time(v, 0, ARM_CCW, TM),
     "arrival_time.x": lambda v: arrival_time(2, v, ARM_CCW, TM),
     "arrival_time.arm": lambda v: arrival_time(0, 0, v, TM),
+    "arrival_time.launch_offset_ns": lambda v: arrival_time(0, 0, ARM_CCW, TM, v),
+    "detected_event_budget.launches": lambda v: detected_event_budget(NoiseModel(), v, 3),
+    "detected_event_budget.step": lambda v: detected_event_budget(NoiseModel(), 1e6, v),
     "sample_counts.n": lambda v: sample_counts({0: 0.5, 2: 0.5}, v, 0),
     "sample_counts.weight": lambda v: sample_counts({0: v, 2: 0.5}, 10, 0),
     "sample_counts.key": lambda v: sample_counts({v: 0.5, 2: 0.5}, 10, 0),
@@ -139,7 +146,12 @@ LEAKS = [
     ("decompile_schedule.time_ns", "1.5"), ("decompile_schedule.time_ns", None),
     ("decompile_schedule.voltage_v", "a"), ("decompile_schedule.voltage_v", None),
     ("decompile_schedule.voltage_v", "0.2"), ("compile_schedule.launch_offset_ns", -10**5000),
-    ("CoinOp.theta", "0.5"),
+    ("CoinOp.theta", "0.5"), ("decompile_schedule.step", 2**63),
+    ("decompile_schedule.step", 2**70), ("decompile_schedule.position", -(2**63) - 1),
+    ("sample_counts.weight", [0.5]), ("decompile_schedule.time_ns", (0.5,)),
+    ("Calibration.anchor", (0.1, 0.2, 0.3)), ("arrival_time.launch_offset_ns", "a"),
+    ("detected_event_budget.launches", "a"), ("detected_event_budget.step", 10**400),
+    ("detected_event_budget.step", -5000),
 ]
 
 

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk import fileio
+from coinwalk import fileio, pulses
 from coinwalk.errors import (
     AlignmentError,
     CollisionError,
@@ -157,6 +158,23 @@ class TestCalibration:
         with pytest.raises(DomainError, match="must be finite"):
             Calibration(anchors=((0.1, 0.1), anchor))
 
+    @pytest.mark.parametrize("anchors, quoted", [
+        (((0.1, 0.2, 0.3), (1.0, 2.0)), "(0.1, 0.2, 0.3)"),  # ragged: numpy rejects it
+        (((0.1, 0.2, 0.3), (1.0, 2.0, 3.0)), "(0.1, 0.2, 0.3)"),  # numpy reads 2 x 3
+        ((0.1, 0.2), "0.1"),  # numpy reads a vector
+    ])
+    def test_rejects_an_anchor_that_is_not_a_pair(self, anchors, quoted):
+        match = rf"^anchor must be a \(phase, voltage\) pair, got {re.escape(quoted)}$"
+        with pytest.raises(DomainError, match=match):
+            Calibration(anchors)
+
+    @pytest.mark.parametrize("cal", [CAL, pulses._CALIBRATION], ids=["built", "default"])
+    def test_columns_reject_writes(self, cal):
+        for column in cal._columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        assert pulses._CALIBRATION.phase_to_voltage(math.pi / 2) == 0.263
+
 
 class TestCompile:
     def test_single_step_hadamard(self):
@@ -241,6 +259,42 @@ class TestCompile:
         a = pulse_schedule_to_text(compile_schedule(p))
         b = pulse_schedule_to_text(compile_schedule(p))
         assert a == b
+
+    def test_a_cached_table_gives_the_schedule_a_fresh_one_gives(self):
+        p = random_program(13)
+        first, moved, again = (pulse_schedule_to_text(compile_schedule(p, launch_offset_ns=offset))
+                               for offset in (0.0, 3.7, 0.0))
+        assert first == again != moved
+        pulses._slot_table.cache_clear()
+        assert pulse_schedule_to_text(compile_schedule(p)) == first
+
+    def test_another_timing_model_is_not_served_the_default_table(self):
+        p, tm = random_program(5), TimingModel(dt_ns=2.5)
+        compile_schedule(p)
+        events = compile_schedule(p, tm).events
+        assert all(e.time_ns == arrival_time(e.step, e.position, e.arm, tm) for e in events)
+        assert events != compile_schedule(p).events
+
+    @pytest.mark.parametrize("a, b", [
+        ({"launch_offset_ns": 0.0}, {"launch_offset_ns": -0.0}),
+        ({"tm": TimingModel(t_ns=73)}, {"tm": TimingModel(t_ns=73.0)}),
+    ], ids=["zero-offset", "int-t_ns"])
+    def test_equal_keys_give_the_same_schedule_in_either_order(self, a, b):
+        p = random_program(13)
+        texts = []
+        for first, second in ((a, b), (b, a)):
+            pulses._slot_table.cache_clear()
+            texts += [pulse_schedule_to_text(compile_schedule(p, **kw)) for kw in (first, second)]
+        assert len(set(texts)) == 1
+
+    def test_an_overrun_raises_on_every_call(self):
+        p = uniform_program(14)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(CollisionError) as err:
+                compile_schedule(p)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] and errors[0].endswith("(max_steps 13)")
 
     def test_launch_offset_shifts_everything(self):
         p = hadamard_program(2, circular_initial())
@@ -602,6 +656,9 @@ class TestDecompileErrorOrder:
             self.decompile(events)
         events[i] = replace(e, arm="up")
         with pytest.raises(DomainError, match="^unknown arm 'up'$"):
+            self.decompile(events)
+        events[i] = replace(e, arm=[ARM_CW])  # an unhashable arm
+        with pytest.raises(DomainError, match=r"^unknown arm \['cw'\]$"):
             self.decompile(events)
 
     @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from coinwalk.state import (
     Row,
     WalkerState,
     _check_rows,
+    _floats,
+    _integers,
     _masses,
     check_distribution,
     localized_state,
@@ -371,6 +374,14 @@ def test_message_quoting_a_huge_position_stays_short(make, match):
     assert len(message) < 200 and "9" * 40 in message and "..." in message
 
 
+def test_a_stray_cell_key_too_long_for_repr_is_quoted_by_its_bit_length():
+    cells = {**uniform_program(1).cells, (0, 10**5000): HADAMARD}
+    match = (r"^program has a coin for cell \(0,<int of 16610 bits>\) at step 0, "
+             r"position <int of 16610 bits>, outside its support$")
+    with pytest.raises(DomainError, match=match):
+        CoinProgram(steps=1, cells=cells, initial=localized_state(1, 0))
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: WalkerState(1, {1.7: (0.6, 0), -1.2: (0.8, 0)}),
      "position must be an integer, got 1.7"),
@@ -414,3 +425,28 @@ def test_integer_coordinates_of_any_integer_type_are_taken_as_ints():
     assert type(sched.steps) is int and sched.rows == {0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}}
     program = CoinProgram(np.int64(2), uniform_program(2).cells, localized_state(1, 0))
     assert type(program.steps) is int
+
+
+@pytest.mark.parametrize("values", [[0, -3, 2], [True, 2], (np.int32(4), 5), [np.uint64(7)],
+                                    [2**63 - 1, -(2**63)], []])
+def test_integers_read_a_column_as_its_values_one_by_one(values):
+    column = _integers(values, "step")
+    assert column.dtype == np.int64 and column.tolist() == [int(v) for v in values]
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 2**63], "step at index 1 must fit int64, got 9223372036854775808"),
+    ([-(2**63) - 1, 0], "step at index 0 must fit int64, got -9223372036854775809"),
+    ([0, 1.0], "step must be an integer, got 1.0"),
+    ([[3], 4], "step must be an integer, got [3]"),  # ragged: numpy rejects it
+    ([[3], [4]], "step must be an integer, got [3]"),  # numpy reads a matrix
+])
+def test_integers_name_the_first_value_that_is_no_int64(values, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _integers(values, "step")
+
+
+@pytest.mark.parametrize("values", [[0.5, [0.5]], [[0.5], [0.5]], [(0.5,)]])
+def test_floats_name_a_value_that_is_a_sequence(values):
+    with pytest.raises(DomainError, match=r"^p must be a real number, got [\[(]0\.5"):
+        _floats(values, repeat("p"))
