@@ -12,86 +12,61 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from operator import index
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DomainError, MustDisentangleError, _quote
-from .state import (CONSTRUCTION_TOL, Row, WalkerState, _at_least, _complex, _integer, _real,
-                    check_distribution, support)
+from .state import (CONSTRUCTION_TOL, Row, WalkerState, _at_least, _complex, _integer, _left_sum,
+                    _left_sums, _real, check_distribution, support)
 
 
 def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     """Bhattacharyya overlap sum_x sqrt(p_x q_x) over the union support.
 
     Equals 1 exactly when the distributions match and 0 when their
-    supports are disjoint. The terms are taken in the order of
-    set(p) | set(q) and added left to right from 0.0, so two rows, a row
-    and a dict, or two dicts give the same float on any interpreter.
+    supports are disjoint. The terms at the positions both hold (one that
+    only one side holds adds 0.0) are added in ascending x, left to right
+    from 0.0, so rows and dicts in any key order give the same float.
     """
     check_distribution(p, "p")
     check_distribution(q, "q")
-    if _dense_pair(p, q):
-        return min(_similarity_dense(p.columns[0], q.columns[0]), 1.0)
-    return float(_similarity_rows(list(p), np.array([list(p.values())], dtype=float), q)[0])
-
-
-def _dense_pair(p: Mapping, q: Mapping) -> bool:
-    """Whether p and q are rows of probabilities over every position of one step."""
-    return (isinstance(p, Row) and isinstance(q, Row) and p.step == q.step
-            and p.dense and q.dense and len(p.columns) == len(q.columns) == 1)
-
-
-def _similarity_dense(p: np.ndarray, q: np.ndarray) -> float:
-    """The sum of similarity over two rows of one step t, bit for bit.
-
-    The terms run over set(p) | set(q), that is over support(t). The
-    union's table holds more than 2t + 1 slots, so no two positions
-    collide: it lists x >= 0 ascending, then x < 0 ascending (hash(-1) is
-    -2, still the last slot). Its terms are added left to right from 0.0.
-    """
-    terms = np.sqrt(np.maximum(p, 0.0) * np.maximum(q, 0.0))
-    h = len(terms) // 2  # the index of x = 0, or of x = 1 at odd t
-    return float(np.cumsum(np.concatenate(([0.0], terms[h:], terms[:h])))[-1])
+    if (isinstance(p, Row) and isinstance(q, Row) and p.step == q.step
+            and p.dense and q.dense and len(p.columns) == len(q.columns) == 1):
+        pv, qv = p.columns[0], q.columns[0]  # one column per support position
+    else:
+        xs = sorted(p.keys() & q.keys(), key=index)
+        pv, qv = np.array([[p[x] for x in xs], [q[x] for x in xs]], dtype=float)
+    return float(_similarity_rows(pv[None], qv)[0])
 
 
 def shannon_entropy(p: Mapping[int, float]) -> float:
-    """Entropy -sum p log2 p in bits, with 0 log 0 = 0."""
+    """Entropy -sum p log2 p in bits, with 0 log 0 = 0: the terms added in
+    ascending x, left to right from 0.0, whatever the map's order."""
     check_distribution(p, "p")
-    total = 0.0
-    for v in p.values():
-        if v > 0.0:
-            total += v * math.log2(v)
-    return -total
+    if isinstance(p, Row) and len(p.columns) == 1:
+        values = p.columns[0][p.index()].tolist()
+    else:
+        values = [float(p[x]) for x in sorted(p, key=index)]
+    return -_left_sum([v * math.log2(v) for v in values if v > 0.0])
 
 
-def _similarity_rows(xs: list[int], rows: np.ndarray, q: Mapping[int, float]) -> np.ndarray:
-    """similarity(dict(zip(xs, row)), q) for every row of a matrix whose
-    columns are the positions ``xs``, bit for bit, without the checks.
-
-    The terms (IEEE sqrt, like math.sqrt) are gathered in the order of
-    set(p) | set(q), with p a dict keyed by xs, which is the same for every
-    row, after a first term 0.0; one cumsum adds them left to right. A
-    position outside xs reads zeros and adds sqrt(0 q) = +0.0, which
-    leaves every sum as it is.
-    """
-    columns = np.concatenate((np.zeros((1, len(rows))), rows.T))  # row j + 1: column j
-    col = dict(zip(xs, range(1, len(xs) + 1)))
-    union = list(set(col) | set(q))
-    p = columns[[0, *map(col.get, union, repeat(0))]]
-    qv = np.array([0.0, *map(q.get, union, repeat(0.0))], dtype=float)[:, None]
-    return np.minimum(np.cumsum(np.sqrt(np.maximum(p, 0.0) * np.maximum(qv, 0.0)), axis=0)[-1], 1.0)
+def _similarity_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """similarity of every row of a matrix against ``q``, whose columns are
+    the same positions in ascending x, bit for bit, without the checks:
+    IEEE sqrt terms, as math.sqrt gives, added by ``_left_sums``."""
+    return np.minimum(_left_sums(np.sqrt(np.maximum(rows, 0.0) * np.maximum(q, 0.0))), 1.0)
 
 
 def _entropy_rows(rows: np.ndarray) -> np.ndarray:
-    """shannon_entropy of every row of a matrix, bit for bit, without the
-    checks: math.log2 terms (np.log2 may differ in the last bit), after a
-    first term 0.0, added left to right by one cumsum. A term at v <= 0 is
-    v * 0.0, a zero that leaves every sum as it is."""
-    values, index = np.unique(rows, return_inverse=True)
+    """shannon_entropy of every row of a matrix whose columns are in
+    ascending x, bit for bit, without the checks: math.log2 terms (np.log2
+    may differ in the last bit) added by ``_left_sums``. A term at v <= 0
+    is v * 0.0, a zero that leaves every sum as it is."""
+    values, inverse = np.unique(rows, return_inverse=True)
     logs = np.array([math.log2(v) if v > 0.0 else 0.0 for v in values.tolist()])
-    terms = (rows * logs[index].reshape(rows.shape)).T
-    return -np.cumsum(np.concatenate((np.zeros((1, len(rows))), terms)), axis=0)[-1]
+    return -_left_sums(rows * logs[inverse].reshape(rows.shape))
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from numbers import Integral
-from operator import add
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, _quote
 from .measure import _entropy_rows, _similarity_rows
-from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _floats, _integer, _masses,
-                    _real, check_distribution, norm, support)
+from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _floats, _integer, _left_sum,
+                    _masses, _real, check_distribution, norm, support)
 from .walk import _rows
 
 
@@ -79,7 +77,7 @@ def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dic
         raise DomainError("initial state has zero norm")
     a, b = _rows(p, step, math.sqrt(1.0 - loss))
     raw = _masses(a[-step - 1:], b[-step - 1:]).tolist()  # the last row
-    total = reduce(add, raw, 0.0)  # left to right from 0.0, on every CPython
+    total = _left_sum(raw)
     if total == 0.0:
         raise DomainError(
             f"no amplitude survives {step} steps at right_move_loss {_quote(right_move_loss)}"
@@ -136,11 +134,11 @@ def bootstrap_errorbars(
 
     ``counts`` must be finite whole numbers >= 0 with 1 to 2**63 - 1 events,
     ``resamples`` an integer >= 100 and ``seed`` an integer >= 0. The resamples are drawn as one
-    (resamples, positions) matrix, checked as distributions in one pass,
-    and every row's entropy and similarity is evaluated on the matrix at
-    once. Each value equals, bit for bit, shannon_entropy and similarity
-    applied to that row as a dict; ``theory`` is checked once, as
-    similarity's q.
+    (resamples, positions) matrix, columns in ascending x, checked as
+    distributions in one pass, and every row's entropy and similarity is
+    evaluated on the matrix at once. Each value equals, bit for bit,
+    shannon_entropy and similarity applied to that row as a map in any
+    order; ``theory`` is checked once, as similarity's q.
     """
     if not (isinstance(resamples, Integral) and 100 <= resamples < 2**63):
         raise DomainError(f"resamples must be an integer in [100, 2**63), got {_quote(resamples)}")
@@ -152,7 +150,7 @@ def bootstrap_errorbars(
         x = xs[int(np.argmax(bad))]
         raise DomainError(f"count at x = {_quote(x)} is {_quote(counts[x])}, "
                           "not a finite whole number >= 0")
-    n = int(sum(counts.values()))
+    n = sum(int(counts[x]) for x in xs)  # exact, in any key order
     if n < 1:
         raise DomainError("counts must contain at least one event")
     _require_event_total(n, "the event total")
@@ -163,7 +161,8 @@ def bootstrap_errorbars(
     sigma_f = None
     if theory is not None:
         check_distribution(theory, "q")
-        sigma_f = float(_similarity_rows(xs, draws, theory).std())
+        q = np.array([theory.get(x, 0.0) for x in xs], dtype=float)  # aligned on the columns
+        sigma_f = float(_similarity_rows(draws, q).std())
     return BootstrapResult(
         sigma_p=sigma_p,
         sigma_entropy=float(_entropy_rows(draws).std()),

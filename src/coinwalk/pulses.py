@@ -275,8 +275,8 @@ def _slot_table(steps: int, tm: TimingModel, launch_offset_ns: float) -> tuple:
     # Every cell in (t, x) order on its ccw arm (phi_H = theta), then on its cw arm.
     t = np.repeat(np.arange(steps), np.arange(1, steps + 1))
     x = 2 * (np.arange(t.size) - t * (t + 1) // 2) - t
-    # Float steps, as in arrival_time: t * tm.t_ns never wraps in int64 for an
-    # int field, so a timing model and its float twin, equal keys, agree.
+    # Float steps, as in arrival_time and decompile_schedule: t * tm.t_ns never
+    # wraps in int64 for an int field, so a model and its float twin agree.
     time = _slot(t.astype(float), x, tm, launch_offset_ns)
     time = np.concatenate([time, time + tm.sagnac_delay_ns])
     t, x, arm = np.concatenate([t, t]), np.concatenate([x, x]), np.repeat([0, 1], t.size)
@@ -354,7 +354,7 @@ def decompile_schedule(
         arm = np.fromiter(map(_ARM_CODES.get, arms, repeat(2)), np.int64, len(arms))
     except TypeError:  # an unhashable arm is no arm
         arm = np.array([_ARM_CODES.get(a, 2) if isinstance(a, str) else 2 for a in arms])
-    expected = _slot(t, x, tm, offset) + tm.sagnac_delay_ns * (arm == 1)
+    expected = _slot(t.astype(float), x, tm, offset) + tm.sagnac_delay_ns * (arm == 1)
     with np.errstate(invalid="ignore"):  # -inf - -inf is nan, as with Python floats
         off_slot = ~(np.abs(time - expected) <= ALIGNMENT_TOL_NS)
     bad = (np.abs(x) > t) | ((t + x) % 2 != 0) | (arm == 2) | off_slot | ~np.isfinite(volts)

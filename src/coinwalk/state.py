@@ -28,8 +28,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import reduce
 from itertools import islice
-from numbers import Complex, Real
-from operator import add, index
+from numbers import Complex, Integral, Real
+from operator import add, index, itemgetter
 
 import numpy as np
 
@@ -125,36 +125,49 @@ def _complex(z, name: str) -> complex:
     raise DomainError(f"{name} must be a complex number, got {_quote(z)}")
 
 
+def _left_sum(values: list) -> float:
+    """The values added left to right from 0.0 (builtin sum compensates from Python 3.12)."""
+    return reduce(add, values, 0.0)
+
+
+def _left_sums(rows: np.ndarray) -> np.ndarray:
+    """_left_sum of each row of a matrix, bit for bit: one cumsum (add.accumulate) after
+    a leading zero column. A sum that overflows is inf, as with Python's +, with no warning."""
+    with np.errstate(over="ignore"):
+        padded = np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
+        return np.add.accumulate(padded, axis=1)[:, -1]
+
+
 def check_distribution(p: Mapping[int, float], name: str) -> None:
     """Require a probability row: every entry finite and >= -1e-9
     (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
 
     A row that ``row_stack`` accepted when it built the stack returns at
     once, any other float ``Row`` with keys is checked on its column, and
-    any other map entry by entry, its keys integers and its values reals."""
+    any other map entry by entry in ascending x, whatever its order, its keys
+    integers and its values reals: the smallest bad x is named."""
     if isinstance(p, Row) and len(p.columns) == 1 and p.xs:
         if not p._checked:
             _check_rows(p.xs, p.columns[0][p.index()][None], name)
         return
-    total = 0.0
-    for x, v in p.items():
-        x = _integer(x, "position")
+    values = []
+    for x, v in sorted(((_integer(x, "position"), v) for x, v in p.items()), key=itemgetter(0)):
         if type(v) is not float:
             v = _number(v, f"{name} at x = {_quote(x)}")
         if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
             raise DomainError(f"{name} at x = {_quote(x)} is {v!r}, not a probability")
-        total += v
+        values.append(v)
+    total = _left_sum(values)
     if abs(total - 1.0) > CONSTRUCTION_TOL:
         raise NormalizationError(f"{name} sums to {total!r}, expected 1 within {CONSTRUCTION_TOL}")
 
 
 def _passing(rows: np.ndarray) -> np.ndarray:
-    """Whether check_distribution accepts each row of a matrix. Zeros after
-    a row's entries change neither the entry test nor the left-to-right sum."""
+    """Whether check_distribution accepts each row of a matrix, columns in ascending
+    x. Zeros after a row's entries change neither the entry test nor the sum."""
     bad = ~np.isfinite(rows) | (rows < -CONSTRUCTION_TOL)
-    # cumsum adds each row left to right, as check_distribution does. A bad
-    # entry fails its row anyway, so it is added as 0.0: inf + -inf would warn.
-    totals = np.cumsum(np.where(bad, 0.0, rows), axis=1)[:, -1]
+    # A bad entry fails its row anyway, so it is added as 0.0: inf + -inf would warn.
+    totals = _left_sums(np.where(bad, 0.0, rows))
     return ~bad.any(axis=1) & (abs(totals - 1.0) <= CONSTRUCTION_TOL)
 
 
@@ -362,8 +375,8 @@ def localized_state(coin_amp0: complex, coin_amp1: complex) -> WalkerState:
 
 def norm(s: WalkerState) -> float:
     """Total probability carried by the state (1 for any valid state): the
-    masses added left to right from 0.0, on every CPython."""
-    return reduce(add, _masses(*s.rows).tolist(), 0.0)
+    masses added by ``_left_sum`` in ascending x."""
+    return _left_sum(_masses(*s.rows).tolist())
 
 
 def position_distribution(s: WalkerState) -> Row:
@@ -457,10 +470,19 @@ class AngleRows(Mapping):
 def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> list:
     """The coins of ``given`` at exactly ``keys``, in key order, each a ``kind``:
     else IncompleteLayerError or DomainError naming the first bad key, which
-    ``where`` formats from the parts of the key, each quoted by ``_quote``."""
+    ``where`` formats from the parts of the key, each quoted by ``_quote``. A
+    stray key is named as the smallest one shaped like ``keys`` (integer parts,
+    as many), or else as the first in ``given``'s order, quoted whole."""
+
+    def parts(key) -> tuple:
+        return key if isinstance(key, tuple) else (key,)
+
+    def shaped(key) -> bool:
+        return (len(parts(key)) == len(parts(keys[0]))
+                and all(isinstance(v, Integral) for v in parts(key)))
 
     def name(key) -> str:
-        return where(*map(_quote, key if isinstance(key, tuple) else (key,)))
+        return where(*map(_quote, parts(key))) if shaped(key) else _quote(key)
 
     coins = []
     for key in keys:
@@ -472,7 +494,9 @@ def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> 
                               f"{type(coin).__name__}, not a {kind.__name__}")
         coins.append(coin)
     if len(given) != len(keys):
-        key = min(given.keys() - set(keys))
+        expected = set(keys)
+        strays = [key for key in given if key not in expected]
+        key = min(filter(shaped, strays), default=strays[0])
         raise DomainError(f"{owner} has a coin for {_clip(name(key))}, "
                           "outside its support")
     return coins

@@ -4,9 +4,9 @@ Evolves the walk by evaluating the amplitude recursion directly on dense
 arrays indexed by (x + t) / 2, with no shared code with the package's
 kernel. Also holds the closed-form Gaussian and uniform coins, an
 exact-arithmetic amplitude plan, and the scalar per-entry formulas of a
-position distribution and of the similarity, so synthesis and the
-package's dense rows are checked against references that share none of
-its code.
+position distribution, of the similarity and of the entropy, so
+synthesis and the package's dense rows are checked against references
+that share none of its code.
 """
 
 import math
@@ -56,11 +56,22 @@ def position_distribution(amps):
 
 def similarity(p, q):
     """The scalar Bhattacharyya overlap of two dicts: the terms over
-    set(p) | set(q), in that set's order, added left to right from 0.0."""
+    set(p) | set(q) in ascending x, added left to right from 0.0."""
     f = 0.0
-    for x in set(p) | set(q):
+    for x in sorted(set(p) | set(q)):
         f += math.sqrt(max(p.get(x, 0.0), 0.0) * max(q.get(x, 0.0), 0.0))
     return min(f, 1.0)
+
+
+def shannon_entropy(p):
+    """The scalar entropy -sum p log2 p in bits of a dict, with 0 log 0 = 0:
+    the terms in ascending x, added left to right from 0.0."""
+    h = 0.0
+    for x in sorted(p):
+        v = float(p[x])
+        if v > 0.0:
+            h += v * math.log2(v)
+    return -h
 
 
 def gaussian_closed_form(t, x):

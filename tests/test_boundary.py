@@ -20,8 +20,8 @@ from coinwalk.noise import (NoiseModel, bootstrap_errorbars, detected_event_budg
                             lossy_distribution, sample_counts)
 from coinwalk.pulses import (ARM_CCW, Calibration, PulseSchedule, TimingModel, arrival_time,
                              compile_schedule, decompile_schedule)
-from coinwalk.state import (CoinOp, DistributionSchedule, GeneralCoinOp, WalkerState,
-                            localized_state)
+from coinwalk.state import (HADAMARD, CoinOp, CoinProgram, DistributionSchedule, GeneralCoinOp,
+                            WalkerState, localized_state)
 from coinwalk.synth import uniform_program
 from coinwalk.walk import circular_initial, hadamard_program
 
@@ -203,4 +203,35 @@ def test_real_arguments_of_any_numeric_type_give_the_same_result():
     assert (sample_counts({0: 1, 2: np.float32(1.0)}, 10, 3)
             == sample_counts({0: 0.5, 2: 0.5}, 10, 3))
     assert similarity({np.int64(0): 1}, {0: 1.0}) == 1.0
+    f32 = {0: np.float32(0.25), 2: np.float32(0.75)}
+    assert repr(shannon_entropy(f32)) == repr(shannon_entropy({0: 0.25, 2: 0.75}))
     assert lossy_distribution(PROGRAM, 3, np.float32(0.0)) == lossy_distribution(PROGRAM, 3, 0)
+
+
+@pytest.mark.parametrize("strays, named", [
+    ({"x": HADAMARD}, "'x'"),
+    ({(0,): HADAMARD}, "(0,)"),
+    ({(0, 5): HADAMARD, "x": HADAMARD}, "cell (0,5) at step 0, position 5"),
+    ({"x": HADAMARD, (0,): HADAMARD}, "'x'"),
+    ({(0,): HADAMARD, "x": HADAMARD}, "(0,)"),
+    ({"y" * 1000: HADAMARD}, "'" + "y" * 79 + "..."),
+], ids=["str", "one-tuple", "pair-and-str", "str-first", "one-tuple-first", "long-str"])
+def test_a_stray_cell_key_that_is_no_pair_is_named_whole(strays, named):
+    # The smallest stray integer pair is named, or else the first stray in the dict's order.
+    with pytest.raises(DomainError) as info:
+        CoinProgram(steps=1, cells={(0, 0): HADAMARD, **strays}, initial=localized_state(1, 0))
+    message = str(info.value)
+    assert message == f"program has a coin for {named}, outside its support"
+    assert len(message.encode()) < 300
+
+
+def test_a_stray_final_coin_key_that_is_no_position_is_named_whole():
+    coin = GeneralCoinOp(1.0, 0.0, 0.0, -1.0)
+    final = {-1: coin, 1: coin, (0, 1): coin, 3: coin}
+    with pytest.raises(DomainError, match=r"^final layer has a coin for position 3, outside"):
+        CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=localized_state(1, 0),
+                    final_layer=final)
+    del final[3]
+    with pytest.raises(DomainError, match=r"^final layer has a coin for \(0, 1\), outside"):
+        CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=localized_state(1, 0),
+                    final_layer=final)

@@ -322,6 +322,12 @@ class TestBootstrap:
                                               r"in \[0, 2\*\*63\), got 9223372036854775808$"):
             bootstrap_errorbars({0: 2**62, 2: 2**62}, 100, seed=0)
 
+    def test_event_total_is_exact_in_any_key_order(self):
+        # Added as floats, 2**53 + 1.0 + 1.0 is 2**53 and 1.0 + 1.0 + 2**53 is 2**53 + 2.
+        counts = [(0, 2.0**53), (2, 1.0), (4, 1.0)]
+        results = [bootstrap_errorbars(dict(c), 100, seed=0) for c in (counts, counts[::-1])]
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("program", [
         uniform_program(3), uniform_program(20), uniform_program(120),
         gaussian_program(11), hadamard_program(17, circular_initial()),
@@ -340,11 +346,11 @@ class TestBootstrap:
             phat = np.array([c[x] for x in xs], dtype=float) / n
             draws = np.random.default_rng(seed + 1).multinomial(n, phat, size=150) / n
             rows = [dict(zip(xs, row)) for row in draws]
-            # The reference similarity is the loop in oracle, which shares no code with measure.
+            # The reference measures are the loops in oracle, which share no code with measure.
             sims = None if theory is None else [oracle.similarity(r, theory) for r in rows]
             ref = BootstrapResult(
                 sigma_p={x: float(s) for x, s in zip(xs, draws.std(axis=0))},
-                sigma_entropy=float(np.array([measure.shannon_entropy(r) for r in rows]).std()),
+                sigma_entropy=float(np.array([oracle.shannon_entropy(r) for r in rows]).std()),
                 sigma_similarity=None if sims is None else float(np.array(sims).std()),
             )
             assert got == ref

@@ -329,6 +329,14 @@ class TestDecompile:
         grid = coin_to_phases(prog)
         assert [(c.t, c.x) for c in cells] == [(c.t, c.x) for c in grid]
 
+    def test_an_int_timing_field_decompiles_as_its_float_twin(self):
+        # Slots are computed on float steps: in int64, 2 * 2**62 wraps.
+        prog = uniform_program(3)
+        tm, twin = (TimingModel(t_ns=t_ns, rep_period_ns=1e300) for t_ns in (2**62, 2.0**62))
+        cells = decompile_schedule(compile_schedule(prog, tm), tm)
+        assert len(cells) == 6
+        assert cells == decompile_schedule(compile_schedule(prog, twin), twin)
+
     def test_orphan_event(self):
         sched = compile_schedule(hadamard_program(1, circular_initial()))
         broken = PulseSchedule(events=sched.events[:1])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracle
 from coinwalk import fileio, measure, noise, state, synth, walk
-from coinwalk.errors import DomainError
+from coinwalk.errors import DomainError, NormalizationError
 from coinwalk.state import (
     CoinOp,
     DistributionSchedule,
@@ -98,14 +98,6 @@ def test_row_schedule_writes_the_program_of_its_dicts(name):
             == fileio.program_to_text(synth.schedule_program(as_dicts(sched))))
 
 
-def test_union_of_two_support_sets_lists_nonnegative_then_negative_positions():
-    # The order the dense similarity adds its terms in.
-    for t in range(1101):
-        keys = dict.fromkeys(support(t))
-        xs = list(support(t))
-        assert list(set(keys) | set(keys)) == xs[(t + 1) // 2:] + xs[:(t + 1) // 2]
-
-
 def test_row_schedule_is_checked_once(monkeypatch):
     calls = []
     passing = state._passing
@@ -132,6 +124,12 @@ def test_stack_with_opposite_infinities_fails_without_a_warning():
     check_distribution(rows[0], "row 0")
     with pytest.raises(DomainError, match="row 1 at x = -1 is inf, not a probability"):
         check_distribution(rows[1], "row 1")
+
+
+def test_stack_whose_row_sum_overflows_fails_without_a_warning():
+    # Warnings are errors here: the stack's sum of two finite entries overflows to inf.
+    with pytest.raises(NormalizationError, match=r"^row 1 sums to inf, expected 1 within"):
+        DistributionSchedule.from_rows([1.0, 1e308, 1e308])
 
 
 def outcome(f, *args):
@@ -303,3 +301,46 @@ def test_a_stack_copies_the_callers_array():
     v[0] = 2.0
     assert v.tolist() == [2.0, 0.5, 0.5]
     assert sched.rows == {0: {0: 1.0}, 1: {-1: 0.5, 1: 0.5}}
+
+
+@st.composite
+def distribution_values(draw, t):
+    """t+1 probabilities at x = -t..t, some of them zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(t + 1) * (rng.random(t + 1) < draw(st.sampled_from([0.5, 1.0])))
+    assume(w.any())
+    return (w / w.sum()).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda t: st.tuples(
+    distribution_values(t), distribution_values(t), st.permutations(list(support(t))),
+    st.permutations(list(support(t))), st.integers(0, 4), st.integers(0, 2**32 - 1))))
+def test_a_row_a_shuffled_dict_and_a_draw_matrix_row_measure_alike(case):
+    # Every sum runs in ascending x, so neither the map's order nor the path matters.
+    values, partner, order, partner_order, i, seed = case
+    t = len(values) - 1
+    p, q = Row(t, (np.array(values),)), Row(t, (np.array(partner),))
+    shuffled_p = {x: p[x] for x in order}
+    shuffled_q = {x: q[x] for x in partner_order}
+    matrix = np.random.default_rng(seed).dirichlet(np.ones(t + 1), size=5)
+    matrix[i] = values
+    expected_f = repr(oracle.similarity(shuffled_p, shuffled_q))
+    expected_h = repr(oracle.shannon_entropy(shuffled_p))
+    for a, b in ((p, q), (shuffled_p, shuffled_q), (p, shuffled_q), (shuffled_p, q)):
+        assert repr(measure.similarity(a, b)) == expected_f
+    assert repr(float(measure._similarity_rows(matrix, np.array(partner))[i])) == expected_f
+    assert repr(measure.shannon_entropy(p)) == expected_h
+    assert repr(measure.shannon_entropy(shuffled_p)) == expected_h
+    assert repr(float(measure._entropy_rows(matrix)[i])) == expected_h
+
+
+def test_the_t40_binomial_row_has_one_entropy_in_every_key_order():
+    row = synth.binomial_schedule(40).rows[40]
+    rng = np.random.default_rng(40)
+    xs = list(row)
+    expected = repr(oracle.shannon_entropy(dict(row)))
+    assert repr(measure.shannon_entropy(row)) == expected
+    for _ in range(200):
+        rng.shuffle(xs)
+        assert repr(measure.shannon_entropy({x: row[x] for x in xs})) == expected

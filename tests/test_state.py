@@ -65,6 +65,13 @@ class TestCheckRows:
     def test_accepts_rows_within_tolerance(self):
         _check_rows([0, 2], np.array([[1.0, 0.0], [0.5 + 5e-10, 0.5], [1.0, -5e-10]]), "p")
 
+    @pytest.mark.parametrize("entries", [
+        [(4, math.nan), (-2, -0.5), (0, 1.0)], [(0, 1.0), (-2, -0.5), (4, math.nan)],
+    ], ids=["larger-first", "smaller-first"])
+    def test_a_dict_names_its_smallest_bad_position_in_either_order(self, entries):
+        with pytest.raises(DomainError, match=r"^p at x = -2 is -0\.5, not a probability$"):
+            check_distribution(dict(entries), "p")
+
 
 class TestLocalizedState:
     def test_basis_zero(self):
