@@ -45,10 +45,7 @@ def shannon_entropy(p: Mapping[int, float]) -> float:
     """Entropy -sum p log2 p in bits, with 0 log 0 = 0: the terms added in
     ascending x, left to right from 0.0, whatever the map's order."""
     check_distribution(p, "p")
-    if isinstance(p, Row) and len(p.columns) == 1:
-        values = p.columns[0][p.index()].tolist()
-    else:
-        values = [float(p[x]) for x in sorted(p, key=index)]
+    values = [float(p[x]) for x in sorted(p, key=index)]
     return -_left_sum([v * math.log2(v) for v in values if v > 0.0])
 
 

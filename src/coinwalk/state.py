@@ -131,11 +131,10 @@ def _left_sum(values: list) -> float:
 
 
 def _left_sums(rows: np.ndarray) -> np.ndarray:
-    """_left_sum of each row of a matrix, bit for bit: one cumsum (add.accumulate) after
-    a leading zero column. A sum that overflows is inf, as with Python's +, with no warning."""
-    with np.errstate(over="ignore"):
-        padded = np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
-        return np.add.accumulate(padded, axis=1)[:, -1]
+    """_left_sum of each row of a matrix, bit for bit: one cumsum (add.accumulate)
+    after a leading zero column."""
+    padded = np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
+    return np.add.accumulate(padded, axis=1)[:, -1]
 
 
 def check_distribution(p: Mapping[int, float], name: str) -> None:
@@ -167,7 +166,9 @@ def _passing(rows: np.ndarray) -> np.ndarray:
     x. Zeros after a row's entries change neither the entry test nor the sum."""
     bad = ~np.isfinite(rows) | (rows < -CONSTRUCTION_TOL)
     # A bad entry fails its row anyway, so it is added as 0.0: inf + -inf would warn.
-    totals = _left_sums(np.where(bad, 0.0, rows))
+    # Finite entries can still overflow: that total is inf, as with Python's +.
+    with np.errstate(over="ignore"):
+        totals = _left_sums(np.where(bad, 0.0, rows))
     return ~bad.any(axis=1) & (abs(totals - 1.0) <= CONSTRUCTION_TOL)
 
 
@@ -471,14 +472,16 @@ def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> 
     """The coins of ``given`` at exactly ``keys``, in key order, each a ``kind``:
     else IncompleteLayerError or DomainError naming the first bad key, which
     ``where`` formats from the parts of the key, each quoted by ``_quote``. A
-    stray key is named as the smallest one shaped like ``keys`` (integer parts,
-    as many), or else as the first in ``given``'s order, quoted whole."""
+    stray key is named as the smallest one shaped like ``keys`` (a tuple exactly
+    when they are, with as many integer parts), or else as the first in
+    ``given``'s order, quoted whole."""
 
     def parts(key) -> tuple:
         return key if isinstance(key, tuple) else (key,)
 
     def shaped(key) -> bool:
-        return (len(parts(key)) == len(parts(keys[0]))
+        return (isinstance(key, tuple) == isinstance(keys[0], tuple)
+                and len(parts(key)) == len(parts(keys[0]))
                 and all(isinstance(v, Integral) for v in parts(key)))
 
     def name(key) -> str:

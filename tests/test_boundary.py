@@ -235,3 +235,10 @@ def test_a_stray_final_coin_key_that_is_no_position_is_named_whole():
     with pytest.raises(DomainError, match=r"^final layer has a coin for \(0, 1\), outside"):
         CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=localized_state(1, 0),
                     final_layer=final)
+    # A 1-tuple is no position either, alone or beside an int stray.
+    for final in ({-1: coin, 1: coin, (5,): coin},
+                  {-1: coin, 1: coin, (5,): coin, 3: coin}):
+        with pytest.raises(DomainError, match=r"^final layer has a coin for "
+                           + (r"position 3," if 3 in final else r"\(5,\),") + " outside"):
+            CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=localized_state(1, 0),
+                        final_layer=final)
