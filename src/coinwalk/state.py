@@ -142,12 +142,10 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
     (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
 
     A row that ``row_stack`` accepted when it built the stack returns at
-    once, any other float ``Row`` with keys is checked on its column, and
-    any other map entry by entry in ascending x, whatever its order, its keys
-    integers and its values reals: the smallest bad x is named."""
-    if isinstance(p, Row) and len(p.columns) == 1 and p.xs:
-        if not p._checked:
-            _check_rows(p.xs, p.columns[0][p.index()][None], name)
+    once; any other map, a ``Row`` too, is checked entry by entry in
+    ascending x, whatever its order, its keys integers and its values reals:
+    the smallest bad x is named."""
+    if isinstance(p, Row) and p._checked:
         return
     values = []
     for x, v in sorted(((_integer(x, "position"), v) for x, v in p.items()), key=itemgetter(0)):

@@ -28,6 +28,7 @@ from .state import (
     localized_state,
     position_distribution,
     row_stack,
+    support,
 )
 
 
@@ -106,16 +107,18 @@ def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0) -> tuple[np.nd
 def run_program(p: CoinProgram) -> list[StepReport]:
     """Run a program from its initial state, reporting every step.
 
-    Returns steps+1 reports including t = 0. When the program carries a
-    final disentangling layer, it is applied (coin only, no shift) before
-    the last report, so the last state has every pair of the form (r, 0).
-    The states and distributions of steps 1..steps are views of one array
-    of the run, and the masses of all steps are taken in one pass.
+    Returns steps+1 reports including t = 0. A final disentangling layer
+    is applied (coin only, no shift) to the last row, so the last state has
+    every pair of the form (r, 0). Steps 1..steps are views of one array of
+    the run, their masses taken in one pass. An amplitude that overflows
+    raises DomainError naming the first non-finite one in step order.
     """
-    a, b = _rows(p, p.steps)
-    if p.final_layer is not None:
-        last = WalkerState.from_rows(p.steps, a[-p.steps - 1:], b[-p.steps - 1:])
-        a[-p.steps - 1:], b[-p.steps - 1:] = apply_coin_layer(last, p.final_layer).rows
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        a, b = _rows(p, p.steps)
+        if p.final_layer is not None:
+            m00, m01, m10, m11 = np.array([_entries(p.final_layer[x]) for x in support(p.steps)]).T
+            x, y = a[-p.steps - 1:], b[-p.steps - 1:]
+            x[:], y[:] = m00 * x + m01 * y, m10 * x + m11 * y
     a.flags.writeable = b.flags.writeable = False
     starts = [t * (t + 1) // 2 for t in range(p.steps + 2)]
     rows = [(a[i:j], b[i:j]) for i, j in zip(starts, starts[1:])]

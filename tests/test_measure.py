@@ -13,9 +13,8 @@ from coinwalk.measure import (
     shannon_entropy,
     similarity,
 )
-from coinwalk.noise import NoiseModel, perturb_program
 from coinwalk.state import WalkerState
-from coinwalk.synth import gaussian_program, schedule_program, uniform_program, uniform_schedule
+from coinwalk.synth import gaussian_program, uniform_program
 from coinwalk.walk import circular_initial, hadamard_program, run_program
 
 
@@ -50,18 +49,6 @@ class TestSimilarity:
     def test_entry_that_is_not_a_probability_rejected(self, bad):
         with pytest.raises(DomainError, match="q at x = 1"):
             similarity({-1: 1.0}, {-1: 1.0, 1: bad})
-
-
-    def test_dicts_and_rows_score_alike_under_a_compensated_sum(self, monkeypatch):
-        # From CPython 3.12 builtin sum compensates; fsum stands in for it here.
-        # A dict and a row of the same distribution must give the same float.
-        monkeypatch.setattr(measure, "sum", math.fsum, raising=False)
-        sched = uniform_schedule(60)
-        jitter = NoiseModel(coin_angle_jitter_rad=0.05, seed=7)
-        for r in run_program(perturb_program(schedule_program(sched), jitter)):
-            p, q = r.distribution, sched.rows[r.step]
-            assert similarity(dict(p), dict(q)) == similarity(p, q)
-            assert similarity(dict(p), q) == similarity(p, dict(q)) == similarity(p, q)
 
 
 class TestShannonEntropy:

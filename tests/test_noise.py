@@ -1,12 +1,14 @@
 import math
 import re
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
 import oracle
-from coinwalk import measure, noise, state
+from coinwalk import measure, noise
 from coinwalk.errors import DomainError, NormalizationError
 from coinwalk.measure import similarity
 from coinwalk.noise import (
@@ -21,7 +23,7 @@ from coinwalk.noise import (
 )
 from coinwalk.state import CoinOp, CoinProgram, WalkerState, localized_state, norm
 from coinwalk.synth import gaussian_program, uniform_program
-from coinwalk.walk import circular_initial, hadamard_program, run_program
+from coinwalk.walk import _rows, circular_initial, hadamard_program, run_program
 
 
 class TestNoiseModel:
@@ -169,21 +171,25 @@ class TestExpectedCounts:
         with pytest.raises(DomainError, match="masses at step 3 sum to inf"):
             expected_counts(prog, NoiseModel(), 3, 1000)
 
-    def test_counts_and_norms_are_alike_under_a_compensated_sum(self, monkeypatch):
-        # From CPython 3.12 builtin sum compensates; fsum stands in for it here.
-        # The masses must be added left to right from 0.0 on every interpreter.
+    def test_counts_and_norms_add_masses_left_to_right(self):
+        # From CPython 3.12 builtin sum compensates, as math.fsum does; every
+        # total must add the masses left to right from 0.0, in ascending x.
         programs = [uniform_program(60), gaussian_program(40),
                     hadamard_program(60, circular_initial())]
-
-        def results():
-            return [repr([expected_counts(p, NoiseModel(right_move_loss=loss), p.steps, 10**6)
-                          for loss in (0.0, 0.05, 0.3)]
-                         + [norm(r.state) for r in run_program(p)]) for p in programs]
-
-        plain = results()
-        monkeypatch.setattr(state, "sum", math.fsum, raising=False)
-        monkeypatch.setattr(noise, "sum", math.fsum, raising=False)
-        assert results() == plain
+        compensated = 0
+        for p in programs:
+            for r in run_program(p):
+                masses = [abs(a) ** 2 + abs(b) ** 2 for a, b in r.state.amplitudes.values()]
+                assert norm(r.state) == reduce(add, masses, 0.0)
+                compensated += math.fsum(masses) != norm(r.state)
+            for loss in (0.0, 0.05, 0.3):
+                a, b = _rows(p, p.steps, math.sqrt(1.0 - loss))
+                masses = [abs(z) ** 2 + abs(w) ** 2
+                          for z, w in zip(a[-p.steps - 1:].tolist(), b[-p.steps - 1:].tolist())]
+                total = reduce(add, masses, 0.0)
+                counts = expected_counts(p, NoiseModel(right_move_loss=loss), p.steps, 10**6)
+                assert list(counts.values()) == [m / total * 10**6 for m in masses]
+        assert compensated  # so the test tells the two sums apart
 
     def test_zero_norm_initial_state_is_rejected(self):
         initial = WalkerState(step=0, amplitudes={0: (0, 0)}, require_normalized=False)

@@ -211,6 +211,14 @@ class TestCompile:
         sched = compile_schedule(hadamard_program(1, circular_initial()), tm)
         assert [e.time_ns for e in sched.events] == [0.0, 1.0]
 
+    def test_pulses_at_one_time_past_2_53_ns_collide(self):
+        # There adding the 1 ns width leaves a time unchanged; the gap still shows the overlap.
+        tm = TimingModel(t_ns=2.0**62, rep_period_ns=1e300)
+        with pytest.raises(CollisionError) as err:
+            compile_schedule(uniform_program(3), tm)
+        assert len(err.value.collisions) == 8
+        assert ((1, -1, "ccw"), (1, -1, "cw")) in err.value.collisions
+
     def test_collision_message_is_bounded(self):
         with pytest.raises(CollisionError) as err:
             compile_schedule(hadamard_program(40, circular_initial()))
@@ -330,9 +338,11 @@ class TestDecompile:
         assert [(c.t, c.x) for c in cells] == [(c.t, c.x) for c in grid]
 
     def test_an_int_timing_field_decompiles_as_its_float_twin(self):
-        # Slots are computed on float steps: in int64, 2 * 2**62 wraps.
+        # Slots are computed on float steps: in int64, 2 * 2**62 wraps. The bins
+        # and the Sagnac delay are wide enough that no two pulses share a time.
         prog = uniform_program(3)
-        tm, twin = (TimingModel(t_ns=t_ns, rep_period_ns=1e300) for t_ns in (2**62, 2.0**62))
+        tm, twin = (TimingModel(t_ns=kind(2**62), dt_ns=kind(2**52), sagnac_delay_ns=kind(2**51),
+                                rep_period_ns=1e300) for kind in (int, float))
         cells = decompile_schedule(compile_schedule(prog, tm), tm)
         assert len(cells) == 6
         assert cells == decompile_schedule(compile_schedule(prog, twin), twin)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from coinwalk.errors import IncompleteLayerError
+from coinwalk.errors import DomainError, IncompleteLayerError
+from coinwalk.noise import lossy_distribution
 from coinwalk.state import (
     HADAMARD,
     CoinOp,
@@ -17,7 +19,7 @@ from coinwalk.state import (
     localized_state,
     norm,
 )
-from coinwalk.synth import uniform_program
+from coinwalk.synth import gaussian_program, uniform_program
 from coinwalk.walk import (
     apply_coin_layer,
     apply_shift,
@@ -133,6 +135,20 @@ class TestRunProgram:
         for r in reports[1:]:
             assert r.state.amplitudes == {x: (0j, 0j) for x in range(-r.step, r.step + 1, 2)}
             assert r.distribution == {x: 0.0 for x in range(-r.step, r.step + 1, 2)}
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final-layer", "no-final-layer"])
+    def test_an_overflowing_walk_fails_without_a_warning(self, final):
+        big = WalkerState(step=0, amplitudes={0: (1.7e308, 1.7e308)}, require_normalized=False)
+        p = replace(uniform_program(6), initial=big)
+        if not final:
+            p = replace(p, final_layer=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # The first amplitude that overflows is named, whether a final layer follows or not.
+            with pytest.raises(DomainError, match=r"^amplitude a\(1,1\) must have finite "):
+                run_program(p)
+            with pytest.raises(DomainError, match="is too large"):
+                lossy_distribution(p, 6, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_iterated_public_step(self, seed):
@@ -253,3 +269,15 @@ class TestMirror:
         dm = run_program(mirror_program(p))[-1].distribution
         for x, v in d.items():
             assert dm[-x] == pytest.approx(v, abs=1e-12)
+
+    def test_mirror_carries_the_final_layer(self):
+        p = gaussian_program(6)
+        m = mirror_program(p)
+        assert m.final_layer == {-x: GeneralCoinOp(op.m11, op.m10, op.m01, op.m00)
+                                 for x, op in p.final_layer.items()}
+        last, mirrored = run_program(p)[-1], run_program(m)[-1]
+        for x, v in last.distribution.items():
+            assert mirrored.distribution[-x] == pytest.approx(v, abs=1e-12)
+        for x, (a, b) in last.state.amplitudes.items():  # the coin components swap
+            ma, mb = mirrored.state.pair(-x)
+            assert abs(ma - b) <= 1e-12 and abs(mb - a) <= 1e-12
