@@ -7,7 +7,7 @@ pairwise purity criterion, extract random bits, and regenerate the full
 set of reference data files.
 
 Exit codes: 0 ok, 2 parse error, 3 infeasible schedule, 4 pulse
-collision, 5 domain or state error.
+collision, 5 domain or state error, or a size that runs out of memory.
 """
 
 from __future__ import annotations
@@ -283,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except CoinWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    except MemoryError:  # numpy's too, for an array of a size that cannot be allocated
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

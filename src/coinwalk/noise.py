@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, _quote
 from .measure import _entropy_rows, _similarity_rows
-from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _floats, _integer, _left_sum,
+from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _column, _integer, _left_sum,
                     _masses, _real, check_distribution, norm, support)
 from .walk import _rows
 
@@ -70,7 +70,7 @@ def detected_event_budget(nm: NoiseModel, launches: float, step: int) -> float:
 def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dict[int, float]:
     """Distribution at a step with amplitude damping on every right-move,
     renormalized at detection."""
-    if not 0 <= _integer(step, "step") <= p.steps:
+    if not 0 <= (step := _integer(step, "step")) <= p.steps:
         raise DomainError(f"step must lie in [0, {p.steps}], got {_quote(step)}")
     loss = _real(right_move_loss, "right_move_loss", 0.0, 1.0, "lie in [0, 1]")
     if norm(p.initial) == 0.0:
@@ -92,6 +92,7 @@ def _require_event_total(n, what: str) -> None:
     numpy's multinomial takes."""
     rule = "be a whole number in [0, 2**63)"
     _real(n, what, 0.0, rule=rule)
+    n = bool(n) if isinstance(n, np.bool_) else n  # numpy cannot compare its bool with 2**63
     if not (n < 2**63 and n == math.floor(n)):
         raise DomainError(f"{what} must {rule}, got {_quote(n)}")
 
@@ -102,7 +103,7 @@ def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
     _require_event_total(n, "n")
     _at_least(seed, 0, "seed")
     xs = sorted(_integer(x, "position") for x in p)
-    probs = _floats([p[x] for x in xs], (f"weight at x = {_quote(x)}" for x in xs))
+    probs = _column([p[x] for x in xs], float, "p", (f"weight at x = {_quote(x)}" for x in xs))
     bad = ~np.isfinite(probs) | (probs < 0.0)
     if bad.any():
         x = xs[int(np.argmax(bad))]
@@ -144,7 +145,8 @@ def bootstrap_errorbars(
         raise DomainError(f"resamples must be an integer in [100, 2**63), got {_quote(resamples)}")
     _at_least(seed, 0, "seed")
     xs = sorted(_integer(x, "position") for x in counts)
-    values = _floats([counts[x] for x in xs], (f"count at x = {_quote(x)}" for x in xs))
+    values = _column([counts[x] for x in xs], float, "counts",
+                     (f"count at x = {_quote(x)}" for x in xs))
     bad = ~(np.isfinite(values) & (values >= 0.0) & (values == np.floor(values)))
     if bad.any():
         x = xs[int(np.argmax(bad))]

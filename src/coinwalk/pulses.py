@@ -32,7 +32,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError, _quote
-from .state import CoinProgram, _floats, _integer, _integers, _number, _real, support
+from .state import CoinProgram, _column, _integer, _number, _real, support
 
 ARM_CCW = "ccw"  # horizontal polarization, undelayed
 ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
@@ -100,16 +100,15 @@ class Calibration:
     def __post_init__(self):
         if len(self.anchors) < 2:
             raise DomainError("calibration needs at least two anchors")
-        phases, volts = map(np.array, zip(*map(_anchor, self.anchors)))
+        phases, volts = (_column(c, float, "anchors") for c in zip(*map(_anchor, self.anchors)))
         for name, column in (("phases", phases), ("voltages", volts)):
             if (np.diff(column) <= 0.0).any():
                 raise DomainError(f"anchor {name} must be strictly increasing")
-        phases.flags.writeable = volts.flags.writeable = False
         object.__setattr__(self, "_columns", (phases, volts))
 
     def phase_to_voltage(self, phi: float) -> float:
         # An int phase compares exactly, so one too large for a float is out of range.
-        if not (isinstance(phi, Real) and 0.0 <= phi <= math.pi + 1e-12):
+        if not (isinstance(phi, (Real, np.bool_)) and 0.0 <= phi <= math.pi + 1e-12):
             raise DomainError(f"phase {_quote(phi)} outside [0, pi]")
         return float(_piecewise(float(phi), *self._columns))
 
@@ -341,8 +340,8 @@ def decompile_schedule(
     if not ps.events:
         return []
     times, volts, _, steps, positions, arms = ps.events.columns
-    t, x = _integers(steps, "step"), _integers(positions, "position")
-    time, volts = _floats(times, repeat("time_ns")), _floats(volts, repeat("voltage_v"))
+    t, x = _column(steps, np.int64, "step"), _column(positions, np.int64, "position")
+    time, volts = _column(times, float, "time_ns"), _column(volts, float, "voltage_v")
     first = min(range(len(times)), key=times.__getitem__)
     offset = times[first] - arrival_time(steps[first], positions[first], arms[first], tm)
     try:

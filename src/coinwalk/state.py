@@ -14,10 +14,10 @@ when the state is built. Every mass |a|^2 + |b|^2 is taken in numpy by
 Tolerance policy: user-facing construction checks run at 1e-9, internal
 evolution invariants are asserted at 1e-12.
 
-Argument policy: a real is checked by ``_real``, an integer by ``_integer``,
-a column of reals or of integers by numpy in one pass, and value by value
-only where numpy reads no such column; anything else is a DomainError, whose
-message quotes each value through ``errors._quote``, clipped to 80 characters.
+Argument policy: a real, complex or integer is checked by ``_real``, ``_complex``
+or ``_integer`` (a numpy bool as the bool it equals), every array by ``_column``,
+numpy's one pass or that rule on each value, named by its cell; anything else is a
+DomainError, quoting each value through ``errors._quote``, clipped to 80 characters.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import reduce
-from itertools import islice
+from itertools import count, islice, repeat
 from numbers import Complex, Integral, Real
 from operator import add, index, itemgetter
 
@@ -38,7 +38,6 @@ from .errors import DomainError, IncompleteLayerError, NormalizationError, _clip
 CONSTRUCTION_TOL = 1e-9
 EVOLUTION_TOL = 1e-12
 _FMAX = sys.float_info.max
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 AmplitudePair = tuple[complex, complex]
 
@@ -49,9 +48,9 @@ def support(t: int) -> range:
 
 
 def _integer(v, name: str) -> int:
-    """``v`` by operator.index (int() truncates 1.7, parses '0'): else DomainError."""
+    """operator.index(v), a numpy bool read as a bool (int() truncates 1.7): else DomainError."""
     try:
-        return index(v)
+        return index(bool(v) if isinstance(v, np.bool_) else v)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {_quote(v)}") from None
 
@@ -65,9 +64,9 @@ def _at_least(v, low: int, name: str) -> int:
 
 
 def _real(v, name: str, low=-_FMAX, high=_FMAX, rule="be finite") -> float:
-    """float(v) for a numbers.Real (no str, bytes, None or complex) in [low, high], finite by
-    default, never NaN: else DomainError, "<name> must fit a float" or "must <rule>, got <v>"."""
-    if isinstance(v, Real):
+    """float(v), never NaN, for a numbers.Real or numpy bool (no str, bytes, None or complex) in
+    [low, high], finite by default: else DomainError, "<name> must fit a float" or "must <rule>"."""
+    if isinstance(v, (Real, np.bool_)):
         try:
             f = float(v)
         except OverflowError:
@@ -84,45 +83,40 @@ def _number(v, name: str) -> float:
     return _real(v, name, -math.inf, math.inf, "be a real number")
 
 
-def _array(values, kinds: str) -> np.ndarray | None:
-    """``values`` read by numpy in one pass, if that gives an array of one of
-    the dtype ``kinds``; else None, as for a ragged sequence numpy rejects."""
-    try:
-        array = np.array(values)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return array if array.dtype.kind in kinds else None
-
-
-def _floats(values: Sequence, names: Iterable[str]) -> np.ndarray:
-    """``values`` as floats: one numpy pass, or if numpy reads no numbers, ``_number`` on each."""
-    column = _array(values, "biuf")
-    if column is None or column.ndim != 1:
-        column = np.array(list(map(_number, values, names)))
-    return column.astype(float, copy=False)
-
-
-def _integers(values: Sequence, name: str) -> np.ndarray:
-    """``values`` as int64: one numpy pass, or if numpy reads no signed integers,
-    ``_integer`` on each; one outside int64 is a DomainError naming its index."""
-    column = _array(values, "bi")
-    if column is not None and column.ndim == 1:
-        return column.astype(np.int64, copy=False)
-    column = np.empty(len(values), dtype=np.int64)
-    for i, v in enumerate(values):
-        if not _INT64_MIN <= (v := _integer(v, name)) <= _INT64_MAX:
-            raise DomainError(f"{name} at index {i} must fit int64, got {_quote(v)}")
-        column[i] = v
-    return column
-
-
 def _complex(z, name: str) -> complex:
-    """complex(z) for a numbers.Complex whose parts fit a float: else DomainError."""
+    """complex(z) for a numbers.Complex or numpy bool whose parts fit a float: else DomainError."""
     if isinstance(z, (complex, float)):  # a builtin or numpy float or complex, fast
         return complex(z)
-    if isinstance(z, Complex):
+    if isinstance(z, (Complex, np.bool_)):
         return complex(_number(z.real, name), _number(z.imag, name))
     raise DomainError(f"{name} must be a complex number, got {_quote(z)}")
+
+
+_RULES = {float: (_number, "biuf"), complex: (_complex, "biufc"), np.int64: (_integer, "bi")}
+
+
+def _column(values, dtype: type, whole: str, names: Iterable[str] | None = None) -> np.ndarray:
+    """``values``, named ``whole``, as a new read-only 1-D ``dtype`` array: numpy's one pass if it
+    reads a vector of the numpy kinds in ``_RULES``, else the dtype's scalar rule there on each
+    value under its name in ``names`` (else ``whole``), naming the first it rejects."""
+    rule, kinds = _RULES[dtype]
+    try:
+        column = np.array(values)  # a copy: the caller's array stays its own
+    except ValueError:  # ragged: numpy reads it only as objects
+        column = np.array(values, dtype=object)
+    if column.ndim == 0:
+        raise DomainError(f"{whole} must be a sequence, got {_quote(values)}")
+    if column.ndim == 1 and column.dtype.kind in kinds:
+        column = column.astype(dtype, copy=False)
+    else:
+        column = np.empty(len(column), dtype)
+        for i, (v, name) in enumerate(zip(values, names or repeat(whole))):
+            try:
+                v = column[i] = rule(v, name)
+            except OverflowError:  # an integer outside int64
+                raise DomainError(f"{name} at index {i} must fit int64, got {_quote(v)}") from None
+    column.flags.writeable = False
+    return column
 
 
 def _left_sum(values: list) -> float:
@@ -149,8 +143,7 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
         return
     values = []
     for x, v in sorted(((_integer(x, "position"), v) for x, v in p.items()), key=itemgetter(0)):
-        if type(v) is not float:
-            v = _number(v, f"{name} at x = {_quote(x)}")
+        v = _number(v, f"{name} at x = {_quote(x)}")
         if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
             raise DomainError(f"{name} at x = {_quote(x)} is {v!r}, not a probability")
         values.append(v)
@@ -268,11 +261,11 @@ def row_stack(values) -> list[Row]:
     """Rows t = 0..T of ``values`` laid end to end in (t, x) order, row t
     holding the t+1 values at x = 2i - t: read-only views, checked as
     distributions together when the stack is built."""
-    values = np.array(values, dtype=float)  # a copy: the caller's array stays writeable
+    values = _column(values, float, "probabilities",
+                     (f"P({x},{t})" for t, x in map(cell_at, count())))
     n, x = cell_at(values.size)
     if n == 0 or x != -n:
         raise DomainError(f"{values.size} values do not fill rows 0..T")
-    values.flags.writeable = False
     triangle = np.zeros((n, n))
     triangle[np.tri(n, dtype=bool)] = values  # row t: its t+1 values, then zeros
     rows = [Row(t, (values[t * (t + 1) // 2:(t + 1) * (t + 2) // 2],)) for t in range(n)]
@@ -282,13 +275,13 @@ def row_stack(values) -> list[Row]:
 
 
 def _require_finite_rows(step: int, a: np.ndarray, b: np.ndarray) -> None:
-    """Name the first position whose amplitude rows are not finite."""
+    """Name the first position whose amplitude rows, complex or real, are not finite."""
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         i = int(np.argmin(finite))
         name, z = ("a", a[i]) if not np.isfinite(a[i]) else ("b", b[i])
         raise DomainError(f"amplitude {name}({2 * i - step},{step}) must have "
-                          f"finite components, got {complex(z)!r}")
+                          f"finite components, got {z.item()!r}")
 
 
 @dataclass(frozen=True)
@@ -335,11 +328,11 @@ class WalkerState:
         """Unnormalized state at ``step`` from dense rows a, b at x = 2i - step,
         checked once per row: one entry per support position, every one finite."""
         step = _at_least(step, 0, "step")
-        a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+        a = _column(a, complex, "a", (f"amplitude a({x},{step})" for x in count(-step, 2)))
+        b = _column(b, complex, "b", (f"amplitude b({x},{step})" for x in count(-step, 2)))
         if a.shape != (step + 1,) or b.shape != (step + 1,):
             raise DomainError(f"step-{step} rows must hold {step + 1} amplitudes, "
                               f"got {a.shape} and {b.shape}")
-        a.flags.writeable = b.flags.writeable = False
         return cls(step, Row(step, (a, b)), require_normalized=False)
 
     @classmethod
@@ -447,17 +440,20 @@ class AngleRows(Mapping):
     (t, x) gives its CoinOp."""
 
     def __init__(self, theta):
-        self.theta = np.array(theta, dtype=float)
-        self.theta.flags.writeable = False
+        names = (f"coin angle at step {t}, position {x}" for t, x in map(cell_at, count()))
+        self.theta = _column(theta, float, "coin angles", names)
         steps = cell_at(self.theta.size)[0]  # whole rows; CoinProgram checks the count
         starts = [t * (t + 1) // 2 for t in range(steps + 1)]
         self.rows = tuple(self.theta[i:j] for i, j in zip(starts, starts[1:]))
 
     def __getitem__(self, key: tuple[int, int]) -> CoinOp:
-        t, x = key
-        if not (0 <= t < len(self.rows) and x in support(t)):
-            raise KeyError(key)
-        return CoinOp(float(self.rows[t][(x + t) // 2]))
+        try:
+            t, x = key
+            if 0 <= t < len(self.rows) and x in support(t):
+                return CoinOp(float(self.rows[t][(x + t) // 2]))
+        except (TypeError, ValueError, IndexError):  # no pair of integers
+            pass
+        raise KeyError(key)
 
     def __iter__(self):
         return ((t, x) for t in range(len(self.rows)) for x in support(t))
@@ -570,7 +566,7 @@ class DistributionSchedule:
             if not (isinstance(row, Row) and row.step == t and len(row.columns) == 1):
                 xs = [_integer(x, "position") for x in row]
                 names = (f"P({_quote(x)},{_quote(t)})" for x in xs)
-                row = dict(zip(xs, _floats(list(row.values()), names).tolist()))
+                row = dict(zip(xs, _column([*row.values()], float, "row", names).tolist()))
             rows[t] = row
         object.__setattr__(self, "rows", rows)
         stray = [t for t in rows if not 0 <= t <= self.steps]

@@ -17,7 +17,9 @@ program ends in a disentangling layer that factors the coin out to |0>.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import count
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
     InfeasibleScheduleError,
     UnsupportedStateError,
     ZeroCellError,
+    _quote,
 )
 from .state import (
     AngleRows,
@@ -37,6 +40,8 @@ from .state import (
     Row,
     WalkerState,
     _at_least,
+    _column,
+    _require_finite_rows,
     cell_at,
     localized_state,
     support,
@@ -61,13 +66,18 @@ class AmplitudePlan:
     b: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        a = tuple(np.asarray(row, dtype=float) for row in self.a)
-        b = tuple(np.asarray(row, dtype=float) for row in self.b)
-        shapes = [(t + 1,) for t in range(self.steps + 1)]
-        if [r.shape for r in a] != shapes or [r.shape for r in b] != shapes:
-            raise DomainError(f"plan rows must have lengths 1..{self.steps + 1}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        for n, rows in (("a", self.a), ("b", self.b)):
+            if not isinstance(rows, Iterable):
+                raise DomainError(f"{n} must be a sequence, got {_quote(rows)}")
+            rows = tuple(_column(r, float, f"{n}[{t}]",
+                                 (f"amplitude {n}({x},{t})" for x in count(-t, 2)))
+                         for t, r in enumerate(rows))
+            if [r.size for r in rows] != list(range(1, self.steps + 2)):
+                raise DomainError(f"plan rows must have lengths 1..{self.steps + 1}")
+            object.__setattr__(self, n, rows)
+        if not np.isfinite(np.concatenate(self.a + self.b)).all():  # name the first cell
+            for t in range(self.steps + 1):
+                _require_finite_rows(t, self.a[t], self.b[t])
 
     def pair(self, t: int, x: int) -> tuple[float, float]:
         if not (0 <= t <= self.steps and x in support(t)):

@@ -1,11 +1,14 @@
 """One rule for every scalar at the public boundary: a value put in place of
-one scalar argument of a public callable gives a result or a CoinWalkError
-whose message is under 300 bytes, never any other exception. Reals are
-checked by ``state._real``, integers by ``state._integer``, and a message
-quotes each value through ``errors._quote``."""
+one scalar argument of a public callable, or of one element or the whole of
+an array argument, gives a result or a CoinWalkError whose message is under
+300 bytes, never any other exception. Reals are checked by ``state._real``,
+integers by ``state._integer``, arrays by ``state._column`` with the same
+rules, a numpy bool is read as the bool it equals, and a message quotes each
+value through ``errors._quote``."""
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,9 +23,9 @@ from coinwalk.noise import (NoiseModel, bootstrap_errorbars, detected_event_budg
                             lossy_distribution, sample_counts)
 from coinwalk.pulses import (ARM_CCW, Calibration, PulseSchedule, TimingModel, arrival_time,
                              compile_schedule, decompile_schedule)
-from coinwalk.state import (HADAMARD, CoinOp, CoinProgram, DistributionSchedule, GeneralCoinOp,
-                            WalkerState, localized_state)
-from coinwalk.synth import uniform_program
+from coinwalk.state import (HADAMARD, AngleRows, CoinOp, CoinProgram, DistributionSchedule,
+                            GeneralCoinOp, WalkerState, localized_state)
+from coinwalk.synth import AmplitudePlan, synthesize_coins, uniform_program
 from coinwalk.walk import circular_initial, hadamard_program
 
 PROGRAM = uniform_program(3)
@@ -48,9 +51,19 @@ def noise_with(field):
     return lambda v: NoiseModel(**{field: v})
 
 
+def angle_rows(theta):
+    return CoinProgram(steps=2, cells=AngleRows(theta), initial=DISENTANGLED)
+
+
+def plan(a):
+    """The program synthesized from a T = 1 plan whose a rows are ``a``."""
+    return synthesize_coins(AmplitudePlan(1, a, ([0.0], [0.0, 0.0])))
+
+
 # Each site puts a value in one scalar argument (or one value or key of a
-# mapping argument) of a public callable; every other argument is valid. No
-# site takes a large valid resamples, which would allocate.
+# mapping argument, or one element of an array argument, or in place of the
+# whole array) of a public callable; every other argument is valid. No site
+# takes a large valid resamples, which would allocate.
 SITES = {
     "CoinOp.theta": CoinOp,
     "GeneralCoinOp.m00": lambda v: GeneralCoinOp(v, 0.0, 0.0, -1.0),
@@ -102,6 +115,15 @@ SITES = {
     "extract_bits.sample": lambda v: extract_bits([v], 3),
     "extract_bits.t": lambda v: extract_bits([0], v),
     "CoinProgram.layer": PROGRAM.layer,
+    "AngleRows.angle": lambda v: angle_rows([0.5, v, 0.5]),
+    "AngleRows.whole": lambda v: CoinProgram(steps=1, cells=AngleRows(v), initial=DISENTANGLED),
+    "DistributionSchedule.from_rows.value": lambda v: DistributionSchedule.from_rows([1.0, v, 0.5]),
+    "DistributionSchedule.from_rows.whole": DistributionSchedule.from_rows,
+    "WalkerState.from_rows.a": lambda v: WalkerState.from_rows(1, [v, 0.6], [0.0, 0.8]),
+    "WalkerState.from_rows.b": lambda v: WalkerState.from_rows(1, [0.6, 0.0], [0.0, v]),
+    "WalkerState.from_rows.whole": lambda v: WalkerState.from_rows(0, v, [0.0]),
+    "AmplitudePlan.amplitude": lambda v: plan(([1.0], [v, 1.0])),
+    "AmplitudePlan.whole": plan,
     **{f"fileio.{reader.__name__}": reader for reader in (
         fileio.program_from_text, fileio.distribution_from_text,
         fileio.schedule_targets_from_text, fileio.calibration_from_text,
@@ -109,7 +131,7 @@ SITES = {
 }
 
 PROBES = ["a", b"a", None, True, math.nan, math.inf, -math.inf, 1.5, -1, 10**400, 10**5000,
-          np.float32(0.5), np.int64(3)]
+          np.float32(0.5), np.int64(3), np.True_]
 
 
 def outcome(site, value):
@@ -152,6 +174,16 @@ LEAKS = [
     ("Calibration.anchor", (0.1, 0.2, 0.3)), ("arrival_time.launch_offset_ns", "a"),
     ("detected_event_budget.launches", "a"), ("detected_event_budget.step", 10**400),
     ("detected_event_budget.step", -5000),
+    # Array elements that numpy's dtype= coercion took, or that ended in a raw exception.
+    *((site, v) for site in ("AngleRows.angle", "DistributionSchedule.from_rows.value",
+                             "AmplitudePlan.amplitude")
+      for v in ("0.5", b"0.5", Decimal("0.5"), 0.5j, [0.5])),
+    *(("WalkerState.from_rows.a", v) for v in ("1", "1+2j", b"1", Decimal(1))),
+    ("WalkerState.from_rows.b", "1"), ("AmplitudePlan.amplitude", None),
+    ("AmplitudePlan.amplitude", math.nan), ("AmplitudePlan.amplitude", math.inf),
+    ("AngleRows.whole", [[0.5]]), ("AngleRows.whole", None),
+    ("DistributionSchedule.from_rows.whole", [[1.0, 0.5, 0.5]]),
+    ("DistributionSchedule.from_rows.whole", None), ("AmplitudePlan.whole", None),
 ]
 
 
@@ -178,6 +210,54 @@ def test_any_value_in_any_scalar_gives_a_result_or_a_short_coinwalk_error(site, 
                          ids=[f"{site}={_quote(value)[:12]}" for site, value in LEAKS])
 def test_each_probe_that_leaked_or_was_accepted_is_a_domain_error(site, value):
     assert outcome(site, value) is DomainError
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_a_numpy_bool_gives_the_outcome_of_the_bool_it_equals(site):
+    assert outcome(site, np.True_) is outcome(site, True)
+    assert outcome(site, np.False_) is outcome(site, False)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: angle_rows([0.5, None, 0.5]), "coin angle at step 1, position -1 must be a real "
+                                           "number, got None"),
+    (lambda: DistributionSchedule.from_rows([1.0, 0.5, None]), "P(1,1) must be a real number, "
+                                                               "got None"),
+    (lambda: WalkerState.from_rows(1, [0.6, 0.0], [None, 0.8]), "amplitude b(-1,1) must be a "
+                                                                "complex number, got None"),
+    (lambda: plan(([1.0], [0.0, None])), "amplitude a(1,1) must be a real number, got None"),
+    (lambda: angle_rows([0.5, [0.5, 0.5], 0.5]), "coin angle at step 1, position -1 must be a "
+                                                 "real number, got [0.5, 0.5]"),
+    (lambda: WalkerState.from_rows(0, [0.6], 5), "b must be a sequence, got 5"),
+    (lambda: plan(1.5), "a must be a sequence, got 1.5"),
+    (lambda: plan(([1.0], "ab")), "a[1] must be a sequence, got 'ab'"),
+], ids=["angle-none", "schedule-none", "state-none", "plan-none", "angle-ragged", "state-whole",
+        "plan-whole", "plan-row-str"])
+def test_an_array_value_is_named_by_its_cell(make, message):
+    # None was read as NaN, and a ragged or scalar array ended in a raw exception.
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("a, message", [
+    (([1.0], [math.nan, 1.0]), "amplitude a(-1,1) must have finite components, got nan"),
+    (([1.0], [0.0, math.inf]), "amplitude a(1,1) must have finite components, got inf"),
+], ids=["nan", "inf"])
+def test_a_plan_amplitude_that_is_not_finite_is_named_by_its_cell(a, message):
+    # Under warnings as errors, so numpy's invalid-value warning would fail it too.
+    with pytest.raises(DomainError) as info:
+        plan(a)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key", [5, (0.5, 0), "ab", (1, 2, 3), (0, 2), (-1, 0), (2**70, 0), None])
+def test_program_cells_read_any_key_that_is_no_cell_as_missing(key):
+    cells = PROGRAM.cells
+    assert key not in cells and cells.get(key) is None
+    with pytest.raises(KeyError):
+        cells[key]
+    assert (0, 0) in cells and cells.get((2, 2)) == PROGRAM.layer(2)[2]
 
 
 @pytest.mark.parametrize("reader", sorted(s for s in SITES if s.startswith("fileio.")))

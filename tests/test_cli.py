@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from coinwalk import fileio, walk
+from coinwalk import fileio, synth, walk
 from coinwalk.cli import (
     EXIT_COLLISION,
     EXIT_DOMAIN,
@@ -244,6 +244,9 @@ BOUNDARY_CASES = {
     "extract-bits-negative-seed": (["--seed", "-1", "extract-bits", "one.txt", "--steps", "1",
                                     "--events", "10", "-o", "out.txt"], EXIT_DOMAIN),
     "reproduce-negative-seed": (["--seed", "-1", "reproduce", "--out-dir", "d"], EXIT_DOMAIN),
+    "synthesize-missing-steps": (["synthesize", "--target", "uniform", "-o", "out.prog"],
+                                 EXIT_PARSE),
+    "entropy-missing-file": (["entropy", "missing.txt"], EXIT_PARSE),
 }
 
 
@@ -304,6 +307,12 @@ class TestAnalysisCommands:
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert len(lines) == 9
         assert all(ln.endswith("yes") for ln in lines)
+
+    def test_verify_purity_without_output_writes_stdout(self, tmp_path, capsys):
+        out = tmp_path / "table.txt"
+        assert run("verify-purity", "--target", "gaussian", "--steps", "5", "-o", out) == EXIT_OK
+        assert run("verify-purity", "--target", "gaussian", "--steps", "5") == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
 
     def test_extract_bits(self, tmp_path):
         dist = tmp_path / "u.txt"
@@ -431,6 +440,16 @@ def test_megabyte_bad_line_exits_2_with_a_short_message(tmp_path, capsys):
     assert run("entropy", dist) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: bad distribution line '2 xxx") and len(err) < 300
+
+
+def test_a_size_that_runs_out_of_memory_exits_5_with_one_line(tmp_path, capsys, monkeypatch):
+    def allocate(steps):
+        raise MemoryError("Unable to allocate 37.3 GiB")
+    monkeypatch.setattr(synth, "uniform_program", allocate)
+    assert run("synthesize", "--target", "uniform", "--steps", "100000",
+               "-o", tmp_path / "u.prog") == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: synthesize ran out of memory\n"
 
 
 class TestReproduce:

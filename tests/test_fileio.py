@@ -65,6 +65,24 @@ def test_wrong_field_count_names_the_stripped_line(name, line, fields):
         read(text + f"  {line} \n")
 
 
+def test_program_of_another_version_is_rejected():
+    with pytest.raises(ParseError, match="^unsupported program version 2$"):
+        fileio.program_from_text(PROGRAM.replace("version 1\n", "version 2\n", 1))
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment"])
+def test_distribution_or_schedule_without_a_line_is_rejected(text):
+    with pytest.raises(ParseError, match="^empty distribution file$"):
+        fileio.distribution_from_text(text)
+    with pytest.raises(ParseError, match="^empty schedule file$"):
+        fileio.schedule_targets_from_text(text)
+
+
+def test_calibration_of_one_anchor_is_rejected():
+    with pytest.raises(ParseError, match="^calibration needs at least two anchors$"):
+        fileio.calibration_from_text("0.785 0.127\n")
+
+
 def test_distribution_sigma_must_be_a_float():
     with pytest.raises(ParseError, match="^bad distribution line '0 1.0 abc': could not convert"):
         fileio.distribution_from_text("0 1.0 abc\n")

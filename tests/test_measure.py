@@ -126,6 +126,10 @@ class TestPurityCriterion:
             assert r.lhs == pytest.approx(gamma ** 2 * base.lhs, abs=1e-12)
             assert r.rhs == pytest.approx(base.rhs, abs=1e-12)
 
+    def test_a_pair_with_a_gap_between_its_positions_is_skipped(self):
+        records = purity_criterion({0: 0.6, 2: 0.0, 6: 0.8})
+        assert [r.x for r in records] == [0]
+
     def test_each_pair_reads_only_its_two_amplitudes(self, monkeypatch):
         amps = {x: 1 / math.sqrt(2001) for x in range(-2000, 2001, 2)}
         walker_amplitudes = measure._walker_amplitudes

@@ -57,6 +57,11 @@ def test_a_seed_that_is_not_an_integer_at_least_0_is_rejected(seed, match):
         bootstrap_errorbars({0: 10}, 100, seed)
 
 
+def test_bootstrap_counts_without_an_event_are_rejected():
+    with pytest.raises(DomainError, match="^counts must contain at least one event$"):
+        bootstrap_errorbars({0: 0, 2: 0.0}, 100, 0)
+
+
 def test_any_integer_seed_at_least_0_is_taken():
     p = uniform_program(3)
     for seed in (0, np.int64(3), 2**70):

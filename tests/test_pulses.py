@@ -149,6 +149,11 @@ class TestCalibration:
         with pytest.raises(DomainError, match=r"^phase 10{79}\.\.\. outside \[0, pi\]$"):
             CAL.phase_to_voltage(10**400)
 
+    @pytest.mark.parametrize("anchors", [(), ((0.5, 0.2),)], ids=["none", "one"])
+    def test_rejects_fewer_than_two_anchors(self, anchors):
+        with pytest.raises(DomainError, match="^calibration needs at least two anchors$"):
+            Calibration(anchors)
+
     def test_rejects_non_monotone_anchors(self):
         with pytest.raises(DomainError):
             Calibration(anchors=((0.1, 0.2), (0.2, 0.1)))

@@ -1,7 +1,6 @@
 import math
 import re
 from dataclasses import replace
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -23,8 +22,7 @@ from coinwalk.state import (
     Row,
     WalkerState,
     _check_rows,
-    _floats,
-    _integers,
+    _column,
     _masses,
     check_distribution,
     localized_state,
@@ -268,6 +266,11 @@ class TestCoinProgram:
             CoinProgram(steps=1, cells={(0, 0): HADAMARD},
                         initial=localized_state(1, 0), final_layer=final)
 
+    def test_initial_state_must_be_at_step_0(self):
+        later = WalkerState(step=1, amplitudes={-1: (1, 0)})
+        with pytest.raises(DomainError, match="^initial state must be at step 0$"):
+            CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=later)
+
     def test_empty_initial_state(self):
         empty = WalkerState(step=0, amplitudes={}, require_normalized=False)
         p = CoinProgram(steps=1, cells={(0, 0): HADAMARD}, initial=empty)
@@ -437,7 +440,7 @@ def test_integer_coordinates_of_any_integer_type_are_taken_as_ints():
 @pytest.mark.parametrize("values", [[0, -3, 2], [True, 2], (np.int32(4), 5), [np.uint64(7)],
                                     [2**63 - 1, -(2**63)], []])
 def test_integers_read_a_column_as_its_values_one_by_one(values):
-    column = _integers(values, "step")
+    column = _column(values, np.int64, "step")
     assert column.dtype == np.int64 and column.tolist() == [int(v) for v in values]
 
 
@@ -450,10 +453,10 @@ def test_integers_read_a_column_as_its_values_one_by_one(values):
 ])
 def test_integers_name_the_first_value_that_is_no_int64(values, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        _integers(values, "step")
+        _column(values, np.int64, "step")
 
 
 @pytest.mark.parametrize("values", [[0.5, [0.5]], [[0.5], [0.5]], [(0.5,)]])
 def test_floats_name_a_value_that_is_a_sequence(values):
     with pytest.raises(DomainError, match=r"^p must be a real number, got [\[(]0\.5"):
-        _floats(values, repeat("p"))
+        _column(values, float, "p")

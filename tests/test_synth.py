@@ -7,6 +7,7 @@ import oracle
 from oracle import gaussian_closed_form, uniform_closed_form
 from coinwalk.errors import (
     ClosureError,
+    DomainError,
     InconsistentPlanError,
     InfeasibleScheduleError,
     UnsupportedStateError,
@@ -166,6 +167,18 @@ class TestSynthesizeCoins:
         )
         with pytest.raises(InconsistentPlanError, match=r"cell \(1,1\)"):
             synthesize_coins(plan)
+
+    def test_plan_rows_must_have_lengths_1_to_steps_plus_1(self):
+        with pytest.raises(DomainError, match=r"^plan rows must have lengths 1\.\.2$"):
+            AmplitudePlan(steps=1, a=[[1.0], [0.0]], b=[[0.0], [0.0, 0.0]])
+        with pytest.raises(DomainError, match=r"^plan rows must have lengths 1\.\.3$"):
+            AmplitudePlan(steps=2, a=[[1.0], [0.0, 1.0]], b=[[0.0], [0.0, 0.0]])
+
+    def test_plan_pair_off_the_lattice_is_zero(self):
+        plan = plan_amplitudes(uniform_schedule(2))
+        for t, x in ((-1, 0), (3, 1), (1, 0), (2, 4), (0, 2)):
+            assert plan.pair(t, x) == (0.0, 0.0) and plan.mass(t, x) == 0.0
+        assert plan.pair(1, 1) == (float(plan.a[1][1]), float(plan.b[1][1]))
 
     def test_uniform_boundary_cell(self):
         plan = plan_amplitudes(uniform_schedule(2))
