@@ -85,9 +85,9 @@ def _walker_amplitudes(source) -> dict[int, complex]:
                     f"disentangling layer before purity analysis"
                 )
             amps[x] = a
-        return amps
-    amps = {_integer(x, "position"): _complex(a, "amplitude") for x, a in source.items()}
-    for x, a in amps.items():
+    else:
+        amps = {_integer(x, "position"): _complex(a, "amplitude") for x, a in source.items()}
+    for x, a in amps.items():  # a state's amplitudes too: one rule whatever the source
         if not math.hypot(a.real, a.imag) <= 1.0 + CONSTRUCTION_TOL:  # NaN fails too
             raise DomainError(f"amplitude at x = {_quote(x)} is {_quote(a)}, not of modulus <= 1")
     return amps
@@ -105,15 +105,13 @@ def pair_density(source, x: int, gamma: float = 1.0) -> PairDensity:
     amps = _walker_amplitudes(source)
     if x not in amps and x + 2 not in amps:
         raise DomainError(f"neither {_quote(x)} nor {_quote(x + 2)} is occupied")
-    c1 = amps.get(x, 0j)
-    c2 = amps.get(x + 2, 0j)
-    rho = np.array(
-        [
-            [abs(c1) ** 2, gamma * c1 * c2.conjugate()],
-            [gamma * c2 * c1.conjugate(), abs(c2) ** 2],
-        ]
-    )
-    return PairDensity(x=x, rho=rho)
+    return PairDensity(x=x, rho=_pair_rho(amps.get(x, 0j), amps.get(x + 2, 0j), gamma))
+
+
+def _pair_rho(c1: complex, c2: complex, gamma: float) -> np.ndarray:
+    """The density matrix of walker amplitudes c1 at x and c2 at x+2, coherences times gamma."""
+    return np.array([[abs(c1) ** 2, gamma * c1 * c2.conjugate()],
+                     [gamma * c2 * c1.conjugate(), abs(c2) ** 2]])
 
 
 @dataclass(frozen=True)
@@ -145,9 +143,9 @@ def purity_criterion(
     for x in sorted(amps)[:-1]:
         if x + 2 not in amps:
             continue
-        pd = pair_density({x: amps[x], x + 2: amps[x + 2]}, x, gamma=gamma)
-        lhs = float(abs(pd.rho[0, 1]) ** 2)
-        rhs = float(abs(pd.rho[0, 0]) * abs(pd.rho[1, 1]))
+        rho = _pair_rho(amps[x], amps[x + 2], gamma)
+        lhs = float(abs(rho[0, 1]) ** 2)
+        rhs = float(abs(rho[0, 0]) * abs(rho[1, 1]))
         records.append(PurityRecord(x=x, lhs=lhs, rhs=rhs, passed=lhs >= rhs - tol))
     return records
 

@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass
 from functools import reduce
 from itertools import count, islice, repeat
 from numbers import Complex, Integral, Real
-from operator import add, index, itemgetter
+from operator import add, index
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def _column(values, dtype: type, whole: str, names: Iterable[str] | None = None)
         column = np.array(values)  # a copy: the caller's array stays its own
     except ValueError:  # ragged: numpy reads it only as objects
         column = np.array(values, dtype=object)
-    if column.ndim == 0:
+    if column.ndim == 0 or isinstance(values, (bytearray, memoryview)):  # numpy: a uint8 vector
         raise DomainError(f"{whole} must be a sequence, got {_quote(values)}")
     if column.ndim == 1 and column.dtype.kind in kinds:
         column = column.astype(dtype, copy=False)
@@ -136,39 +136,39 @@ def check_distribution(p: Mapping[int, float], name: str) -> None:
     (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
 
     A row that ``row_stack`` accepted when it built the stack returns at
-    once; any other map, a ``Row`` too, is checked entry by entry in
-    ascending x, whatever its order, its keys integers and its values reals:
-    the smallest bad x is named."""
+    once; any other map, a ``Row`` too, is read in ascending x, whatever its
+    order, into one column, its keys integers and its values reals, and
+    checked as a one-row matrix: the smallest bad x is named."""
     if isinstance(p, Row) and p._checked:
         return
-    values = []
-    for x, v in sorted(((_integer(x, "position"), v) for x, v in p.items()), key=itemgetter(0)):
-        v = _number(v, f"{name} at x = {_quote(x)}")
-        if not math.isfinite(v) or v < -CONSTRUCTION_TOL:
-            raise DomainError(f"{name} at x = {_quote(x)} is {v!r}, not a probability")
-        values.append(v)
-    total = _left_sum(values)
-    if abs(total - 1.0) > CONSTRUCTION_TOL:
-        raise NormalizationError(f"{name} sums to {total!r}, expected 1 within {CONSTRUCTION_TOL}")
+    xs = sorted(_integer(x, "position") for x in p)
+    values = _column([p[x] for x in xs], float, name, (f"{name} at x = {_quote(x)}" for x in xs))
+    _check_rows(xs, values[None], name)
 
 
-def _passing(rows: np.ndarray) -> np.ndarray:
-    """Whether check_distribution accepts each row of a matrix, columns in ascending
-    x. Zeros after a row's entries change neither the entry test nor the sum."""
+def _passing(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether check_distribution accepts each row of a matrix, columns in ascending x,
+    and each row's sum. Zeros after a row's entries change neither the test nor the sum."""
     bad = ~np.isfinite(rows) | (rows < -CONSTRUCTION_TOL)
     # A bad entry fails its row anyway, so it is added as 0.0: inf + -inf would warn.
     # Finite entries can still overflow: that total is inf, as with Python's +.
     with np.errstate(over="ignore"):
         totals = _left_sums(np.where(bad, 0.0, rows))
-    return ~bad.any(axis=1) & (abs(totals - 1.0) <= CONSTRUCTION_TOL)
+    return ~bad.any(axis=1) & (abs(totals - 1.0) <= CONSTRUCTION_TOL), totals
 
 
 def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
     """check_distribution on every row of a matrix whose columns are the
-    positions ``xs``: the first failing row raises what it raises alone."""
-    passing = _passing(rows)
+    positions ``xs``: the first failing row names its smallest bad x, or else its sum."""
+    passing, totals = _passing(rows)
     if not passing.all():
-        check_distribution(dict(zip(xs, rows[int(np.argmin(passing))].tolist())), name)
+        i = int(np.argmin(passing))
+        bad = np.flatnonzero(~np.isfinite(rows[i]) | (rows[i] < -CONSTRUCTION_TOL))
+        if bad.size:
+            x, v = xs[bad[0]], rows[i, bad[0]].item()
+            raise DomainError(f"{name} at x = {_quote(x)} is {v!r}, not a probability")
+        total = totals[i].item()
+        raise NormalizationError(f"{name} sums to {total!r}, expected 1 within {CONSTRUCTION_TOL}")
 
 
 def _masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,20 +176,16 @@ def _masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Python floats: hypot is Python's abs of a complex and float_power, which
     calls libm's pow as Python does, its ** 2 (numpy's abs, square and power
     differ in the last bit). A sum of finite squares that overflows is inf,
-    as with Python's +; a square that overflows raises DomainError naming the
-    first such amplitude in the order a0, b0, a1, b1, ..."""
-    try:
-        with np.errstate(over="raise"):
-            return (np.float_power(np.hypot(a.real, a.imag), 2.0)
-                    + np.float_power(np.hypot(b.real, b.imag), 2.0))
-    except FloatingPointError:  # a square overflows, or only a sum does
-        with np.errstate(over="ignore"):
-            sa, sb = (np.float_power(np.hypot(z.real, z.imag), 2.0) for z in (a, b))
-            total = sa + sb
-    z = np.ravel([a, b], order="F")[np.isinf(np.ravel([sa, sb], order="F"))]
-    if z.size:
-        raise DomainError(f"amplitude {complex(z[0])!r} is too large: its "
-                          f"squared magnitude overflows a float")
+    as with Python's +; a square that is infinite raises DomainError naming
+    the first such amplitude in the order a0, b0, a1, b1, ..."""
+    with np.errstate(over="ignore"):
+        sa, sb = (np.float_power(np.hypot(z.real, z.imag), 2.0) for z in (a, b))
+        total = sa + sb
+    if not np.isfinite(total).all():  # a square overflowed, or only a sum did
+        z = np.ravel([a, b], order="F")[np.isinf(np.ravel([sa, sb], order="F"))]
+        if z.size:
+            raise DomainError(f"amplitude {complex(z[0])!r} is too large: its "
+                              f"squared magnitude overflows a float")
     return total
 
 
@@ -269,19 +265,31 @@ def row_stack(values) -> list[Row]:
     triangle = np.zeros((n, n))
     triangle[np.tri(n, dtype=bool)] = values  # row t: its t+1 values, then zeros
     rows = [Row(t, (values[t * (t + 1) // 2:(t + 1) * (t + 2) // 2],)) for t in range(n)]
-    for row, passing in zip(rows, _passing(triangle).tolist()):
+    for row, passing in zip(rows, _passing(triangle)[0].tolist()):
         row._checked = passing
     return rows
 
 
-def _require_finite_rows(step: int, a: np.ndarray, b: np.ndarray) -> None:
-    """Name the first position whose amplitude rows, complex or real, are not finite."""
+def _require_finite_rows(a: np.ndarray, b: np.ndarray, step: int | None = None) -> None:
+    """Name the first cell whose amplitudes a, b, complex or real, are not finite:
+    the rows of ``step``, or else rows 0.. laid end to end in (t, x) order."""
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         i = int(np.argmin(finite))
         name, z = ("a", a[i]) if not np.isfinite(a[i]) else ("b", b[i])
-        raise DomainError(f"amplitude {name}({2 * i - step},{step}) must have "
-                          f"finite components, got {z.item()!r}")
+        t, x = cell_at(i) if step is None else (step, 2 * i - step)
+        raise DomainError(f"amplitude {name}({x},{t}) must have finite components, got {z.item()!r}")
+
+
+def _amplitude_pair(x, pair) -> tuple[int, AmplitudePair]:
+    """A state's entry as a position and its pair of complex amplitudes: else DomainError."""
+    x = _integer(x, "position")
+    try:
+        a, b = pair
+    except (TypeError, ValueError):  # not an iterable of two values
+        raise DomainError(f"amplitudes at x = {_quote(x)} must be a pair, "
+                          f"got {_quote(pair)}") from None
+    return x, (_complex(a, "amplitude"), _complex(b, "amplitude"))
 
 
 @dataclass(frozen=True)
@@ -304,8 +312,7 @@ class WalkerState:
         object.__setattr__(self, "step", _at_least(self.step, 0, "step"))
         amps = self.amplitudes
         if not (isinstance(amps, Row) and amps.step == self.step and len(amps.columns) == 2):
-            amps = {_integer(x, "position"): (_complex(a, "amplitude"), _complex(b, "amplitude"))
-                    for x, (a, b) in amps.items()}
+            amps = dict(_amplitude_pair(x, pair) for x, pair in amps.items())
             positions = support(self.step)
             stray = next((x for x in amps if x not in positions), None)
             if stray is not None:
@@ -314,7 +321,7 @@ class WalkerState:
             pairs = np.array([amps.get(x, (0j, 0j)) for x in positions], dtype=complex)
             pairs.flags.writeable = False
             amps = Row(self.step, (pairs[:, 0], pairs[:, 1]), sorted(amps))
-        _require_finite_rows(self.step, *amps.columns)
+        _require_finite_rows(*amps.columns, self.step)
         object.__setattr__(self, "amplitudes", amps)
         if require_normalized:
             n = norm(self)
@@ -564,6 +571,8 @@ class DistributionSchedule:
         for t, row in self.rows.items():
             t = _integer(t, "schedule row")
             if not (isinstance(row, Row) and row.step == t and len(row.columns) == 1):
+                if not isinstance(row, Mapping):
+                    raise DomainError(f"schedule row {_quote(t)} must be a map, got {_quote(row)}")
                 xs = [_integer(x, "position") for x in row]
                 names = (f"P({_quote(x)},{_quote(t)})" for x in xs)
                 row = dict(zip(xs, _column([*row.values()], float, "row", names).tolist()))

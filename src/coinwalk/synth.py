@@ -75,9 +75,7 @@ class AmplitudePlan:
             if [r.size for r in rows] != list(range(1, self.steps + 2)):
                 raise DomainError(f"plan rows must have lengths 1..{self.steps + 1}")
             object.__setattr__(self, n, rows)
-        if not np.isfinite(np.concatenate(self.a + self.b)).all():  # name the first cell
-            for t in range(self.steps + 1):
-                _require_finite_rows(t, self.a[t], self.b[t])
+        _require_finite_rows(np.concatenate(self.a), np.concatenate(self.b))
 
     def pair(self, t: int, x: int) -> tuple[float, float]:
         if not (0 <= t <= self.steps and x in support(t)):

@@ -25,6 +25,7 @@ from .state import (
     WalkerState,
     _at_least,
     _masses,
+    _require_finite_rows,
     localized_state,
     position_distribution,
     row_stack,
@@ -55,7 +56,7 @@ def apply_coin_layer(
             raise IncompleteLayerError(
                 f"layer has no coin at occupied position {x} (step {s.step})"
             )
-        entries.append(_entries(coin))
+        entries.append(coin.matrix.ravel())
     # A zero coin at the other positions keeps their zero amplitudes.
     m = np.zeros((s.step + 1, 4))
     if entries:
@@ -63,14 +64,6 @@ def apply_coin_layer(
     (m00, m01, m10, m11), (a, b) = m.T, s.rows
     rows = m00 * a + m01 * b, m10 * a + m11 * b
     return WalkerState(s.step, Row(s.step, rows, s.amplitudes.xs), require_normalized=False)
-
-
-def _entries(coin: CoinOp | GeneralCoinOp) -> tuple[float, float, float, float]:
-    """The coin's matrix entries m00, m01, m10, m11, as in its ``matrix``."""
-    if isinstance(coin, CoinOp):
-        c, s = math.cos(coin.theta), math.sin(coin.theta)
-        return c, s, s, -c
-    return coin.m00, coin.m01, coin.m10, coin.m11
 
 
 def apply_shift(s: WalkerState) -> WalkerState:
@@ -116,15 +109,14 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         a, b = _rows(p, p.steps)
         if p.final_layer is not None:
-            m00, m01, m10, m11 = np.array([_entries(p.final_layer[x]) for x in support(p.steps)]).T
+            m00, m01, m10, m11 = np.array([p.final_layer[x].matrix.ravel()
+                                           for x in support(p.steps)]).T
             x, y = a[-p.steps - 1:], b[-p.steps - 1:]
             x[:], y[:] = m00 * x + m01 * y, m10 * x + m11 * y
     a.flags.writeable = b.flags.writeable = False
     starts = [t * (t + 1) // 2 for t in range(p.steps + 2)]
     rows = [(a[i:j], b[i:j]) for i, j in zip(starts, starts[1:])]
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        for t, row in enumerate(rows):  # names the first amplitude that overflowed
-            WalkerState.from_rows(t, *row)
+    _require_finite_rows(a, b)  # names the first amplitude that overflowed
     dists = row_stack(_masses(a, b))
     return [StepReport(0, p.initial, position_distribution(p.initial))] + [
         StepReport(t, WalkerState._of(Row(t, rows[t])), dists[t]) for t in range(1, p.steps + 1)]

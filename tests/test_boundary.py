@@ -107,11 +107,13 @@ SITES = {
     "localized_state.a": lambda v: localized_state(v, 0),
     "localized_state.b": lambda v: localized_state(0, v),
     "WalkerState.position": lambda v: WalkerState(0, {v: (1, 0)}),
+    "WalkerState.pair": lambda v: WalkerState(0, {0: v}),
     "similarity.key": lambda v: similarity({v: 1.0}, {0: 1.0}),
     "similarity.value": lambda v: similarity({0: 1.0}, {0: v}),
     "shannon_entropy.value": lambda v: shannon_entropy({0: v}),
     "DistributionSchedule.value": lambda v: DistributionSchedule(1, {0: {0: v},
                                                                      1: {-1: 0.5, 1: 0.5}}),
+    "DistributionSchedule.row": lambda v: DistributionSchedule(1, {0: {0: 1.0}, 1: v}),
     "extract_bits.sample": lambda v: extract_bits([v], 3),
     "extract_bits.t": lambda v: extract_bits([0], v),
     "CoinProgram.layer": PROGRAM.layer,
@@ -184,6 +186,8 @@ LEAKS = [
     ("AngleRows.whole", [[0.5]]), ("AngleRows.whole", None),
     ("DistributionSchedule.from_rows.whole", [[1.0, 0.5, 0.5]]),
     ("DistributionSchedule.from_rows.whole", None), ("AmplitudePlan.whole", None),
+    # Mapping values that are no pair or no row, which ended in a raw exception.
+    ("WalkerState.pair", 5), ("WalkerState.pair", (1,)), ("DistributionSchedule.row", 5),
 ]
 
 

@@ -114,8 +114,8 @@ def test_row_schedule_is_checked_once(monkeypatch):
     for r in reports:
         measure.similarity(r.distribution, sched.rows[r.step])
     # Scoring checks no stacked row again; the step-0 report's distribution,
-    # which no stack holds, is checked entry by entry, as any map is.
-    assert calls == [(51, 51)] * 2
+    # which no stack holds, is checked as a one-row matrix, as any map is.
+    assert calls == [(51, 51)] * 2 + [(1, 1)]
 
 
 def test_stack_with_opposite_infinities_fails_without_a_warning():

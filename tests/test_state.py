@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from coinwalk import walk
+from coinwalk import state, walk
 from coinwalk.errors import DomainError, IncompleteLayerError, NormalizationError
 from coinwalk.measure import extract_bits, purity_criterion
 from coinwalk.noise import bootstrap_errorbars, lossy_distribution, sample_counts
@@ -28,8 +28,9 @@ from coinwalk.state import (
     localized_state,
     norm,
     position_distribution,
+    row_stack,
 )
-from coinwalk.synth import uniform_program
+from coinwalk.synth import uniform_program, uniform_schedule
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -69,6 +70,47 @@ class TestCheckRows:
     def test_a_dict_names_its_smallest_bad_position_in_either_order(self, entries):
         with pytest.raises(DomainError, match=r"^p at x = -2 is -0\.5, not a probability$"):
             check_distribution(dict(entries), "p")
+
+
+class TestCheckDistribution:
+    def test_a_valid_map_formats_no_name(self, monkeypatch):
+        quoted = []
+        quote = state._quote
+        monkeypatch.setattr(state, "_quote", lambda v: quoted.append(v) or quote(v))
+        p = dict(uniform_schedule(300).rows[300])
+        assert len(p) == 301
+        check_distribution(p, "p")
+        assert quoted == []
+        with pytest.raises(DomainError):  # the patch is live: a failing map quotes
+            check_distribution({**p, 0: "a"}, "p")
+        assert quoted
+
+    def test_a_value_that_is_no_real_is_named_before_a_bad_probability(self):
+        with pytest.raises(DomainError, match=r"^p at x = 2 must be a real number, got 'a'$"):
+            check_distribution({0: math.nan, 2: "a"}, "p")
+
+    @pytest.mark.parametrize("p, message", [
+        ({-2: 0.25, 0: "a", 2: 0.25}, "p at x = 0 must be a real number, got 'a'"),
+        ({-2: 0.25, 0: None, 2: 0.25}, "p at x = 0 must be a real number, got None"),
+        ({-2: 0.25, 0: 1j, 2: 0.25}, "p at x = 0 must be a real number, got 1j"),
+        ({-2: 0.25, 0: [0.5], 2: 0.25}, "p at x = 0 must be a real number, got [0.5]"),
+        ({-2: 0.25, 0: b"a", 2: 0.25}, "p at x = 0 must be a real number, got b'a'"),
+        ({-2: 0.25, 0: 10**400, 2: 0.25}, "p at x = 0 must fit a float, got 1" + "0" * 79 + "..."),
+        ({-2: 0.25, 0: math.nan, 2: 0.25}, "p at x = 0 is nan, not a probability"),
+        ({-2: 0.25, 0: -math.inf, 2: 0.25}, "p at x = 0 is -inf, not a probability"),
+        ({-2: 0.25, 0: -0.5, 2: 0.25}, "p at x = 0 is -0.5, not a probability"),
+        ({-2: 0.25, 0: 0.7, 2: 0.25}, "p sums to 1.2, expected 1 within 1e-09"),
+        ({-2: 0.25, 0: 2**63, 2: 0.25}, "p sums to 9.223372036854776e+18, expected 1 within 1e-09"),
+        ({-2: 0.25, "a": 0.5, 2: 0.25}, "position must be an integer, got 'a'"),
+        ({-2: 0.25, (0,): 0.5, 2: 0.25}, "position must be an integer, got (0,)"),
+        ({}, "p sums to 0.0, expected 1 within 1e-09"),
+        ({0: 1e308, 2: 1e308}, "p sums to inf, expected 1 within 1e-09"),
+    ])
+    def test_a_map_with_one_bad_entry_is_named_as_before(self, p, message):
+        # The messages the entry-by-entry check gave, one entry at a time.
+        with pytest.raises((DomainError, NormalizationError)) as info:
+            check_distribution(p, "p")
+        assert str(info.value) == message
 
 
 class TestLocalizedState:
@@ -117,6 +159,13 @@ class TestWalkerState:
         del amps[5]
         with pytest.raises(DomainError, match=r"amplitude a\(-1,1\) must have finite"):
             WalkerState(step=1, amplitudes=amps)
+
+    @pytest.mark.parametrize("pair, quoted", [(5, "5"), ((1,), "(1,)"), (None, "None"),
+                                              ((1, 0, 0), "(1, 0, 0)")])
+    def test_a_value_that_is_no_pair_is_named_by_its_position(self, pair, quoted):
+        with pytest.raises(DomainError) as info:
+            WalkerState(0, {0: pair})
+        assert str(info.value) == f"amplitudes at x = 0 must be a pair, got {quoted}"
 
     def test_from_rows_matches_public_constructor(self):
         a, b = np.array([0.6, 0.0]), np.array([0.0, 0.8j])
@@ -346,6 +395,13 @@ class TestDistributionSchedule:
         with pytest.raises(DomainError, match=f"row 1 at x = 1 is {bad!r}"):
             DistributionSchedule(steps=1, rows={0: {0: 1.0}, 1: {-1: 1.0, 1: bad}})
 
+    @pytest.mark.parametrize("row, quoted", [(5, "5"), ([0.5, 0.5], "[0.5, 0.5]"),
+                                             (None, "None")])
+    def test_a_row_that_is_no_map_is_named(self, row, quoted):
+        with pytest.raises(DomainError) as info:
+            DistributionSchedule(1, {0: {0: 1.0}, 1: row})
+        assert str(info.value) == f"schedule row 1 must be a map, got {quoted}"
+
     def test_rejects_missing_row(self):
         with pytest.raises(DomainError):
             DistributionSchedule(steps=2, rows={0: {0: 1.0}, 2: {0: 1.0}})
@@ -460,3 +516,23 @@ def test_integers_name_the_first_value_that_is_no_int64(values, message):
 def test_floats_name_a_value_that_is_a_sequence(values):
     with pytest.raises(DomainError, match=r"^p must be a real number, got [\[(]0\.5"):
         _column(values, float, "p")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AngleRows(bytearray(b"\x01\x02\x00")),
+     r"^coin angles must be a sequence, got bytearray\(b'\\x01\\x02\\x00'\)$"),
+    (lambda: AngleRows(memoryview(np.array([1.0, 2.0, 0.0]))),
+     r"^coin angles must be a sequence, got <memory at "),
+    (lambda: row_stack(bytearray(b"\x01")), r"^probabilities must be a sequence, got bytearray"),
+    (lambda: row_stack(memoryview(b"\x01")), r"^probabilities must be a sequence, got <memory"),
+    (lambda: sample_counts({0: bytearray(b"\x01"), 2: 0.5}, 10, 0),
+     r"^weight at x = 0 must be a real number, got bytearray"),
+    (lambda: sample_counts({0: 0.5, 2: memoryview(b"\x01")}, 10, 0),
+     r"^weight at x = 2 must be a real number, got <memory"),
+], ids=["angles-bytearray", "angles-memoryview", "stack-bytearray", "stack-memoryview",
+        "weight-bytearray", "weight-memoryview"])
+def test_a_byte_buffer_is_no_column_of_numbers(make, message):
+    # numpy reads a bytearray or memoryview as a vector of its bytes; bytes and str are no
+    # column either.
+    with pytest.raises(DomainError, match=message):
+        make()
