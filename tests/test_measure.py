@@ -103,7 +103,7 @@ class TestPairDensity:
 
     @pytest.mark.parametrize("call", [lambda s: pair_density(s, -1), purity_criterion],
                              ids=["pair-density", "purity"])
-    def test_a_state_amplitude_of_modulus_above_one_is_named_as_a_maps(self, call):
+    def test_a_state_amplitude_above_modulus_one_is_named_as_a_map_amplitude(self, call):
         s = WalkerState(step=1, amplitudes={-1: (2.0, 0), 1: (0.5, 0)}, require_normalized=False)
         message = r"^amplitude at x = -1 is \(2\+0j\), not of modulus <= 1$"
         with pytest.raises(DomainError, match=message):

@@ -106,8 +106,8 @@ class TestCheckDistribution:
         ({}, "p sums to 0.0, expected 1 within 1e-09"),
         ({0: 1e308, 2: 1e308}, "p sums to inf, expected 1 within 1e-09"),
     ])
-    def test_a_map_with_one_bad_entry_is_named_as_before(self, p, message):
-        # The messages the entry-by-entry check gave, one entry at a time.
+    def test_a_map_with_one_bad_entry_names_it(self, p, message):
+        # A bad key, a value that is no real, no probability, or a bad sum.
         with pytest.raises((DomainError, NormalizationError)) as info:
             check_distribution(p, "p")
         assert str(info.value) == message
