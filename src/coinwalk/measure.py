@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import index
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DomainError, MustDisentangleError, _quote
-from .state import (CONSTRUCTION_TOL, Row, WalkerState, _at_least, _complex, _integer, _left_sum,
-                    _left_sums, _real, check_distribution, support)
+from .state import (CONSTRUCTION_TOL, WalkerState, _at_least, _distribution, _integer, _left_sum,
+                    _left_sums, _map_column, _real, support)
 
 
 def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
@@ -30,22 +29,17 @@ def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     only one side holds adds 0.0) are added in ascending x, left to right
     from 0.0, so rows and dicts in any key order give the same float.
     """
-    check_distribution(p, "p")
-    check_distribution(q, "q")
-    if (isinstance(p, Row) and isinstance(q, Row) and p.step == q.step
-            and p.dense and q.dense and len(p.columns) == len(q.columns) == 1):
-        pv, qv = p.columns[0], q.columns[0]  # one column per support position
-    else:
-        xs = sorted(p.keys() & q.keys(), key=index)
-        pv, qv = np.array([[p[x] for x in xs], [q[x] for x in xs]], dtype=float)
+    (xp, pv), (xq, qv) = _distribution(p, "p"), _distribution(q, "q")
+    if xp != xq:  # a range and its equal list too: their masks keep every position
+        both = set(xp) & set(xq)  # the positions both hold, kept in ascending x on each side
+        pv, qv = pv[[x in both for x in xp]], qv[[x in both for x in xq]]
     return float(_similarity_rows(pv[None], qv)[0])
 
 
 def shannon_entropy(p: Mapping[int, float]) -> float:
     """Entropy -sum p log2 p in bits, with 0 log 0 = 0: the terms added in
     ascending x, left to right from 0.0, whatever the map's order."""
-    check_distribution(p, "p")
-    values = [float(p[x]) for x in sorted(p, key=index)]
+    values = _distribution(p, "p")[1].tolist()
     return -_left_sum([v * math.log2(v) for v in values if v > 0.0])
 
 
@@ -76,6 +70,7 @@ class PairDensity:
 
 
 def _walker_amplitudes(source) -> dict[int, complex]:
+    """The walker amplitude of ``source`` at each position, keyed in ascending x."""
     if isinstance(source, WalkerState):
         amps = {}
         for x, (a, b) in source.amplitudes.items():
@@ -86,7 +81,8 @@ def _walker_amplitudes(source) -> dict[int, complex]:
                 )
             amps[x] = a
     else:
-        amps = {_integer(x, "position"): _complex(a, "amplitude") for x, a in source.items()}
+        xs, column = _map_column(source, complex, "source", "amplitude")
+        amps = dict(zip(xs, column.tolist()))  # Python complexes, quoted as (2+0j)
     for x, a in amps.items():  # a state's amplitudes too: one rule whatever the source
         if not math.hypot(a.real, a.imag) <= 1.0 + CONSTRUCTION_TOL:  # NaN fails too
             raise DomainError(f"amplitude at x = {_quote(x)} is {_quote(a)}, not of modulus <= 1")
@@ -140,7 +136,7 @@ def purity_criterion(
     tol = _real(tol, "tol", 0.0, rule="be finite and >= 0")
     amps = _walker_amplitudes(source)
     records = []
-    for x in sorted(amps)[:-1]:
+    for x in list(amps)[:-1]:
         if x + 2 not in amps:
             continue
         rho = _pair_rho(amps[x], amps[x + 2], gamma)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DomainError, _quote
 from .measure import _entropy_rows, _similarity_rows
-from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _column, _integer, _left_sum,
-                    _masses, _real, check_distribution, norm, support)
+from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _integer, _left_sum,
+                    _map_column, _masses, _real, check_distribution, norm, support)
 from .walk import _rows
 
 
@@ -102,8 +102,7 @@ def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
     reproducible per seed, an integer >= 0; n must be a whole number in [0, 2**63)."""
     _require_event_total(n, "n")
     _at_least(seed, 0, "seed")
-    xs = sorted(_integer(x, "position") for x in p)
-    probs = _column([p[x] for x in xs], float, "p", (f"weight at x = {_quote(x)}" for x in xs))
+    xs, probs = _map_column(p, float, "p", "weight")
     bad = ~np.isfinite(probs) | (probs < 0.0)
     if bad.any():
         x = xs[int(np.argmax(bad))]
@@ -144,9 +143,7 @@ def bootstrap_errorbars(
     if not (isinstance(resamples, Integral) and 100 <= resamples < 2**63):
         raise DomainError(f"resamples must be an integer in [100, 2**63), got {_quote(resamples)}")
     _at_least(seed, 0, "seed")
-    xs = sorted(_integer(x, "position") for x in counts)
-    values = _column([counts[x] for x in xs], float, "counts",
-                     (f"count at x = {_quote(x)}" for x in xs))
+    xs, values = _map_column(counts, float, "counts", "count")
     bad = ~(np.isfinite(values) & (values >= 0.0) & (values == np.floor(values)))
     if bad.any():
         x = xs[int(np.argmax(bad))]

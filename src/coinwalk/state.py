@@ -131,19 +131,36 @@ def _left_sums(rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(padded, axis=1)[:, -1]
 
 
+def _mapping(v, name: str) -> Mapping:
+    """``v`` if it is a Mapping: else DomainError naming it."""
+    if not isinstance(v, Mapping):
+        raise DomainError(f"{name} must be a map, got {_quote(v)}")
+    return v
+
+
+def _map_column(p, dtype: type, whole: str, entry: str) -> tuple[list[int], np.ndarray]:
+    """The map ``p``, named ``whole``, as its integer keys in ascending x and its values there
+    through ``_column``, each named "<entry> at x = <x>"."""
+    xs = sorted(_integer(x, "position") for x in _mapping(p, whole))
+    names = (f"{entry} at x = {_quote(x)}" for x in xs)
+    return xs, _column([p[x] for x in xs], dtype, whole, names)
+
+
 def check_distribution(p: Mapping[int, float], name: str) -> None:
     """Require a probability row: every entry finite and >= -1e-9
-    (DomainError), the entries summing to 1 within 1e-9 (NormalizationError).
+    (DomainError), the entries summing to 1 within 1e-9 (NormalizationError)."""
+    _distribution(p, name)
 
-    A row that ``row_stack`` accepted when it built the stack returns at
-    once; any other map, a ``Row`` too, is read in ascending x, whatever its
-    order, into one column, its keys integers and its values reals, and
-    checked as a one-row matrix: the smallest bad x is named."""
+
+def _distribution(p: Mapping[int, float], name: str) -> tuple[Sequence[int], np.ndarray]:
+    """check_distribution, returning the keys in ascending x and the column it checked: a row
+    that ``row_stack`` accepted, which is dense, gives its own; any other map is read by
+    ``_map_column`` and checked as a one-row matrix that names its smallest bad x."""
     if isinstance(p, Row) and p._checked:
-        return
-    xs = sorted(_integer(x, "position") for x in p)
-    values = _column([p[x] for x in xs], float, name, (f"{name} at x = {_quote(x)}" for x in xs))
+        return p.xs, p.columns[0]
+    xs, values = _map_column(p, float, name, name)
     _check_rows(xs, values[None], name)
+    return xs, values
 
 
 def _passing(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +329,7 @@ class WalkerState:
         object.__setattr__(self, "step", _at_least(self.step, 0, "step"))
         amps = self.amplitudes
         if not (isinstance(amps, Row) and amps.step == self.step and len(amps.columns) == 2):
-            amps = dict(_amplitude_pair(x, pair) for x, pair in amps.items())
+            amps = dict(_amplitude_pair(*entry) for entry in _mapping(amps, "amplitudes").items())
             positions = support(self.step)
             stray = next((x for x in amps if x not in positions), None)
             if stray is not None:
@@ -469,13 +486,15 @@ class AngleRows(Mapping):
         return self.theta.size
 
 
-def _coins_at(given: Mapping, keys: Sequence, kind: type, owner: str, where) -> list:
-    """The coins of ``given`` at exactly ``keys``, in key order, each a ``kind``:
-    else IncompleteLayerError or DomainError naming the first bad key, which
+def _coins_at(given: Mapping, whole: str, keys: Iterable, kind: type, owner: str, where) -> list:
+    """The coins of the map ``given``, named ``whole``, at exactly ``keys``, in key order,
+    each a ``kind``: else IncompleteLayerError or DomainError naming the first bad key, which
     ``where`` formats from the parts of the key, each quoted by ``_quote``. A
     stray key is named as the smallest one shaped like ``keys`` (a tuple exactly
     when they are, with as many integer parts), or else as the first in
     ``given``'s order, quoted whole."""
+    # A key past the map's length is missing, so no more keys are needed.
+    keys = list(islice(keys, len(_mapping(given, whole)) + 1))
 
     def parts(key) -> tuple:
         return key if isinstance(key, tuple) else (key,)
@@ -536,14 +555,12 @@ class CoinProgram:
                 raise DomainError(f"coin angle at step {t}, position {x} is "
                                   f"{float(theta[bad[0]])!r}, not in [0, pi]")
         else:
-            # A cell past the dict's length is missing, so no more keys are needed.
             keys = ((t, x) for t in range(self.steps) for x in support(t))
             where = "cell ({0},{1}) at step {0}, position {1}".format
-            coins = _coins_at(self.cells, list(islice(keys, len(self.cells) + 1)),
-                              CoinOp, "program", where)
+            coins = _coins_at(self.cells, "cells", keys, CoinOp, "program", where)
             object.__setattr__(self, "cells", AngleRows([op.theta for op in coins]))
         if self.final_layer is not None:
-            _coins_at(self.final_layer, support(self.steps), GeneralCoinOp,
+            _coins_at(self.final_layer, "final_layer", support(self.steps), GeneralCoinOp,
                       "final layer", "position {}".format)
 
     def layer(self, t: int) -> dict[int, CoinOp]:
@@ -568,12 +585,10 @@ class DistributionSchedule:
     def __post_init__(self):
         object.__setattr__(self, "steps", _at_least(self.steps, 1, "steps"))
         rows = {}
-        for t, row in self.rows.items():
+        for t, row in _mapping(self.rows, "rows").items():
             t = _integer(t, "schedule row")
             if not (isinstance(row, Row) and row.step == t and len(row.columns) == 1):
-                if not isinstance(row, Mapping):
-                    raise DomainError(f"schedule row {_quote(t)} must be a map, got {_quote(row)}")
-                xs = [_integer(x, "position") for x in row]
+                xs = [_integer(x, "position") for x in _mapping(row, f"schedule row {_quote(t)}")]
                 names = (f"P({_quote(x)},{_quote(t)})" for x in xs)
                 row = dict(zip(xs, _column([*row.values()], float, "row", names).tolist()))
             rows[t] = row

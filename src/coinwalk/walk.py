@@ -24,6 +24,7 @@ from .state import (
     Row,
     WalkerState,
     _at_least,
+    _mapping,
     _masses,
     _require_finite_rows,
     localized_state,
@@ -47,9 +48,10 @@ def apply_coin_layer(
 ) -> WalkerState:
     """Apply a position-dependent coin to every occupied position.
 
-    Raises IncompleteLayerError if the layer misses an occupied position.
+    Raises IncompleteLayerError if the layer misses an occupied position,
+    and DomainError if the layer is no map.
     """
-    entries = []
+    entries, layer = [], _mapping(layer, "layer")
     for x in s.amplitudes.xs:
         coin = layer.get(x)
         if coin is None:

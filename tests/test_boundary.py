@@ -1,10 +1,12 @@
 """One rule for every scalar at the public boundary: a value put in place of
-one scalar argument of a public callable, or of one element or the whole of
-an array argument, gives a result or a CoinWalkError whose message is under
-300 bytes, never any other exception. Reals are checked by ``state._real``,
-integers by ``state._integer``, arrays by ``state._column`` with the same
-rules, a numpy bool is read as the bool it equals, and a message quotes each
-value through ``errors._quote``."""
+one scalar argument of a public callable, of one element or the whole of
+an array argument, or of a whole map argument, gives a result or a
+CoinWalkError whose message is under 300 bytes, never any other exception.
+Reals are checked by ``state._real``, integers by ``state._integer``, arrays
+by ``state._column`` with the same rules, maps from position to number by
+``state._map_column``, anything but a Mapping in place of a map is a
+DomainError naming the argument, a numpy bool is read as the bool it equals,
+and a message quotes each value through ``errors._quote``."""
 
 import math
 from dataclasses import replace
@@ -24,9 +26,9 @@ from coinwalk.noise import (NoiseModel, bootstrap_errorbars, detected_event_budg
 from coinwalk.pulses import (ARM_CCW, Calibration, PulseSchedule, TimingModel, arrival_time,
                              compile_schedule, decompile_schedule)
 from coinwalk.state import (HADAMARD, AngleRows, CoinOp, CoinProgram, DistributionSchedule,
-                            GeneralCoinOp, WalkerState, localized_state)
+                            GeneralCoinOp, WalkerState, check_distribution, localized_state)
 from coinwalk.synth import AmplitudePlan, synthesize_coins, uniform_program
-from coinwalk.walk import circular_initial, hadamard_program
+from coinwalk.walk import apply_coin_layer, circular_initial, hadamard_program
 
 PROGRAM = uniform_program(3)
 DISENTANGLED = localized_state(1, 0)  # coin factored to |0>
@@ -60,10 +62,30 @@ def plan(a):
     return synthesize_coins(AmplitudePlan(1, a, ([0.0], [0.0, 0.0])))
 
 
+# Each whole-map site puts a value in place of a whole map argument: a map
+# from position to number, or a map of coins.
+WHOLE_MAPS = {
+    "sample_counts.p": lambda v: sample_counts(v, 10, 0),
+    "bootstrap_errorbars.counts": lambda v: bootstrap_errorbars(v, 100, 0),
+    "bootstrap_errorbars.theory": lambda v: bootstrap_errorbars({0: 5, 2: 5}, 100, 0, v),
+    "similarity.p": lambda v: similarity(v, {0: 1.0}),
+    "similarity.q": lambda v: similarity({0: 1.0}, v),
+    "shannon_entropy.p": shannon_entropy,
+    "check_distribution.p": lambda v: check_distribution(v, "p"),
+    "purity_criterion.source": purity_criterion,
+    "pair_density.source": lambda v: pair_density(v, 0),
+    "WalkerState.amplitudes": lambda v: WalkerState(0, v),
+    "DistributionSchedule.rows": lambda v: DistributionSchedule(1, v),
+    "CoinProgram.cells": lambda v: CoinProgram(steps=1, cells=v, initial=DISENTANGLED),
+    "CoinProgram.final_layer": lambda v: CoinProgram(steps=1, cells={(0, 0): HADAMARD},
+                                                     initial=DISENTANGLED, final_layer=v),
+    "apply_coin_layer.layer": lambda v: apply_coin_layer(DISENTANGLED, v),
+}
+
 # Each site puts a value in one scalar argument (or one value or key of a
 # mapping argument, or one element of an array argument, or in place of the
-# whole array) of a public callable; every other argument is valid. No site
-# takes a large valid resamples, which would allocate.
+# whole array or map) of a public callable; every other argument is valid. No
+# site takes a large valid resamples, which would allocate.
 SITES = {
     "CoinOp.theta": CoinOp,
     "GeneralCoinOp.m00": lambda v: GeneralCoinOp(v, 0.0, 0.0, -1.0),
@@ -126,6 +148,7 @@ SITES = {
     "WalkerState.from_rows.whole": lambda v: WalkerState.from_rows(0, v, [0.0]),
     "AmplitudePlan.amplitude": lambda v: plan(([1.0], [v, 1.0])),
     "AmplitudePlan.whole": plan,
+    **WHOLE_MAPS,
     **{f"fileio.{reader.__name__}": reader for reader in (
         fileio.program_from_text, fileio.distribution_from_text,
         fileio.schedule_targets_from_text, fileio.calibration_from_text,
@@ -152,6 +175,9 @@ def test_every_probe_in_every_scalar_gives_a_result_or_a_short_coinwalk_error(si
     for value in PROBES:
         outcome(site, value)
 
+
+SORTED_KEYS = {"sample_counts.p", "bootstrap_errorbars.counts", "bootstrap_errorbars.theory",
+               "similarity.p", "similarity.q", "shannon_entropy.p", "check_distribution.p"}
 
 # Each probe that ended in a raw exception or was taken in silence before the
 # one rule, as (site, value).
@@ -188,6 +214,11 @@ LEAKS = [
     ("DistributionSchedule.from_rows.whole", None), ("AmplitudePlan.whole", None),
     # Mapping values that are no pair or no row, which ended in a raw exception.
     ("WalkerState.pair", 5), ("WalkerState.pair", (1,)), ("DistributionSchedule.row", 5),
+    # Sequences in place of a whole map: read by position as a map (sample_counts and
+    # bootstrap_errorbars took [1, 0]), or a raw IndexError, AttributeError or TypeError.
+    # Where the keys were sorted first, the 0.5 of [0.5] was already no position.
+    *((site, v) for site in WHOLE_MAPS for v in ([1, 0], bytearray(b"\x01\x02"))),
+    *((site, [0.5]) for site in WHOLE_MAPS if site not in SORTED_KEYS),
 ]
 
 
@@ -220,6 +251,14 @@ def test_each_probe_that_leaked_or_was_accepted_is_a_domain_error(site, value):
 def test_a_numpy_bool_gives_the_outcome_of_the_bool_it_equals(site):
     assert outcome(site, np.True_) is outcome(site, True)
     assert outcome(site, np.False_) is outcome(site, False)
+
+
+@pytest.mark.parametrize("site", WHOLE_MAPS)
+def test_a_sequence_in_place_of_a_whole_map_is_named_by_its_argument(site):
+    argument = "q" if site == "bootstrap_errorbars.theory" else site.rpartition(".")[2]
+    with pytest.raises(DomainError) as info:
+        SITES[site]([1, 0])
+    assert str(info.value) == f"{argument} must be a map, got [1, 0]"
 
 
 @pytest.mark.parametrize("make, message", [

@@ -190,8 +190,10 @@ def rows_and_partners(draw):
     values = draw(probability_values(t))
     row = stacked(t, values) if draw(st.booleans()) else Row(t, (np.array(values),))
     partner = stacked(t, draw(st.just(values) | probability_values(t)))
-    kind = draw(st.sampled_from(["row", "dict", "missing", "off-support"]))
-    if kind != "row":
+    kind = draw(st.sampled_from(["row", "sparse-row", "dict", "missing", "off-support"]))
+    if kind == "sparse-row":  # keyed at its nonzero positions only, so the keys differ from row's
+        partner = Row(t, partner.columns, [x for x, v in partner.items() if v != 0.0])
+    elif kind != "row":
         partner = dict(partner)
         if kind == "missing":
             for x in draw(st.sets(st.sampled_from(list(support(t))), max_size=t)):
