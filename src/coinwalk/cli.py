@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import fileio, measure, noise, pulses, synth, walk
@@ -57,10 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-final-layer", action="store_true",
                    help="omit the disentangling layer")
     p.add_argument("-o", "--output", type=Path, required=True)
+    p.set_defaults(run=_cmd_synthesize)
 
     p = sub.add_parser("simulate", help="run a program, one distribution file per step")
     p.add_argument("program", type=Path)
     p.add_argument("--out-dir", type=Path, required=True)
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("compile", help="compile a program to a pulse schedule")
     p.add_argument("program", type=Path)
@@ -68,23 +70,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", type=Path, help="anchor file (phase voltage lines)")
     p.add_argument("--t-ns", type=float, default=None)
     p.add_argument("--dt-ns", type=float, default=None)
-    p.add_argument("--sagnac-ns", type=float, default=None)
-    p.add_argument("--width-ns", type=float, default=None)
-    p.add_argument("--rep-ns", type=float, default=None)
+    # Each timing flag's dest is its TimingModel field; metavar keeps the flag's name.
+    p.add_argument("--sagnac-ns", type=float, dest="sagnac_delay_ns", metavar="SAGNAC_NS")
+    p.add_argument("--width-ns", type=float, dest="pulse_width_ns", metavar="WIDTH_NS")
+    p.add_argument("--rep-ns", type=float, dest="rep_period_ns", metavar="REP_NS")
     p.add_argument("--launch-offset", type=float, default=0.0)
+    p.set_defaults(run=_cmd_compile)
 
     p = sub.add_parser("sample", help="multinomial counts with bootstrap error bars")
     p.add_argument("distribution", type=Path)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--resamples", type=int, default=500)
     p.add_argument("-o", "--output", type=Path, required=True)
+    p.set_defaults(run=_cmd_sample, seeded=True)
 
     p = sub.add_parser("entropy", help="Shannon entropy of a distribution, in bits")
     p.add_argument("distribution", type=Path)
+    p.set_defaults(run=_cmd_entropy)
 
     p = sub.add_parser("similarity", help="overlap sum sqrt(p q) of two distributions")
     p.add_argument("dist_a", type=Path)
     p.add_argument("dist_b", type=Path)
+    p.set_defaults(run=_cmd_similarity)
 
     p = sub.add_parser("verify-purity", help="pairwise purity report for a built-in walk")
     p.add_argument("--target", choices=("gaussian", "uniform"), required=True)
@@ -92,15 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0,
                    help="off-diagonal retention (1 = pure)")
     p.add_argument("-o", "--output", type=Path)
+    p.set_defaults(run=_cmd_verify_purity)
 
     p = sub.add_parser("extract-bits", help="draw positions and emit random bits")
     p.add_argument("distribution", type=Path)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("-o", "--output", type=Path, required=True)
+    p.set_defaults(run=_cmd_extract_bits, seeded=True)
 
     p = sub.add_parser("reproduce", help="regenerate all reference data files")
     p.add_argument("--out-dir", type=Path, required=True)
+    p.set_defaults(run=_cmd_reproduce, seeded=True)
     return parser
 
 
@@ -117,6 +127,10 @@ def _read(path: Path) -> str:
         return path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _dist(path: Path) -> dict[int, float]:
+    return fileio.distribution_from_text(_read(path))
 
 
 def _cmd_synthesize(args) -> None:
@@ -138,14 +152,8 @@ def _cmd_simulate(args) -> None:
 
 
 def _timing_model(args) -> pulses.TimingModel:
-    overrides = {
-        "t_ns": args.t_ns,
-        "dt_ns": args.dt_ns,
-        "sagnac_delay_ns": args.sagnac_ns,
-        "pulse_width_ns": args.width_ns,
-        "rep_period_ns": args.rep_ns,
-    }
-    return pulses.TimingModel(**{k: v for k, v in overrides.items() if v is not None})
+    given = {f.name: getattr(args, f.name) for f in fields(pulses.TimingModel)}
+    return pulses.TimingModel(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_compile(args) -> None:
@@ -159,15 +167,23 @@ def _cmd_compile(args) -> None:
     args.output.write_text(fileio.pulse_schedule_to_text(schedule))
 
 
-def _cmd_sample(args, seed: int) -> None:
-    dist = fileio.distribution_from_text(_read(args.distribution))
-    counts = noise.sample_counts(dist, args.events, seed)
-    errors = noise.bootstrap_errorbars(counts, args.resamples, seed + 1, theory=dist)
+def _cmd_sample(args) -> None:
+    dist = _dist(args.distribution)
+    counts = noise.sample_counts(dist, args.events, args.seed)
+    errors = noise.bootstrap_errorbars(counts, args.resamples, args.seed + 1, theory=dist)
     n = sum(counts.values())
     lines = [f"# events {n}  sigma_F {errors.sigma_similarity!r}"]
     for x in sorted(counts):
         lines.append(f"{x} {counts[x]} {errors.sigma_p[x]!r}")
     args.output.write_text("\n".join(lines) + "\n")
+
+
+def _cmd_entropy(args) -> None:
+    print(repr(measure.shannon_entropy(_dist(args.distribution))))
+
+
+def _cmd_similarity(args) -> None:
+    print(repr(measure.similarity(_dist(args.dist_a), _dist(args.dist_b))))
 
 
 def _purity(target: str, steps: int, gamma: float) -> list[measure.PurityRecord]:
@@ -186,21 +202,17 @@ def _cmd_verify_purity(args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_extract_bits(args, seed: int) -> None:
-    dist = fileio.distribution_from_text(_read(args.distribution))
-    counts = noise.sample_counts(dist, args.events, seed)
+def _cmd_extract_bits(args) -> None:
+    counts = noise.sample_counts(_dist(args.distribution), args.events, args.seed)
     samples = [x for x in sorted(counts) for _ in range(counts[x])]
     result = measure.extract_bits(samples, args.steps)
     args.output.write_text(result.bits + "\n")
-    print(
-        f"accepted {result.n_accepted} samples, rejected {result.n_rejected}, "
-        f"{result.bits_per_sample} bits each",
-        file=sys.stderr,
-    )
+    print(f"accepted {result.n_accepted} samples, rejected {result.n_rejected}, "
+          f"{result.bits_per_sample} bits each", file=sys.stderr)
 
 
-def _cmd_reproduce(args, seed: int) -> None:
-    out = args.out_dir
+def _cmd_reproduce(args) -> None:
+    out, seed = args.out_dir, args.seed
     out.mkdir(parents=True, exist_ok=True)
     steps = 11
     names = ("hadamard", "gaussian", "uniform")
@@ -208,9 +220,7 @@ def _cmd_reproduce(args, seed: int) -> None:
     reports = {name: walk.run_program(p) for name, p in programs.items()}
 
     # Step-11 distributions: theory next to jittered finite-count emulation.
-    for i, (name, fig) in enumerate(
-        (("hadamard", "fig2a"), ("gaussian", "fig2b"), ("uniform", "fig2c"))
-    ):
+    for i, (name, fig) in enumerate(zip(names, ("fig2a", "fig2b", "fig2c"))):
         theory = reports[name][steps].distribution
         nm = noise.NoiseModel(coin_angle_jitter_rad=0.01, seed=seed + 10 * i)
         noisy = walk.run_program(noise.perturb_program(programs[name], nm))
@@ -224,10 +234,8 @@ def _cmd_reproduce(args, seed: int) -> None:
             f"# similarity {f_val!r} sigma_F {errors.sigma_similarity!r}",
         ]
         for x in sorted(theory):
-            lines.append(
-                f"{x} {theory[x]!r} {sampled.get(x, 0.0)!r} "
-                f"{errors.sigma_p.get(x, 0.0)!r}"
-            )
+            lines.append(f"{x} {theory[x]!r} {sampled.get(x, 0.0)!r} "
+                         f"{errors.sigma_p.get(x, 0.0)!r}")
         (out / f"{fig}.txt").write_text("\n".join(lines) + "\n")
 
     # Odd-step distributions for the two engineered walks.
@@ -254,37 +262,18 @@ def _cmd_reproduce(args, seed: int) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("sample", "extract-bits", "reproduce"):
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "seeded", False):
         print(f"seed {args.seed}", file=sys.stderr)
     try:
-        if args.command == "synthesize":
-            _cmd_synthesize(args)
-        elif args.command == "simulate":
-            _cmd_simulate(args)
-        elif args.command == "compile":
-            _cmd_compile(args)
-        elif args.command == "sample":
-            _cmd_sample(args, args.seed)
-        elif args.command == "entropy":
-            dist = fileio.distribution_from_text(_read(args.distribution))
-            print(repr(measure.shannon_entropy(dist)))
-        elif args.command == "similarity":
-            a = fileio.distribution_from_text(_read(args.dist_a))
-            b = fileio.distribution_from_text(_read(args.dist_b))
-            print(repr(measure.similarity(a, b)))
-        elif args.command == "verify-purity":
-            _cmd_verify_purity(args)
-        elif args.command == "extract-bits":
-            _cmd_extract_bits(args, args.seed)
-        elif args.command == "reproduce":
-            _cmd_reproduce(args, args.seed)
+        args.run(args)
     except CoinWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
     except MemoryError:  # numpy's too, for an array of a size that cannot be allocated
-        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        # Each handler is named for its subcommand: _cmd_extract_bits runs extract-bits.
+        command = args.run.__name__.removeprefix("_cmd_").replace("_", "-")
+        print(f"error: {command} ran out of memory", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
 

@@ -17,8 +17,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, MustDisentangleError, _quote
-from .state import (CONSTRUCTION_TOL, WalkerState, _at_least, _distribution, _integer, _left_sum,
-                    _left_sums, _map_column, _real, support)
+from .state import (CONSTRUCTION_TOL, WalkerState, _at_least, _distribution, _integer, _iterable,
+                    _left_sum, _left_sums, _map_column, _real, support)
 
 
 def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
@@ -168,7 +168,7 @@ def extract_bits(samples: Iterable[int], t: int) -> BitExtraction:
     chunks = []
     rejected = 0
     positions = support(t)
-    for x in map(_integer, samples, repeat("position")):
+    for x in map(_integer, _iterable(samples, "samples"), repeat("position")):
         if x not in positions:
             raise DomainError(f"position {_quote(x)} outside the step-{t} support")
         idx = (x + t) // 2

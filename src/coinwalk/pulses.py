@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import repeat
 from numbers import Real
@@ -32,12 +32,12 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError, _quote
-from .state import CoinProgram, _column, _integer, _number, _real, support
+from .state import CoinProgram, _column, _integer, _iterable, _number, _real, support
 
 ARM_CCW = "ccw"  # horizontal polarization, undelayed
 ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
 ARMS = (ARM_CCW, ARM_CW)  # in sort order, indexed by the cw flag
-_ARM_CODES = {ARM_CCW: 0, ARM_CW: 1}  # any other arm is code 2
+_ARM_CODES = {arm: code for code, arm in enumerate(ARMS)}  # any other arm is code 2
 
 # Slot tables compile_schedule keeps, one per (steps, timing model, launch offset).
 SLOT_TABLES = 4
@@ -70,8 +70,8 @@ class TimingModel:
     rep_period_ns: float = 1000.0  # laser repetition period (1 MHz)
 
     def __post_init__(self):
-        for name in ("t_ns", "dt_ns", "sagnac_delay_ns", "pulse_width_ns", "rep_period_ns"):
-            _real(getattr(self, name), name, math.ulp(0.0), rule="be positive")
+        for f in fields(self):
+            _real(getattr(self, f.name), f.name, math.ulp(0.0), rule="be positive")
         if self.dt_ns <= self.pulse_width_ns:
             raise DomainError(
                 f"position bins unresolvable: dt_ns = {_quote(self.dt_ns)} must exceed "
@@ -98,7 +98,11 @@ class Calibration:
     anchors: tuple[tuple[float, float], ...] = DEFAULT_ANCHORS
 
     def __post_init__(self):
-        if len(self.anchors) < 2:
+        try:
+            n = len(self.anchors)
+        except TypeError:  # no collection: 5, None, a generator
+            raise DomainError(f"anchors must be a sequence, got {_quote(self.anchors)}") from None
+        if n < 2:
             raise DomainError("calibration needs at least two anchors")
         phases, volts = (_column(c, float, "anchors") for c in zip(*map(_anchor, self.anchors)))
         for name, column in (("phases", phases), ("voltages", volts)):
@@ -159,7 +163,7 @@ class PulseEvent:
     arm: str
 
 
-_EVENT_FIELDS = attrgetter("time_ns", "voltage_v", "width_ns", "step", "position", "arm")
+_EVENT_FIELDS = attrgetter(*(f.name for f in fields(PulseEvent)))
 
 
 class PulseEvents(Sequence):
@@ -203,8 +207,11 @@ class PulseSchedule:
 
     def __post_init__(self):
         if not isinstance(self.events, PulseEvents):
-            columns = zip(*map(_EVENT_FIELDS, self.events))
-            object.__setattr__(self, "events", PulseEvents(*columns))
+            events = list(_iterable(self.events, "events"))
+            for i, e in enumerate(events):
+                if not isinstance(e, PulseEvent):
+                    raise DomainError(f"events[{i}] must be a PulseEvent, got {_quote(e)}")
+            object.__setattr__(self, "events", PulseEvents(*zip(*map(_EVENT_FIELDS, events))))
 
 
 def coin_to_phases(p: CoinProgram) -> list[PhaseCell]:

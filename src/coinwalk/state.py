@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import reduce
 from itertools import count, islice, repeat
@@ -136,6 +136,14 @@ def _mapping(v, name: str) -> Mapping:
     if not isinstance(v, Mapping):
         raise DomainError(f"{name} must be a map, got {_quote(v)}")
     return v
+
+
+def _iterable(v, name: str) -> Iterator:
+    """An iterator over ``v``: else DomainError naming it, in ``_column``'s wording."""
+    try:
+        return iter(v)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {_quote(v)}") from None
 
 
 def _map_column(p, dtype: type, whole: str, entry: str) -> tuple[list[int], np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteLayerError
+from .errors import DomainError, IncompleteLayerError, _quote
 from .state import (
     AngleRows,
     CoinOp,
@@ -43,21 +43,32 @@ class StepReport:
     distribution: Row
 
 
+def _walker(s) -> WalkerState:
+    """``s`` if it is a WalkerState: else DomainError naming it."""
+    if not isinstance(s, WalkerState):
+        raise DomainError(f"s must be a WalkerState, got {_quote(s)}")
+    return s
+
+
 def apply_coin_layer(
     s: WalkerState, layer: dict[int, CoinOp | GeneralCoinOp]
 ) -> WalkerState:
     """Apply a position-dependent coin to every occupied position.
 
     Raises IncompleteLayerError if the layer misses an occupied position,
-    and DomainError if the layer is no map.
+    and DomainError if ``s`` is no WalkerState, the layer is no map, or its
+    coin at an occupied position is no CoinOp or GeneralCoinOp.
     """
-    entries, layer = [], _mapping(layer, "layer")
+    s, entries, layer = _walker(s), [], _mapping(layer, "layer")
     for x in s.amplitudes.xs:
         coin = layer.get(x)
         if coin is None:
             raise IncompleteLayerError(
                 f"layer has no coin at occupied position {x} (step {s.step})"
             )
+        if not isinstance(coin, (CoinOp, GeneralCoinOp)):
+            raise DomainError(f"layer coin at position {x} is a {type(coin).__name__}, "
+                              "not a CoinOp or GeneralCoinOp")
         entries.append(coin.matrix.ravel())
     # A zero coin at the other positions keeps their zero amplitudes.
     m = np.zeros((s.step + 1, 4))
@@ -70,6 +81,7 @@ def apply_coin_layer(
 
 def apply_shift(s: WalkerState) -> WalkerState:
     """Conditional shift: a(x) -> a(x+1), b(x) -> b(x-1), step t -> t+1."""
+    s = _walker(s)
     xs = None  # every position of the next step
     if not s.amplitudes.dense:
         xs = sorted({x + d for x in s.amplitudes.xs for d in (-1, 1)})

@@ -1,12 +1,14 @@
 """One rule for every scalar at the public boundary: a value put in place of
 one scalar argument of a public callable, of one element or the whole of
-an array argument, or of a whole map argument, gives a result or a
-CoinWalkError whose message is under 300 bytes, never any other exception.
-Reals are checked by ``state._real``, integers by ``state._integer``, arrays
-by ``state._column`` with the same rules, maps from position to number by
-``state._map_column``, anything but a Mapping in place of a map is a
-DomainError naming the argument, a numpy bool is read as the bool it equals,
-and a message quotes each value through ``errors._quote``."""
+an array argument, of a whole map or sequence argument, or of a state or a
+coin, gives a result or a CoinWalkError whose message is under 300 bytes,
+never any other exception. Reals are checked by ``state._real``, integers by
+``state._integer``, arrays by ``state._column`` with the same rules, maps from
+position to number by ``state._map_column``, anything but a Mapping in place
+of a map, anything not iterable in place of a sequence and anything but a
+WalkerState in place of a state is a DomainError naming the argument, a numpy
+bool is read as the bool it equals, and a message quotes each value through
+``errors._quote``."""
 
 import math
 from dataclasses import replace
@@ -28,7 +30,7 @@ from coinwalk.pulses import (ARM_CCW, Calibration, PulseSchedule, TimingModel, a
 from coinwalk.state import (HADAMARD, AngleRows, CoinOp, CoinProgram, DistributionSchedule,
                             GeneralCoinOp, WalkerState, check_distribution, localized_state)
 from coinwalk.synth import AmplitudePlan, synthesize_coins, uniform_program
-from coinwalk.walk import apply_coin_layer, circular_initial, hadamard_program
+from coinwalk.walk import apply_coin_layer, apply_shift, circular_initial, hadamard_program, step
 
 PROGRAM = uniform_program(3)
 DISENTANGLED = localized_state(1, 0)  # coin factored to |0>
@@ -80,6 +82,20 @@ WHOLE_MAPS = {
     "CoinProgram.final_layer": lambda v: CoinProgram(steps=1, cells={(0, 0): HADAMARD},
                                                      initial=DISENTANGLED, final_layer=v),
     "apply_coin_layer.layer": lambda v: apply_coin_layer(DISENTANGLED, v),
+}
+
+# Each whole-sequence site puts a value in place of a whole sequence argument.
+WHOLE_SEQUENCES = {
+    "extract_bits.samples": lambda v: extract_bits(v, 3),
+    "Calibration.anchors": Calibration,
+    "PulseSchedule.events": lambda v: PulseSchedule(events=v),
+}
+
+# Each state site puts a value in place of a WalkerState argument.
+STATES = {
+    "apply_coin_layer.s": lambda v: apply_coin_layer(v, {0: HADAMARD}),
+    "apply_shift.s": apply_shift,
+    "step.s": lambda v: step(v, {0: HADAMARD}),
 }
 
 # Each site puts a value in one scalar argument (or one value or key of a
@@ -139,6 +155,7 @@ SITES = {
     "extract_bits.sample": lambda v: extract_bits([v], 3),
     "extract_bits.t": lambda v: extract_bits([0], v),
     "CoinProgram.layer": PROGRAM.layer,
+    "apply_coin_layer.coin": lambda v: apply_coin_layer(DISENTANGLED, {0: v}),
     "AngleRows.angle": lambda v: angle_rows([0.5, v, 0.5]),
     "AngleRows.whole": lambda v: CoinProgram(steps=1, cells=AngleRows(v), initial=DISENTANGLED),
     "DistributionSchedule.from_rows.value": lambda v: DistributionSchedule.from_rows([1.0, v, 0.5]),
@@ -149,6 +166,8 @@ SITES = {
     "AmplitudePlan.amplitude": lambda v: plan(([1.0], [v, 1.0])),
     "AmplitudePlan.whole": plan,
     **WHOLE_MAPS,
+    **WHOLE_SEQUENCES,
+    **STATES,
     **{f"fileio.{reader.__name__}": reader for reader in (
         fileio.program_from_text, fileio.distribution_from_text,
         fileio.schedule_targets_from_text, fileio.calibration_from_text,
@@ -219,6 +238,10 @@ LEAKS = [
     # Where the keys were sorted first, the 0.5 of [0.5] was already no position.
     *((site, v) for site in WHOLE_MAPS for v in ([1, 0], bytearray(b"\x01\x02"))),
     *((site, [0.5]) for site in WHOLE_MAPS if site not in SORTED_KEYS),
+    # A number in place of a whole sequence, a state or a coin, or a str of no events:
+    # a raw TypeError or AttributeError.
+    *((site, 5) for site in (*WHOLE_SEQUENCES, *STATES, "apply_coin_layer.coin")),
+    *((site, None) for site in STATES), ("PulseSchedule.events", "a"),
 ]
 
 
@@ -259,6 +282,29 @@ def test_a_sequence_in_place_of_a_whole_map_is_named_by_its_argument(site):
     with pytest.raises(DomainError) as info:
         SITES[site]([1, 0])
     assert str(info.value) == f"{argument} must be a map, got [1, 0]"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: extract_bits(5, 3), "samples must be a sequence, got 5"),
+    (lambda: Calibration(anchors=5), "anchors must be a sequence, got 5"),
+    (lambda: PulseSchedule(events=5), "events must be a sequence, got 5"),
+    (lambda: PulseSchedule(events=["a"]), "events[0] must be a PulseEvent, got 'a'"),
+    (lambda: apply_shift(None), "s must be a WalkerState, got None"),
+    (lambda: step(5, {0: HADAMARD}), "s must be a WalkerState, got 5"),
+    (lambda: apply_coin_layer(DISENTANGLED, {0: 5}), "layer coin at position 0 is a int, not a "
+                                                     "CoinOp or GeneralCoinOp"),
+], ids=["samples", "anchors", "events", "event", "shift-state", "step-state", "coin"])
+def test_a_value_in_place_of_a_sequence_state_or_coin_is_named_by_its_argument(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_a_layer_may_hold_coins_at_unoccupied_positions_and_samples_any_iterable():
+    # step(s, p.layer(t)) on a sparse state passes every coin of step t.
+    sparse = WalkerState(2, {0: (1, 0)})
+    assert step(sparse, PROGRAM.layer(2)).positions() == [-1, 1]
+    assert extract_bits(iter([-3, 3]), 3) == extract_bits([-3, 3], 3)
 
 
 @pytest.mark.parametrize("make, message", [

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from coinwalk.cli import (
 )
 from coinwalk.errors import DomainError, IncompleteLayerError, ParseError
 from coinwalk.noise import NoiseModel, perturb_program
+from coinwalk.pulses import TimingModel, compile_schedule
 from coinwalk.state import CoinOp, WalkerState
 from coinwalk.synth import uniform_program
 
@@ -99,6 +101,27 @@ class TestCompileCommand:
         prog = tmp_path / "u.prog"
         run("synthesize", "--target", "uniform", "--steps", "14", "-o", prog)
         assert run("compile", prog, "-o", tmp_path / "x.csv") == EXIT_COLLISION
+
+
+# The compile flag of each TimingModel field, and a value of it other than the default.
+TIMING_FLAGS = {"t_ns": ("--t-ns", 70.0), "dt_ns": ("--dt-ns", 2.5),
+                "sagnac_delay_ns": ("--sagnac-ns", 38.0), "pulse_width_ns": ("--width-ns", 0.8),
+                "rep_period_ns": ("--rep-ns", 1200.0)}
+
+
+def test_compile_reads_every_timing_flag_into_its_field(tmp_path):
+    assert set(TIMING_FLAGS) == {f.name for f in fields(TimingModel)}
+    program = uniform_program(13)
+    (tmp_path / "u.prog").write_text(fileio.program_to_text(program))
+    flags = [str(a) for flag, value in TIMING_FLAGS.values() for a in (flag, value)]
+    assert run("compile", tmp_path / "u.prog", "-o", tmp_path / "u.csv", *flags,
+               "--launch-offset", "3.5") == EXIT_OK
+    tm = TimingModel(**{name: value for name, (_, value) in TIMING_FLAGS.items()})
+    expected = fileio.pulse_schedule_to_text(compile_schedule(program, tm, launch_offset_ns=3.5))
+    assert (tmp_path / "u.csv").read_text() == expected
+    # The laser period changes no pulse; one too short to hold them shows it is read.
+    assert run("compile", tmp_path / "u.prog", "-o", tmp_path / "x.csv", *flags,
+               "--rep-ns", "500") == EXIT_COLLISION
 
 
 class TestExitCodes:
