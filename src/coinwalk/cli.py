@@ -13,6 +13,7 @@ collision, 5 domain or state error, or a size that runs out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -43,6 +44,7 @@ EXIT_CODES = (
 )
 
 
+@functools.cache  # one parser per process; each parse_args call fills a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coinwalk", description=__doc__)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, _quote
 from .measure import _entropy_rows, _similarity_rows
-from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _integer, _left_sum,
+from .state import (AngleRows, CoinProgram, _at_least, _check_rows, _held, _integer, _left_sum,
                     _map_column, _masses, _real, check_distribution, norm, support)
 from .walk import _rows
 
@@ -92,7 +92,7 @@ def _require_event_total(n, what: str) -> None:
     numpy's multinomial takes."""
     rule = "be a whole number in [0, 2**63)"
     _real(n, what, 0.0, rule=rule)
-    n = bool(n) if isinstance(n, np.bool_) else n  # numpy cannot compare its bool with 2**63
+    n = _held(n)  # a Python value: numpy cannot compare its bool with 2**63
     if not (n < 2**63 and n == math.floor(n)):
         raise DomainError(f"{what} must {rule}, got {_quote(n)}")
 
@@ -112,7 +112,7 @@ def sample_counts(p: Mapping[int, float], n: int, seed: int) -> dict[int, int]:
         raise DomainError(f"weights sum to {float(total)!r}, need a positive finite total")
     probs = probs / total
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, probs)
+    counts = rng.multinomial(int(n), probs)  # n is whole; numpy takes no 0-d float array
     return {x: int(c) for x, c in zip(xs, counts)}
 
 
@@ -140,7 +140,7 @@ def bootstrap_errorbars(
     shannon_entropy and similarity applied to that row as a map in any
     order; ``theory`` is checked once, as similarity's q.
     """
-    if not (isinstance(resamples, Integral) and 100 <= resamples < 2**63):
+    if not (isinstance(resamples := _held(resamples), Integral) and 100 <= resamples < 2**63):
         raise DomainError(f"resamples must be an integer in [100, 2**63), got {_quote(resamples)}")
     _at_least(seed, 0, "seed")
     xs, values = _map_column(counts, float, "counts", "count")

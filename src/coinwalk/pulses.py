@@ -32,7 +32,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import AlignmentError, CollisionError, DomainError, OrphanEventError, _quote
-from .state import CoinProgram, _column, _integer, _iterable, _number, _real, support
+from .state import CoinProgram, _column, _held, _integer, _iterable, _number, _real, support
 
 ARM_CCW = "ccw"  # horizontal polarization, undelayed
 ARM_CW = "cw"  # vertical polarization, Sagnac-delayed
@@ -70,7 +70,8 @@ class TimingModel:
     rep_period_ns: float = 1000.0  # laser repetition period (1 MHz)
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in fields(self):  # keep what a 0-d array holds: a model keys the slot tables
+            object.__setattr__(self, f.name, _held(getattr(self, f.name)))
             _real(getattr(self, f.name), f.name, math.ulp(0.0), rule="be positive")
         if self.dt_ns <= self.pulse_width_ns:
             raise DomainError(
@@ -112,7 +113,7 @@ class Calibration:
 
     def phase_to_voltage(self, phi: float) -> float:
         # An int phase compares exactly, so one too large for a float is out of range.
-        if not (isinstance(phi, (Real, np.bool_)) and 0.0 <= phi <= math.pi + 1e-12):
+        if not (isinstance(phi := _held(phi), Real) and 0.0 <= phi <= math.pi + 1e-12):
             raise DomainError(f"phase {_quote(phi)} outside [0, pi]")
         return float(_piecewise(float(phi), *self._columns))
 

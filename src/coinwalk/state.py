@@ -14,8 +14,8 @@ when the state is built. Every mass |a|^2 + |b|^2 is taken in numpy by
 Tolerance policy: user-facing construction checks run at 1e-9, internal
 evolution invariants are asserted at 1e-12.
 
-Argument policy: a real, complex or integer is checked by ``_real``, ``_complex``
-or ``_integer`` (a numpy bool as the bool it equals), every array by ``_column``,
+Argument policy: a real, complex or integer is checked by ``_real``, ``_complex`` or
+``_integer`` (a numpy bool or 0-d array as the value it holds), every array by ``_column``,
 numpy's one pass or that rule on each value, named by its cell; anything else is a
 DomainError, quoting each value through ``errors._quote``, clipped to 80 characters.
 """
@@ -47,10 +47,15 @@ def support(t: int) -> range:
     return range(-t, t + 1, 2)
 
 
+def _held(v):
+    """``v``, a numpy bool or 0-d numpy array read as the Python value it holds."""
+    return v.item() if isinstance(v, (np.bool_, np.ndarray)) and v.ndim == 0 else v
+
+
 def _integer(v, name: str) -> int:
-    """operator.index(v), a numpy bool read as a bool (int() truncates 1.7): else DomainError."""
+    """operator.index of ``_held(v)`` (int() truncates 1.7): else DomainError."""
     try:
-        return index(bool(v) if isinstance(v, np.bool_) else v)
+        return index(_held(v))
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {_quote(v)}") from None
 
@@ -64,9 +69,9 @@ def _at_least(v, low: int, name: str) -> int:
 
 
 def _real(v, name: str, low=-_FMAX, high=_FMAX, rule="be finite") -> float:
-    """float(v), never NaN, for a numbers.Real or numpy bool (no str, bytes, None or complex) in
+    """float(v), never NaN, for a numbers.Real ``_held(v)`` (no str, bytes, None or complex) in
     [low, high], finite by default: else DomainError, "<name> must fit a float" or "must <rule>"."""
-    if isinstance(v, (Real, np.bool_)):
+    if isinstance(v := _held(v), Real):
         try:
             f = float(v)
         except OverflowError:
@@ -78,16 +83,16 @@ def _real(v, name: str, low=-_FMAX, high=_FMAX, rule="be finite") -> float:
 
 def _number(v, name: str) -> float:
     """``_real`` on the whole line, but any float, NaN too, is left to the caller's checks."""
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v := _held(v), (float, np.floating)):
         return float(v)
     return _real(v, name, -math.inf, math.inf, "be a real number")
 
 
 def _complex(z, name: str) -> complex:
-    """complex(z) for a numbers.Complex or numpy bool whose parts fit a float: else DomainError."""
-    if isinstance(z, (complex, float)):  # a builtin or numpy float or complex, fast
+    """complex(z) for a numbers.Complex ``_held(z)`` whose parts fit a float: else DomainError."""
+    if isinstance(z := _held(z), (complex, float)):  # a builtin or numpy float or complex, fast
         return complex(z)
-    if isinstance(z, (Complex, np.bool_)):
+    if isinstance(z, Complex):
         return complex(_number(z.real, name), _number(z.imag, name))
     raise DomainError(f"{name} must be a complex number, got {_quote(z)}")
 
@@ -197,7 +202,7 @@ def _check_rows(xs: Sequence[int], rows: np.ndarray, name: str) -> None:
 
 
 def _masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """abs(a) ** 2 + abs(b) ** 2 for each entry of rows a, b, bit for bit the
+    """abs(a) ** 2 + abs(b) ** 2 for each entry of rows a, b, read-only, bit for bit the
     Python floats: hypot is Python's abs of a complex and float_power, which
     calls libm's pow as Python does, its ** 2 (numpy's abs, square and power
     differ in the last bit). A sum of finite squares that overflows is inf,
@@ -211,6 +216,7 @@ def _masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if z.size:
             raise DomainError(f"amplitude {complex(z[0])!r} is too large: its "
                               f"squared magnitude overflows a float")
+    total.flags.writeable = False
     return total
 
 
@@ -287,6 +293,11 @@ def row_stack(values) -> list[Row]:
     n, x = cell_at(values.size)
     if n == 0 or x != -n:
         raise DomainError(f"{values.size} values do not fill rows 0..T")
+    return _row_stack(values, n)
+
+
+def _row_stack(values: np.ndarray, n: int) -> list[Row]:
+    """row_stack of the read-only floats of rows 0..n-1 that the package made, not read again."""
     triangle = np.zeros((n, n))
     triangle[np.tri(n, dtype=bool)] = values  # row t: its t+1 values, then zeros
     rows = [Row(t, (values[t * (t + 1) // 2:(t + 1) * (t + 2) // 2],)) for t in range(n)]
@@ -405,9 +416,7 @@ def norm(s: WalkerState) -> float:
 
 def position_distribution(s: WalkerState) -> Row:
     """P(x) = |a(x)|^2 + |b(x)|^2 over the occupied positions."""
-    m = _masses(*s.rows)
-    m.flags.writeable = False
-    return Row(s.step, (m,), s.amplitudes.xs)
+    return Row(s.step, (_masses(*s.rows),), s.amplitudes.xs)
 
 
 @dataclass(frozen=True)

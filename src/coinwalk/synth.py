@@ -17,8 +17,7 @@ program ends in a disentangling layer that factors the coin out to |0>.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
@@ -30,7 +29,6 @@ from .errors import (
     InfeasibleScheduleError,
     UnsupportedStateError,
     ZeroCellError,
-    _quote,
 )
 from .state import (
     AngleRows,
@@ -41,6 +39,7 @@ from .state import (
     WalkerState,
     _at_least,
     _column,
+    _iterable,
     _require_finite_rows,
     cell_at,
     localized_state,
@@ -67,15 +66,23 @@ class AmplitudePlan:
 
     def __post_init__(self):
         for n, rows in (("a", self.a), ("b", self.b)):
-            if not isinstance(rows, Iterable):
-                raise DomainError(f"{n} must be a sequence, got {_quote(rows)}")
             rows = tuple(_column(r, float, f"{n}[{t}]",
                                  (f"amplitude {n}({x},{t})" for x in count(-t, 2)))
-                         for t, r in enumerate(rows))
+                         for t, r in enumerate(_iterable(rows, n)))
             if [r.size for r in rows] != list(range(1, self.steps + 2)):
                 raise DomainError(f"plan rows must have lengths 1..{self.steps + 1}")
             object.__setattr__(self, n, rows)
         _require_finite_rows(np.concatenate(self.a), np.concatenate(self.b))
+
+    @classmethod
+    def _of(cls, steps: int, a: list[np.ndarray], b: list[np.ndarray]) -> AmplitudePlan:
+        """The plan of the rows plan_amplitudes made: read-only, checked finite, not read again."""
+        for row in (*a, *b):
+            row.flags.writeable = False
+        _require_finite_rows(np.concatenate(a), np.concatenate(b))
+        plan = object.__new__(cls)
+        vars(plan).update(steps=steps, a=tuple(a), b=tuple(b))  # frozen: no __setattr__
+        return plan
 
     def pair(self, t: int, x: int) -> tuple[float, float]:
         if not (0 <= t <= self.steps and x in support(t)):
@@ -137,7 +144,7 @@ def plan_amplitudes(sched: DistributionSchedule) -> AmplitudePlan:
         a_rows.append(np.sqrt(a_sq))
         b_rows.append(np.sqrt(np.maximum(b_sq, 0.0)))
         p = q
-    return AmplitudePlan(steps=sched.steps, a=tuple(a_rows), b=tuple(b_rows))
+    return AmplitudePlan._of(sched.steps, a_rows, b_rows)
 
 
 def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
@@ -153,6 +160,11 @@ def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
     every pair satisfy cos^2 + sin^2 = 1; a violation beyond 1e-6 means
     the plan is inconsistent and raises InconsistentPlanError.
     """
+    return _synthesized(plan, None)
+
+
+def _synthesized(plan: AmplitudePlan, final_layer: dict[int, GeneralCoinOp] | None) -> CoinProgram:
+    """synthesize_coins, its program ending in ``final_layer``: built and checked once."""
     a0, b0 = plan.pair(0, 0)
     initial = localized_state(a0, b0)
     # Every cell of steps 0..steps-1 next to its children, row after row.
@@ -181,7 +193,7 @@ def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
         )
     theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
     theta[empty] = ZERO_CELL_ANGLE
-    return CoinProgram(steps=plan.steps, cells=AngleRows(theta), initial=initial)
+    return CoinProgram(plan.steps, AngleRows(theta), initial, final_layer)
 
 
 def disentangle_layer(s: WalkerState) -> dict[int, GeneralCoinOp]:
@@ -212,9 +224,8 @@ def schedule_program(sched: DistributionSchedule) -> CoinProgram:
     """Synthesized program realizing a schedule, ending in the
     disentangling layer that leaves walker amplitudes sqrt(P(x, steps))."""
     plan = plan_amplitudes(sched)
-    t = plan.steps
-    last = WalkerState.from_rows(t, plan.a[t], plan.b[t])
-    return replace(synthesize_coins(plan), final_layer=disentangle_layer(last))
+    last = Row(plan.steps, (plan.a[-1].astype(complex), plan.b[-1].astype(complex)))
+    return _synthesized(plan, disentangle_layer(WalkerState._of(last)))
 
 
 def binomial_schedule(steps: int) -> DistributionSchedule:

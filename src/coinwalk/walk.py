@@ -27,9 +27,9 @@ from .state import (
     _mapping,
     _masses,
     _require_finite_rows,
+    _row_stack,
     localized_state,
     position_distribution,
-    row_stack,
     support,
 )
 
@@ -131,7 +131,7 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     starts = [t * (t + 1) // 2 for t in range(p.steps + 2)]
     rows = [(a[i:j], b[i:j]) for i, j in zip(starts, starts[1:])]
     _require_finite_rows(a, b)  # names the first amplitude that overflowed
-    dists = row_stack(_masses(a, b))
+    dists = _row_stack(_masses(a, b), p.steps + 1)
     return [StepReport(0, p.initial, position_distribution(p.initial))] + [
         StepReport(t, WalkerState._of(Row(t, rows[t])), dists[t]) for t in range(1, p.steps + 1)]
 

@@ -276,6 +276,33 @@ def test_a_numpy_bool_gives_the_outcome_of_the_bool_it_equals(site):
     assert outcome(site, np.False_) is outcome(site, False)
 
 
+# Sites whose value is a map key, which a numpy array, unhashable, cannot be.
+KEY_SITES = {"sample_counts.key", "similarity.key", "WalkerState.position"}
+HELD = [0.5, 3, -1, 1.5, 2.0, 100, True, False, math.nan, math.inf, 10**400, 0.5j, "a"]
+
+
+@pytest.mark.parametrize("site", sorted(SITES.keys() - KEY_SITES))
+def test_a_0d_array_gives_the_outcome_of_the_value_it_holds(site):
+    # _column's numpy pass reads [np.array(0.5)] as [0.5]; every scalar rule reads it alike.
+    for value in HELD:
+        assert outcome(site, np.array(value)) is outcome(site, value), value
+
+
+def test_a_0d_array_is_read_as_its_value_in_an_array_and_as_a_scalar():
+    assert CoinOp(np.array(0.5)) == CoinOp(0.5)
+    assert AngleRows([np.array(0.5)]).theta.tolist() == [0.5]
+    check_distribution({0: np.array(1.0)}, "p")
+    assert localized_state(np.array(1.0), np.array(0j)) == localized_state(1.0, 0j)
+    assert PROGRAM.layer(np.array(2)) == PROGRAM.layer(2)
+    half = {0: 0.5, 2: 0.5}
+    assert sample_counts(half, np.array(10.0), 0) == sample_counts(half, 10, 0)
+    # A timing model is a slot-table key: it holds the value, not the array.
+    assert hash(TimingModel(t_ns=np.array(72.9))) == hash(TM)
+    assert compile_schedule(PROGRAM, TimingModel(t_ns=np.array(72.9))) == compile_schedule(PROGRAM)
+    with pytest.raises(DomainError, match="^theta must lie in \\[0, pi\\], got 4.0$"):
+        CoinOp(np.array(4.0))
+
+
 @pytest.mark.parametrize("site", WHOLE_MAPS)
 def test_a_sequence_in_place_of_a_whole_map_is_named_by_its_argument(site):
     argument = "q" if site == "bootstrap_errorbars.theory" else site.rpartition(".")[2]

@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 from dataclasses import fields
@@ -5,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from coinwalk import fileio, synth, walk
+from coinwalk import cli, fileio, synth, walk
 from coinwalk.cli import (
     EXIT_COLLISION,
     EXIT_DOMAIN,
@@ -497,3 +498,63 @@ class TestReproduce:
             _, rh, rg, ru = ln.split()
             assert float(ru) >= float(rg) - 1e-9
             assert float(ru) >= float(rh) - 1e-9
+
+
+class TestRepeatedMain:
+    """One process runs main many times on one parser: each call parses into a new
+    namespace and prints what a parser built for it alone would print."""
+
+    def test_compile_without_a_timing_flag_gets_the_default_after_one_with_it(self, tmp_path):
+        program = uniform_program(3)
+        (tmp_path / "u.prog").write_text(fileio.program_to_text(program))
+        # A 3 ns round trip makes pulses collide; 70 ns does not.
+        assert run("compile", tmp_path / "u.prog", "-o", tmp_path / "u.csv",
+                   "--t-ns", "3") == EXIT_COLLISION
+        for argv, tm in (([], TimingModel()), (["--t-ns", "70"], TimingModel(t_ns=70.0)),
+                         ([], TimingModel())):
+            assert run("compile", tmp_path / "u.prog", "-o", tmp_path / "u.csv", *argv) == EXIT_OK
+            expected = fileio.pulse_schedule_to_text(compile_schedule(program, tm))
+            assert (tmp_path / "u.csv").read_text() == expected
+
+    def test_synthesize_by_target_then_by_schedule_keeps_the_namespaces_apart(self, tmp_path):
+        sched = synth.uniform_schedule(3)
+        (tmp_path / "s.txt").write_text("".join(
+            f"{t} {x} {p!r}\n" for t, row in sched.rows.items() for x, p in row.items()))
+        by_target = fileio.program_to_text(synth.gaussian_program(4))
+        by_schedule = fileio.program_to_text(synth.schedule_program(sched))
+        for argv, expected in ((["--target", "gaussian", "--steps", "4"], by_target),
+                               (["--schedule", tmp_path / "s.txt"], by_schedule),
+                               (["--target", "gaussian", "--steps", "4"], by_target)):
+            assert run("synthesize", *argv, "-o", tmp_path / "p.prog") == EXIT_OK
+            assert (tmp_path / "p.prog").read_text() == expected
+
+    def test_every_help_text_equals_a_fresh_parsers_at_each_width(self, capsys, monkeypatch):
+        def printed(parser_main, argv):
+            with pytest.raises(SystemExit) as info:
+                parser_main(argv)
+            assert info.value.code == 0
+            return capsys.readouterr().out
+
+        fresh = cli._build_parser.__wrapped__()
+        commands = next(a for a in fresh._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        cli._build_parser.cache_clear()
+        texts = {}
+        for columns in ("200", "60"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in (["--help"], *([name, "--help"] for name in commands)):
+                texts[columns, *argv] = got = printed(main, argv)
+                assert got == printed(cli._build_parser.__wrapped__().parse_args, argv)
+        assert texts["60", "--help"] != texts["200", "--help"]  # the width is read each time
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_the_usage_error_without_a_subcommand_is_the_same_each_time(self, capsys):
+        cli._build_parser.cache_clear()
+        errors = []
+        for parse in (main, main, cli._build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as info:
+                parse([])
+            assert info.value.code == EXIT_PARSE
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("usage: coinwalk ")
+        assert errors[0] == errors[1] == errors[2]

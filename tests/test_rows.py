@@ -346,3 +346,72 @@ def test_the_t40_binomial_row_has_one_entropy_in_every_key_order():
     for _ in range(200):
         rng.shuffle(xs)
         assert repr(measure.shannon_entropy({x: row[x] for x in xs})) == expected
+
+
+@st.composite
+def feasible_schedules(draw):
+    """A random feasible schedule, as rows or as dicts: each cell's mass splits between its
+    two children by a fraction in [0.1, 0.9], so every cell carries mass."""
+    steps = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [np.ones(1)]
+    for t in range(steps):
+        u = rng.uniform(0.1, 0.9, t + 1)  # the share of each cell that moves right
+        rows.append(np.append(rows[-1] * (1 - u), 0.0) + np.insert(rows[-1] * u, 0, 0.0))
+    sched = DistributionSchedule.from_rows(np.concatenate(rows))
+    return as_dicts(sched) if draw(st.booleans()) else sched
+
+
+def counted_column(mp):
+    """Count the calls of state._column in every module that holds it by name."""
+    calls, column = [], state._column
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return column(*args, **kwargs)
+
+    for module in (state, synth, walk, noise, measure, fileio):
+        if hasattr(module, "_column"):
+            mp.setattr(module, "_column", counted)
+    return calls
+
+
+def accepts(row):
+    try:
+        check_distribution(dict(row), "row")
+    except (DomainError, NormalizationError):
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(sched=feasible_schedules(), scale=st.sampled_from([1.0, 1.0 + 1e-10, 1.0 + 1e-8, 2.0]))
+def test_package_made_values_equal_their_public_twins(sched, scale):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_column(mp)
+        plan = synth.plan_amplitudes(sched)
+        assert calls == []  # the plan's rows are not read again
+    twin = synth.AmplitudePlan(plan.steps, plan.a, plan.b)
+    for made, public in zip(plan.a + plan.b, twin.a + twin.b):
+        assert made.dtype == public.dtype == np.float64
+        assert not made.flags.writeable and np.array_equal(made, public)
+
+    program = synth.schedule_program(sched)
+    t = plan.steps
+    last = WalkerState.from_rows(t, plan.a[t], plan.b[t])
+    public = replace(synth.synthesize_coins(plan), final_layer=synth.disentangle_layer(last))
+    assert program == public
+    assert np.array_equal(program.cells.theta, public.cells.theta)
+    assert fileio.program_to_text(program) == fileio.program_to_text(public)
+
+    # An initial state scaled off norm 1 gives rows that check_distribution may reject.
+    a, b = program.initial.pair(0)
+    initial = WalkerState(0, {0: (scale * a, scale * b)}, require_normalized=False)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_column(mp)
+        reports = walk.run_program(replace(program, initial=initial))
+        assert calls == []  # nor are the run's masses
+    for r in reports[1:]:  # the step-0 report's row is no stack's, and never marked checked
+        assert r.distribution._checked == accepts(r.distribution)
+        assert not r.distribution.columns[0].flags.writeable
+        assert r.distribution == position_distribution(r.state)
