@@ -11,29 +11,29 @@ splits it on whitespace (on ``,`` in the pulse CSV); a line it cannot read
 raises ``ParseError("bad <kind> line '<stripped line>': <reason>")``, which
 quotes at most the first 80 characters of a longer line.
 
-Program files and target schedules laid out as ``program_to_text`` writes
-them (cell lines ``t x value`` in (t, x) order, single spaces, any blank
-lines, comments and padding around them) are read by column: each line
-must start with its cell's ``"t x "``, the value column is parsed with
-Python ``float`` in one pass, and a program's angles get one vectorized
-[0, pi] check, the one ``CoinProgram`` applies to angle rows. Any other
-layout, and any file the column pass cannot take whole, is read line by
-line into a dict of ``CoinOp``s keyed by cell, which goes to ``CoinProgram``
-like any other ``cells=`` dict; that reader alone names errors, so every
-message is the same whichever layout the file has. Program cells must be
-exactly those of the header's step count. A target schedule's rows must
-lie in 0..T, T being its largest step; one read by column is a row
-schedule (``DistributionSchedule.from_rows``), checked once as a whole
-when it is built. The pulse CSV is also read by column: one split per
-line, then each field column converted in one pass into the schedule's
-columns; a CSV that pass cannot take whole goes to the line reader, which
-names the bad line.
+Program files and target schedules whose cell lines ``t x value`` hold
+each cell once, in any order, are read by column: numpy's parser reads
+them in one pass, each value is placed at its cell, and a program's angles
+get the one vectorized [0, pi] check of ``CoinProgram``. Any other layout,
+any repeated or missing cell, and any token numpy's parser rejects send the
+file to the line reader, which reads a dict of ``CoinOp``s keyed by cell
+and alone names errors, so every message is the same whichever layout the
+file has. Program cells must be exactly those of the header's step count.
+A target schedule's rows must lie in 0..T, T being its largest step; one
+read by column is a row schedule (``DistributionSchedule.from_rows``),
+checked once as a whole when it is built. The pulse CSV is also read by
+column: one split per line, then each field column converted in one pass
+into the schedule's columns; a CSV that pass cannot take whole goes to the
+line reader, which names the bad line.
 """
 
 from __future__ import annotations
 
+import warnings
 from itertools import chain, islice, repeat
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import CoinWalkError, ParseError, _clip
 from .pulses import ARMS, Calibration, PulseEvents, PulseSchedule
@@ -76,8 +76,8 @@ def _kept(text: str) -> list[str]:
 def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]:
     """Each kept line (see ``_kept``) with its fields, split one line at a
     time so that no list of field lists is kept. This line-by-line reading
-    is the only one that names a bad line; program files and schedules in
-    the writers' layout, and pulse CSVs, are read by column instead, and any
+    is the only one that names a bad line; program files and schedules that
+    hold each cell once, and pulse CSVs, are read by column instead, and any
     file the column pass cannot take whole comes back here."""
     kept = _kept(text)
     return zip(kept, map(str.split, kept, repeat(sep)))
@@ -90,17 +90,23 @@ def _cell_prefixes(rows: int) -> list[str]:
             for xp in xs[rows - t:rows + t + 1:2]]
 
 
-def _cell_column(kept: list[str], rows: int) -> list[float] | None:
-    """The values of ``kept`` when it is exactly the cell lines ``t x value``
-    of steps t < rows in (t, x) order, each value one float field; else None
-    (or the ValueError of a value float cannot read)."""
+def _cell_column(kept: list[str], rows: int) -> np.ndarray | None:
+    """The values of ``kept`` in (t, x) order if it holds each cell ``t x value`` of steps t < rows
+    once, in any order; else None or numpy's ValueError (it takes no token int or float rejects)."""
     if rows < 1 or len(kept) != rows * (rows + 1) // 2:  # before anything that size
         return None
-    prefixes = _cell_prefixes(rows)
-    if not all(map(str.startswith, kept, prefixes)):
+    with warnings.catch_warnings():  # older numpy reads an int such as 1.0 through float
+        warnings.simplefilter("error", DeprecationWarning)  # and warns: then a ValueError
+        t, x, value = np.loadtxt(kept, dtype=[("t", "i8"), ("x", "i8"), ("value", "f8")],
+                                 comments=None, ndmin=1, unpack=True)
+    if not ((0 <= t) & (t < rows) & (-t <= x) & (x <= t) & ((t ^ x) & 1 == 0)).all():
+        return None  # tested before any index arithmetic, which would wrap in int64
+    i = t * (t + 1) // 2 + (t + x) // 2
+    if np.count_nonzero(np.bincount(i, minlength=len(kept))) < len(kept):  # a cell repeated
         return None
-    # float takes surrounding spaces but none inside, so each rest is one field.
-    return list(map(float, map(str.removeprefix, kept, prefixes)))
+    values = np.empty(len(kept))
+    values[i] = value
+    return values
 
 
 def program_to_text(p: CoinProgram) -> str:
@@ -150,16 +156,15 @@ def _add_final_coin(final: dict[int, GeneralCoinOp], parts: list[str]) -> None:
 
 
 def _program_by_column(text: str) -> CoinProgram | None:
-    """A program file as ``program_to_text`` lays it out, every cell line
-    before the final layer's T + 1 ``F`` lines if it has one; else None."""
+    """A program file whose cell lines hold each cell once, in any order,
+    all before the final layer's T + 1 ``F`` lines if it has one; else None."""
     kept = _kept(text)
     steps, a, b = _program_header(kept[:4])
-    n = steps * (steps + 1) // 2
-    theta = _cell_column(kept[4:4 + n], steps)
+    theta = _cell_column(kept[4:4 + steps * (steps + 1) // 2], steps)
     if theta is None:
         return None
     final: dict[int, GeneralCoinOp] = {}
-    for parts in map(str.split, kept[4 + n:]):
+    for parts in map(str.split, kept[4 + theta.size:]):
         if parts[0] != "F":
             return None
         _add_final_coin(final, parts)
@@ -231,11 +236,10 @@ def distribution_from_text(text: str) -> dict[int, float]:
 
 
 def _schedule_by_column(text: str) -> DistributionSchedule | None:
-    """A target schedule as ``t x p`` cell lines of every step 0..T in
-    (t, x) order; else None."""
+    """A target schedule as ``t x p`` cell lines of every step 0..T, each
+    cell once, in any order; else None."""
     kept = _kept(text)
-    rows, x = cell_at(len(kept))  # x == -rows when the lines fill rows 0..rows-1
-    probs = _cell_column(kept, rows) if x == -rows else None
+    probs = _cell_column(kept, cell_at(len(kept))[0])  # None unless rows 0.. are full
     return None if probs is None else DistributionSchedule.from_rows(probs)
 
 

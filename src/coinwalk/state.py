@@ -482,10 +482,21 @@ class AngleRows(Mapping):
 
     def __init__(self, theta):
         names = (f"coin angle at step {t}, position {x}" for t, x in map(cell_at, count()))
-        self.theta = _column(theta, float, "coin angles", names)
-        steps = cell_at(self.theta.size)[0]  # whole rows; CoinProgram checks the count
+        self._hold(_column(theta, float, "coin angles", names))
+
+    @classmethod
+    def _of(cls, theta: np.ndarray) -> AngleRows:
+        """The rows of ``theta``, float angles the package made, held and not read again."""
+        angles = object.__new__(cls)
+        angles._hold(theta)
+        return angles
+
+    def _hold(self, theta: np.ndarray) -> None:
+        theta.flags.writeable = False
+        self.theta = theta
+        steps = cell_at(theta.size)[0]  # whole rows; CoinProgram checks the count
         starts = [t * (t + 1) // 2 for t in range(steps + 1)]
-        self.rows = tuple(self.theta[i:j] for i, j in zip(starts, starts[1:]))
+        self.rows = tuple(theta[i:j] for i, j in zip(starts, starts[1:]))
 
     def __getitem__(self, key: tuple[int, int]) -> CoinOp:
         try:

@@ -193,7 +193,7 @@ def _synthesized(plan: AmplitudePlan, final_layer: dict[int, GeneralCoinOp] | No
         )
     theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
     theta[empty] = ZERO_CELL_ANGLE
-    return CoinProgram(plan.steps, AngleRows(theta), initial, final_layer)
+    return CoinProgram(plan.steps, AngleRows._of(theta), initial, final_layer)
 
 
 def disentangle_layer(s: WalkerState) -> dict[int, GeneralCoinOp]:

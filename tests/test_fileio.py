@@ -1,10 +1,12 @@
 """The line rule every text reader shares: blank and comment lines are
 skipped, lines are stripped, and a bad line is named the same way. Program
-files and schedules in the writers' layout are read by column; whatever
-else they hold, the public readers agree with the line-by-line readers."""
+files and schedules that hold each cell once, in any order, are read by
+column; whatever else they hold, the public readers agree with the
+line-by-line readers."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,3 +244,165 @@ def test_huge_steps_header_is_rejected_before_any_cell_list(monkeypatch):
     with pytest.raises(IncompleteLayerError, match=r"cell \(2,-2\) at step 2, position -2"):
         fileio.program_from_text(text)
     assert sizes == []
+
+
+EDGES = [str(2**63), str(-2**63), str(2**63 - 1), str(10**20)]  # int64's edges and past them
+NUMPY_REJECTS = ["\u0661", "\uff10.5", "1_0"]  # int or float reads each; numpy's parser does not
+DIGITS = [str.maketrans("0123456789", "".join(map(chr, range(zero, zero + 10))))
+          for zero in (0x660, 0xFF10)]  # Arabic-Indic and fullwidth digits
+
+
+@st.composite
+def reordered(draw, lines, body):
+    """``lines`` with their cell lines from line ``body`` on shuffled or not,
+    then changed once: as ``mutated`` changes them, by a cell moved to a
+    nearby step or position, a step or position at or past the edges of
+    int64, a step written as a float, a field that int or float reads but
+    numpy's parser does not, or tabs or em spaces between the fields of one
+    cell line or of all of them."""
+    lines = list(lines)
+    cells = [i for i in range(body, len(lines)) if not lines[i].startswith("F")]
+    if draw(st.booleans()):
+        for i, ln in zip(cells, draw(st.permutations([lines[i] for i in cells]))):
+            lines[i] = ln
+    kind = draw(st.sampled_from(
+        ["mutated", "moved", "edge", "float-step", "token", "digits", "sep"]))
+    if kind == "mutated":
+        return draw(mutated(lines, body))
+    i = draw(st.sampled_from(cells))
+    parts = lines[i].split(" ")
+    if kind == "moved":  # onto a neighbour cell, of the other parity, or off the lattice
+        k = draw(st.integers(0, 1))
+        parts[k] = str(int(parts[k]) + draw(st.sampled_from([-2, -1, 1, 2])))
+    elif kind == "edge":
+        parts[draw(st.integers(0, 1))] = draw(st.sampled_from(EDGES))
+    elif kind == "float-step":
+        parts[0] += draw(st.sampled_from([".0", "e0"]))
+    elif kind == "token":
+        parts[draw(st.integers(0, 2))] = draw(st.sampled_from(NUMPY_REJECTS))
+    elif kind == "digits":  # the same number in other digits, or with an underscore
+        k = draw(st.integers(0, 2))
+        pairs = [j for j in range(1, len(parts[k])) if parts[k][j - 1:j + 1].isdigit()]
+        if pairs and draw(st.booleans()):
+            j = draw(st.sampled_from(pairs))
+            parts[k] = parts[k][:j] + "_" + parts[k][j:]
+        else:
+            parts[k] = parts[k].translate(draw(st.sampled_from(DIGITS)))
+    lines[i] = " ".join(parts)
+    if kind == "sep":
+        sep = draw(st.sampled_from(["\t", "\u2003"]))
+        for j in (cells if draw(st.booleans()) else [i]):
+            lines[j] = lines[j].replace(" ", sep)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def reordered_program_files(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text = random_program_text(rng, draw(st.integers(1, 30)), draw(st.booleans()))
+    return draw(reordered(text.splitlines(), 4))
+
+
+@st.composite
+def reordered_schedule_files(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return draw(reordered(random_schedule_text(rng, draw(st.integers(1, 30))).splitlines(), 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reordered_program_files())
+def test_program_reader_agrees_with_the_line_reader_in_any_order(text):
+    assert outcome(fileio.program_from_text, text) == outcome(fileio._program_by_line, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reordered_schedule_files())
+def test_schedule_reader_agrees_with_the_line_reader_in_any_order(text):
+    assert (outcome(fileio.schedule_targets_from_text, text)
+            == outcome(fileio._schedule_by_line, text))
+
+
+@pytest.mark.parametrize("cell", [
+    "1 0",  # the other parity: its index is that of (1,-1)
+    "1 1",  # (1,1) twice, (1,-1) missing
+    "1 -3",  # left of the lattice: its index is that of (0,0)
+    "2 4",  # right of the lattice: its index is one past the last
+    "3 -1",  # the step of the header, or past the schedule's last row
+    "2 -9223372036854775808",
+    "-9223372036854775808 -9223372036854775808",
+    "9223372036854775807 1",
+    "1.0 -1",
+    "1e0 -1",
+    "\u0661 -1",
+    "1\t-1",
+    "1\u2003-1",
+])
+@pytest.mark.parametrize("at", ["0 0", "1 -1"])
+def test_a_cell_line_the_column_pass_must_not_place_reads_as_by_line(cell, at):
+    schedule = "# T = 2\n0 0 1.0\n1 -1 0.5\n1 1 0.5\n2 -2 0.25\n2 0 0.5\n2 2 0.25\n"
+    for read, by_line, text in [
+        (fileio.program_from_text, fileio._program_by_line, PROGRAM),
+        (fileio.schedule_targets_from_text, fileio._schedule_by_line, schedule),
+    ]:
+        text = text.replace(f"\n{at} ", f"\n{cell} ", 1)
+        assert outcome(read, text) == outcome(by_line, text)
+
+
+@pytest.mark.parametrize("final", [False, True], ids=["cells", "final-layer"])
+def test_shuffled_written_files_are_read_by_column(monkeypatch, final):
+    rng = np.random.default_rng(3)
+    written = random_program_text(np.random.default_rng(1), 12, final)
+    program = written.splitlines()
+    program[4:82] = rng.permutation(program[4:82]).tolist()  # the 78 cell lines
+    schedule = rng.permutation(random_schedule_text(np.random.default_rng(2), 12).splitlines())
+    program, schedule = "\n".join(program) + "\n", "\n".join(schedule) + "\n"
+    assert program != written
+    expected = fileio._program_by_line(program), fileio._schedule_by_line(schedule)
+
+    def line_reader(text):
+        raise AssertionError("a shuffled written file reached the line reader")
+
+    monkeypatch.setattr(fileio, "_program_by_line", line_reader)
+    monkeypatch.setattr(fileio, "_schedule_by_line", line_reader)
+    got = fileio.program_from_text(program), fileio.schedule_targets_from_text(schedule)
+    assert got == expected
+
+
+def test_huge_steps_header_is_rejected_before_numpy_reads_a_line(monkeypatch):
+    rows = []
+    loadtxt = fileio.np.loadtxt
+
+    def recorded(lines, **kwargs):
+        rows.append(len(lines))
+        return loadtxt(lines, **kwargs)
+
+    monkeypatch.setattr(fileio.np, "loadtxt", recorded)
+    text = fileio.program_to_text(uniform_program(2))
+    fileio.program_from_text(text)
+    assert rows == [3]  # the column pass reads through the recording
+    with pytest.raises(IncompleteLayerError, match=r"cell \(2,-2\) at step 2, position -2"):
+        fileio.program_from_text(text.replace("steps 2", "steps 1000000000000"))
+    assert rows == [3]
+
+
+def test_an_int_that_older_numpy_reads_through_float_goes_to_the_line_reader(monkeypatch):
+    """From numpy 1.23 until the deprecation expired, numpy's parser read an int
+    field such as 1.0 through float with only a DeprecationWarning, which it
+    raises as a ValueError when the warning is an error."""
+    loadtxt = fileio.np.loadtxt
+
+    def older_loadtxt(lines, **kwargs):
+        if any(ln.startswith("1.0 ") for ln in lines):
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string '1.0' to int64") from exc
+            lines = ["1" + ln[3:] if ln.startswith("1.0 ") else ln for ln in lines]
+        return loadtxt(lines, **kwargs)
+
+    monkeypatch.setattr(fileio.np, "loadtxt", older_loadtxt)
+    text = PROGRAM.replace("\n1 -1 ", "\n1.0 -1 ", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # as outside __main__ by default
+        assert outcome(fileio.program_from_text, text) == outcome(fileio._program_by_line, text)

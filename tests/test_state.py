@@ -357,6 +357,16 @@ class TestCoinProgram:
         with pytest.raises(DomainError, match=f"step 1, position 1 is {bad}"):
             CoinProgram(steps=3, cells=cells, initial=localized_state(1, 0))
 
+    def test_angle_rows_the_package_made_are_held_and_still_range_checked(self):
+        angles = np.array([0.1, 0.2, 0.3])
+        cells = AngleRows._of(angles)
+        assert cells.theta is angles and not angles.flags.writeable  # held, not copied
+        assert cells == AngleRows([0.1, 0.2, 0.3])
+        assert not uniform_program(3).cells.theta.flags.writeable
+        bad = AngleRows._of(np.array([0.1, 0.2, math.nan, 0.4, 0.5, 0.6]))
+        with pytest.raises(DomainError, match="step 1, position 1 is nan, not in"):
+            CoinProgram(steps=3, cells=bad, initial=localized_state(1, 0))
+
     def test_angle_rows_must_fill_every_step(self):
         with pytest.raises(DomainError, match="3-step program has 3 coin angles"):
             replace(uniform_program(2), steps=3, final_layer=None)
