@@ -4,7 +4,8 @@ All formats are plain text and deterministic; target schedules and
 calibrations are only read, the others round-trip exactly: floats
 serialize via repr (shortest exact decimal), except pulse times and
 voltages which are fixed to 4 decimals to match the hardware's
-resolution.
+resolution. A program's cell lines are written through one template,
+built one row of ``t x %r`` lines per step, and one % pass.
 
 Every reader strips each line, skips it if blank or a ``#`` comment, and
 splits it on whitespace (on ``,`` in the pulse CSV); a line it cannot read
@@ -70,7 +71,8 @@ def _kept(text: str) -> list[str]:
     """Each line stripped, without the blank and ``#`` comment lines."""
     if not isinstance(text, str):
         raise ParseError(f"text must be a str, got a {type(text).__name__}")
-    return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    kept = list(filter(None, map(str.strip, text.splitlines())))
+    return [ln for ln in kept if ln[0] != "#"] if "#" in text else kept
 
 
 def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]:
@@ -81,13 +83,6 @@ def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]
     file the column pass cannot take whole comes back here."""
     kept = _kept(text)
     return zip(kept, map(str.split, kept, repeat(sep)))
-
-
-def _cell_prefixes(rows: int) -> list[str]:
-    """``"t x "`` for every cell of steps t < rows, in (t, x) order."""
-    xs = [f"{x} " for x in range(-rows, rows + 1)]  # xs[rows + x] == f"{x} "
-    return [tp + xp for t in range(rows) for tp in (f"{t} ",)
-            for xp in xs[rows - t:rows + t + 1:2]]
 
 
 def _cell_column(kept: list[str], rows: int) -> np.ndarray | None:
@@ -117,8 +112,11 @@ def program_to_text(p: CoinProgram) -> str:
         f"convention {SHIFT_CONVENTION}",
         f"initial {_f(a.real)} {_f(a.imag)} {_f(b.real)} {_f(b.imag)}",
     ]
-    # One % pass formats every angle with repr; a prefix holds no %.
-    cells = ("%r\n".join(_cell_prefixes(p.steps)) + "%r") % tuple(p.cells.theta.tolist())
+    # The template one row per step (xs[n + x] == f"{x} "), then one % pass
+    # formats every angle with repr; the template holds no other %.
+    n, xs = p.steps, [f"{x} " for x in range(-p.steps, p.steps + 1)]
+    template = "\n".join(f"{t} " + f"%r\n{t} ".join(xs[n - t:n + t + 1:2]) + "%r" for t in range(n))
+    cells = template % tuple(p.cells.theta.tolist())
     final = [
         f"F {x} {_f(op.m00)} {_f(op.m01)} {_f(op.m10)} {_f(op.m11)}"
         for x, op in sorted((p.final_layer or {}).items())

@@ -177,4 +177,4 @@ def perturb_program(p: CoinProgram, nm: NoiseModel) -> CoinProgram:
     rng = np.random.default_rng(nm.seed)
     # One draw in (t, x) order: the same numbers as one scalar draw per cell.
     theta = p.cells.theta + rng.normal(0.0, nm.coin_angle_jitter_rad, len(p.cells))
-    return replace(p, cells=AngleRows(np.clip(theta, 0.0, math.pi)))
+    return replace(p, cells=AngleRows._of(np.clip(theta, 0.0, math.pi)))

@@ -7,8 +7,9 @@ amplitudes obey flux conservation:
     a^2(x+1, t+1) + b^2(x-1, t+1) = a^2(x, t) + b^2(x, t) = P(x, t).
 
 That identity forces a unique nonnegative amplitude plan for any feasible
-schedule. Rows are dense arrays indexed by i = (x + t) / 2: each row of
-b^2 is one prefix sum of target differences, and the coin angles of all
+schedule. Rows are dense arrays indexed by i = (x + t) / 2, swept in
+blocks of steps with one 2-D cumsum per block: each row of b^2 is its own
+left-to-right prefix sum of target differences, and the coin angles of all
 cells follow from one arctan2. The built-in Gaussian (binomial) and uniform programs are
 synthesized from their schedules like any other, and every schedule
 program ends in a disentangling layer that factors the coin out to |0>.
@@ -49,6 +50,7 @@ from .state import (
 PLAN_TOL = 1e-12
 CLOSURE_TOL = 1e-9
 PYTHAGOREAN_TOL = 1e-6
+_PLAN_BLOCK = 64  # steps per 2-D pass of plan_amplitudes
 
 # Coin assigned to cells carrying zero probability: any unitary acts
 # trivially there, a fixed choice keeps outputs byte-stable.
@@ -112,38 +114,55 @@ def plan_amplitudes(sched: DistributionSchedule) -> AmplitudePlan:
 
         b^2 = cumsum(q - [0, p]),   a^2 = [0, p - b^2[:-1]]
 
-    with p, q the target rows of steps t and t+1. Raises
+    with p, q the target rows of steps t and t+1. The steps are swept in
+    row blocks of ``_PLAN_BLOCK``, each one zero-padded matrix and one 2-D
+    cumsum, in which every row is its own left-to-right sum. Raises
     InfeasibleScheduleError at the first negative square in (t, x)
     order, or ClosureError if the right edge misses the target row.
     """
     # Step 0 is localized at x = 0 with the coin in |0>; the entry angle
     # theta(0, 0) absorbs any split, so a = sqrt(P(0,0)) = 1, b = 0.
-    p = _row(sched, 0)
-    a_rows, b_rows = [np.sqrt(p)], [np.zeros(1)]
-    for t in range(1, sched.steps + 1):
-        q = _row(sched, t)
-        b_sq = np.cumsum(q - np.concatenate(([0.0], p)))
-        a_sq = np.concatenate(([0.0], p - b_sq[:-1]))
+    a_rows, b_rows = [np.sqrt(_row(sched, 0))], [np.zeros(1)]
+    for t0 in range(1, sched.steps + 1, _PLAN_BLOCK):
+        ts = np.arange(t0 - 1, min(t0 + _PLAN_BLOCK, sched.steps + 1))
+        inside = np.arange(ts[-1] + 1) <= ts[:, None]  # the cells of each step's row
+        # Target rows t0-1.. after a zero column, zero-padded on the right.
+        m = np.zeros((ts.size, ts[-1] + 2))
+        m[:, 1:][inside] = np.concatenate([_row(sched, t) for t in ts])
+        q, p, ts, inside = m[1:, 1:], m[:-1, :-1], ts[1:], inside[1:]  # q and [0, p] of step t
+        b_sq = np.cumsum(q - p, axis=1)
+        a_sq = p.copy()
+        a_sq[:, 1:] -= b_sq[:, :-1]
         # Rightmost position is reachable only by right-movers.
-        b_sq[-1] = 0.0
-        if min(a_sq.min(), b_sq.min()) < -PLAN_TOL:
-            i = int(np.argmax((a_sq < -PLAN_TOL) | (b_sq < -PLAN_TOL)))
-            name, value = ("a", a_sq[i]) if a_sq[i] < -PLAN_TOL else ("b", b_sq[i])
-            x = 2 * i - t
-            raise InfeasibleScheduleError(
-                f"no nonnegative flow: {name}^2({x},{t}) = {float(value)!r}",
-                cell=(t, x),
-            )
-        a_sq = np.maximum(a_sq, 0.0)
-        if abs(a_sq[-1] - q[-1]) > CLOSURE_TOL:
+        b_sq[np.arange(ts.size), ts] = 0.0
+        a_sq, b_sq, q = a_sq[inside], b_sq[inside], q[inside]  # the rows end to end
+        ends = np.cumsum(ts + 1)
+        starts = ends - ts - 1
+        negative = (a_sq < -PLAN_TOL) | (b_sq < -PLAN_TOL)
+        a_pos = np.maximum(a_sq, 0.0)
+        unclosed = abs(a_pos[ends - 1] - q[ends - 1]) > CLOSURE_TOL
+        failing = np.logical_or.reduceat(negative, starts) | unclosed
+        if failing.any():  # the first failing step; in it, a negative square before closure
+            r = int(np.argmax(failing))
+            t, row = int(ts[r]), slice(starts[r], ends[r])
+            a_sq, b_sq, a_pos, q = a_sq[row], b_sq[row], a_pos[row], q[row]
+            if negative[row].any():
+                i = int(np.argmax(negative[row]))
+                name, value = ("a", a_sq[i]) if a_sq[i] < -PLAN_TOL else ("b", b_sq[i])
+                x = 2 * i - t
+                raise InfeasibleScheduleError(
+                    f"no nonnegative flow: {name}^2({x},{t}) = {float(value)!r}",
+                    cell=(t, x),
+                )
             raise ClosureError(
                 f"right-edge closure at step {t}: "
-                f"a^2({t},{t}) = {float(a_sq[-1])!r} but P = {float(q[-1])!r}",
+                f"a^2({t},{t}) = {float(a_pos[-1])!r} but P = {float(q[-1])!r}",
                 cell=(t, t),
             )
-        a_rows.append(np.sqrt(a_sq))
-        b_rows.append(np.sqrt(np.maximum(b_sq, 0.0)))
-        p = q
+        a, b = np.sqrt(a_pos), np.sqrt(np.maximum(b_sq, 0.0))
+        rows = list(map(slice, starts.tolist(), ends.tolist()))
+        a_rows += [a[row] for row in rows]
+        b_rows += [b[row] for row in rows]
     return AmplitudePlan._of(sched.steps, a_rows, b_rows)
 
 

@@ -123,8 +123,8 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         a, b = _rows(p, p.steps)
         if p.final_layer is not None:
-            m00, m01, m10, m11 = np.array([p.final_layer[x].matrix.ravel()
-                                           for x in support(p.steps)]).T
+            coins = map(p.final_layer.__getitem__, support(p.steps))
+            m00, m01, m10, m11 = np.array([(c.m00, c.m01, c.m10, c.m11) for c in coins]).T
             x, y = a[-p.steps - 1:], b[-p.steps - 1:]
             x[:], y[:] = m00 * x + m01 * y, m10 * x + m11 * y
     a.flags.writeable = b.flags.writeable = False
@@ -139,7 +139,7 @@ def run_program(p: CoinProgram) -> list[StepReport]:
 def hadamard_program(steps: int, initial: WalkerState) -> CoinProgram:
     """Homogeneous walk with theta = pi/4 everywhere, no final layer."""
     steps = _at_least(steps, 1, "steps")
-    cells = AngleRows(np.full(steps * (steps + 1) // 2, math.pi / 4))
+    cells = AngleRows._of(np.full(steps * (steps + 1) // 2, math.pi / 4))
     return CoinProgram(steps=steps, cells=cells, initial=initial)
 
 
@@ -162,7 +162,7 @@ def mirror_program(p: CoinProgram) -> CoinProgram:
     Running the mirrored program reproduces the original run with every
     position negated.
     """
-    cells = AngleRows(np.concatenate([math.pi - row[::-1] for row in p.cells.rows]))
+    cells = AngleRows._of(np.concatenate([math.pi - row[::-1] for row in p.cells.rows]))
     final = None
     if p.final_layer is not None:
         final = {

@@ -231,21 +231,6 @@ def test_written_files_are_read_by_column(monkeypatch, final):
     assert got == expected
 
 
-def test_huge_steps_header_is_rejected_before_any_cell_list(monkeypatch):
-    text = fileio.program_to_text(uniform_program(2)).replace("steps 2", "steps 1000000000000")
-    sizes = []
-    prefixes = fileio._cell_prefixes
-
-    def recorded(rows):
-        sizes.append(rows)
-        return prefixes(min(rows, 2))  # never the list a huge header asks for
-
-    monkeypatch.setattr(fileio, "_cell_prefixes", recorded)
-    with pytest.raises(IncompleteLayerError, match=r"cell \(2,-2\) at step 2, position -2"):
-        fileio.program_from_text(text)
-    assert sizes == []
-
-
 EDGES = [str(2**63), str(-2**63), str(2**63 - 1), str(10**20)]  # int64's edges and past them
 NUMPY_REJECTS = ["\u0661", "\uff10.5", "1_0"]  # int or float reads each; numpy's parser does not
 DIGITS = [str.maketrans("0123456789", "".join(map(chr, range(zero, zero + 10))))
@@ -406,3 +391,38 @@ def test_an_int_that_older_numpy_reads_through_float_goes_to_the_line_reader(mon
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # as outside __main__ by default
         assert outcome(fileio.program_from_text, text) == outcome(fileio._program_by_line, text)
+
+
+def kept_reference(text):
+    """The kept lines as one comprehension: each line stripped, and the blank
+    and ``#`` comment lines left out."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+
+
+# Line breaks and whitespace to str.splitlines and str.strip: \x0b, \x0c, \x1c,
+# \x85 and \u2028 end a line, \u3000 is only stripped.
+KEPT_TOKENS = ["#", " ", "\t", "\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+               "\u3000", "0", "7", "a", "Z"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(KEPT_TOKENS), max_size=60).map("".join))
+def test_kept_lines_equal_the_one_comprehension(text):
+    assert fileio._kept(text) == kept_reference(text)
+    assert fileio._kept(text.replace("#", "")) == kept_reference(text.replace("#", ""))
+
+
+def test_program_writer_writes_each_cell_as_t_x_repr_in_cell_order():
+    rng = np.random.default_rng(29)
+    programs = [uniform_program(300)]  # with a final layer
+    for steps in range(1, 41):
+        theta = rng.uniform(0.0, math.pi, steps * (steps + 1) // 2)
+        theta[::5] = 0.0  # and the edges of the angle range
+        theta[2::5] = math.pi
+        programs.append(CoinProgram(steps, AngleRows(theta), localized_state(1.0, 0.0)))
+    for program in programs:
+        cells = [(t, x) for t in range(program.steps) for x in range(-t, t + 1, 2)]
+        lines = fileio.program_to_text(program).splitlines()
+        assert lines[4:4 + len(cells)] == [f"{t} {x} {v!r}" for (t, x), v in
+                                           zip(cells, program.cells.theta.tolist(), strict=True)]
+        assert all(ln.startswith("F ") for ln in lines[4 + len(cells):])

@@ -415,3 +415,24 @@ def test_package_made_values_equal_their_public_twins(sched, scale):
         assert r.distribution._checked == accepts(r.distribution)
         assert not r.distribution.columns[0].flags.writeable
         assert r.distribution == position_distribution(r.state)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sched=feasible_schedules(), jitter=st.sampled_from([1e-3, 0.5, 4.0]))
+def test_walk_and_noise_programs_hold_the_angles_they_made(sched, jitter):
+    made = synth.schedule_program(sched)
+    steps, theta, initial = made.steps, made.cells.theta, walk.circular_initial()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_column(mp)
+        got = (noise.perturb_program(made, noise.NoiseModel(coin_angle_jitter_rad=jitter, seed=5)),
+               walk.hadamard_program(steps, initial), walk.mirror_program(made))
+        assert calls == []  # their angles are not read again
+    # Each equals the program built on the public AngleRows from angles found here.
+    jittered = theta + np.random.default_rng(5).normal(0.0, jitter, theta.size)
+    mirrored = [math.pi - made.cells[(t, -x)].theta for t, x in made.cells]
+    public = (replace(made, cells=state.AngleRows(np.clip(jittered, 0.0, math.pi))),
+              state.CoinProgram(steps, state.AngleRows(np.full(theta.size, math.pi / 4)), initial),
+              replace(walk.mirror_program(made), cells=state.AngleRows(mirrored)))
+    for program, twin in zip(got, public, strict=True):
+        assert program == twin and not program.cells.theta.flags.writeable
+        assert program.cells.theta.tobytes() == twin.cells.theta.tobytes()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from oracle import gaussian_closed_form, uniform_closed_form
@@ -396,3 +398,128 @@ class TestRandomScheduleRoundTrip:
                     assert reports[t].distribution.get(x, 0.0) == pytest.approx(
                         p, abs=1e-9
                     )
+
+
+def plan_reference(sched):
+    """plan_amplitudes as one loop over the steps, one prefix sum per row read
+    through the schedule's public rows: its a and b rows, or what it raises."""
+    def row(t):
+        return np.array([sched.rows[t].get(x, 0.0) for x in range(-t, t + 1, 2)])
+
+    p = row(0)
+    a_rows, b_rows = [np.sqrt(p)], [np.zeros(1)]
+    for t in range(1, sched.steps + 1):
+        q = row(t)
+        b_sq = np.cumsum(q - np.concatenate(([0.0], p)))
+        a_sq = np.concatenate(([0.0], p - b_sq[:-1]))
+        b_sq[-1] = 0.0
+        bad = (a_sq < -1e-12) | (b_sq < -1e-12)
+        if bad.any():
+            i = int(np.argmax(bad))
+            name, value = ("a", a_sq[i]) if a_sq[i] < -1e-12 else ("b", b_sq[i])
+            raise InfeasibleScheduleError(
+                f"no nonnegative flow: {name}^2({2 * i - t},{t}) = {float(value)!r}",
+                cell=(t, 2 * i - t))
+        a_sq = np.maximum(a_sq, 0.0)
+        if abs(a_sq[-1] - q[-1]) > 1e-9:
+            raise ClosureError(f"right-edge closure at step {t}: "
+                               f"a^2({t},{t}) = {float(a_sq[-1])!r} but P = {float(q[-1])!r}",
+                               cell=(t, t))
+        a_rows.append(np.sqrt(a_sq))
+        b_rows.append(np.sqrt(np.maximum(b_sq, 0.0)))
+        p = q
+    return a_rows, b_rows
+
+
+def flow_rows(steps, rng):
+    """Target rows of a random nonnegative flow: each cell's mass splits
+    between its two children by a share in [0.1, 0.9], but the right edge
+    sends 0.99 of its mass on to the right, so it keeps its mass."""
+    rows = [np.ones(1)]
+    for t in range(steps):
+        u = rng.uniform(0.1, 0.9, t + 1)
+        u[-1] = 0.99
+        rows.append(np.append(rows[-1] * (1 - u), 0.0) + np.insert(rows[-1] * u, 0, 0.0))
+    return rows
+
+
+def negative_fault(rows, t):
+    """Row t with the mass of cell i + 1 moved to cell i, i = (t - 1) // 2:
+    more than the flow can carry there, so a^2(2i + 2 - t, t) < 0."""
+    i = (t - 1) // 2
+    rows[t] = rows[t].copy()
+    rows[t][i] += rows[t][i + 1]
+    rows[t][i + 1] = 0.0
+
+
+def closure_fault(rows, t):
+    """The right edges of rows t - 1 and t moved by -0.9e-9 and +0.9e-9: each
+    row still sums to 1 within 1e-9, but step t's right edge misses its
+    target by 1.8e-9, and no square turns negative."""
+    rows[t - 1], rows[t] = rows[t - 1].copy(), rows[t].copy()
+    rows[t - 1][-1] -= 0.9e-9
+    rows[t][-1] += 0.9e-9
+
+
+def same_plan_or_error(sched):
+    """plan_amplitudes agrees with plan_reference: the same rows bit for bit,
+    or the same exception type, cell and message; returns that exception."""
+    try:
+        a_rows, b_rows = plan_reference(sched)
+    except (InfeasibleScheduleError, ClosureError) as expected:
+        with pytest.raises(type(expected)) as got:
+            plan_amplitudes(sched)
+        assert (got.value.cell, str(got.value)) == (expected.cell, str(expected))
+        return expected
+    plan = plan_amplitudes(sched)
+    for made, ref in zip(plan.a + plan.b, a_rows + b_rows, strict=True):
+        assert made.tobytes() == ref.tobytes()
+    return None
+
+
+FAULT_STEPS = [1, 63, 64, 65, 128, 129]  # around the edges of the plan's row blocks
+
+
+# Every step-1 row that sums to 1 has a nonnegative flow: no negative fault at step 1.
+@pytest.mark.parametrize("fault, kind, t", [
+    *((closure_fault, ClosureError, t) for t in FAULT_STEPS),
+    *((negative_fault, InfeasibleScheduleError, t) for t in FAULT_STEPS[1:])])
+def test_plan_names_a_single_fault_as_the_row_loop_does(fault, kind, t):
+    rows = flow_rows(140, np.random.default_rng(t))
+    fault(rows, t)
+    error = same_plan_or_error(DistributionSchedule.from_rows(np.concatenate(rows)))
+    assert type(error) is kind and error.cell[0] == t
+
+
+@pytest.mark.parametrize("faults, kind, step", [
+    ([(negative_fault, 10), (closure_fault, 40)], InfeasibleScheduleError, 10),  # one block
+    ([(closure_fault, 10), (negative_fault, 40)], ClosureError, 10),
+    ([(negative_fault, 30), (closure_fault, 100)], InfeasibleScheduleError, 30),  # two blocks
+    ([(closure_fault, 30), (negative_fault, 100)], ClosureError, 30),
+    ([(closure_fault, 70), (negative_fault, 70)], InfeasibleScheduleError, 70),  # one step
+])
+def test_plan_names_the_first_of_two_faults_as_the_row_loop_does(faults, kind, step):
+    rows = flow_rows(140, np.random.default_rng(step))
+    for fault, t in faults:
+        fault(rows, t)
+    error = same_plan_or_error(DistributionSchedule.from_rows(np.concatenate(rows)))
+    assert type(error) is kind and error.cell[0] == step
+
+
+def as_dicts(sched):
+    return DistributionSchedule(sched.steps, {t: dict(r) for t, r in sched.rows.items()})
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 63, 64, 65, 127, 128, 129, 200])
+def test_plan_rows_equal_the_row_loop_bit_for_bit(steps):
+    flow = DistributionSchedule.from_rows(np.concatenate(flow_rows(steps, np.random.default_rng(steps))))
+    for sched in (flow, as_dicts(flow), uniform_schedule(steps), binomial_schedule(steps)):
+        assert same_plan_or_error(sched) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1), dicts=st.booleans())
+def test_plan_rows_of_random_flows_equal_the_row_loop(steps, seed, dicts):
+    rows = flow_rows(steps, np.random.default_rng(seed))
+    sched = DistributionSchedule.from_rows(np.concatenate(rows))
+    assert same_plan_or_error(as_dicts(sched) if dicts else sched) is None

@@ -150,6 +150,18 @@ class TestRunProgram:
             with pytest.raises(DomainError, match="is too large"):
                 lossy_distribution(p, 6, 0.0)
 
+    def test_a_final_layer_of_rotations_and_reflections_is_applied_entry_by_entry(self):
+        # Rotations [[c, -s], [s, c]] tell m01 from m10, which the disentangling
+        # coins do not; reflections [[c, s], [s, -c]] tell m00 from m11.
+        angles = dict(zip(range(-6, 7, 2), np.linspace(0.1, 3.0, 7).tolist()))
+        final = {x: GeneralCoinOp(math.cos(a), -math.sin(a), math.sin(a), math.cos(a))
+                 if x % 4 else GeneralCoinOp(math.cos(a), math.sin(a), math.sin(a), -math.cos(a))
+                 for x, a in angles.items()}
+        p = uniform_program(6)
+        last = run_program(replace(p, final_layer=final))[-1].state
+        expected = apply_coin_layer(run_program(replace(p, final_layer=None))[-1].state, final)
+        assert all(map(np.array_equal, last.rows, expected.rows))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_iterated_public_step(self, seed):
         rng = np.random.default_rng(seed)
