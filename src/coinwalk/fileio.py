@@ -7,22 +7,25 @@ voltages which are fixed to 4 decimals to match the hardware's
 resolution. A program's cell lines are written through one template,
 built one row of ``t x %r`` lines per step, and one % pass.
 
-Every reader strips each line, skips it if blank or a ``#`` comment, and
+Every reader skips blank and ``#`` comment lines, strips each line and
 splits it on whitespace (on ``,`` in the pulse CSV); a line it cannot read
 raises ``ParseError("bad <kind> line '<stripped line>': <reason>")``, which
-quotes at most the first 80 characters of a longer line.
+quotes at most the first 80 characters of a longer line. The line readers
+and the pulse CSV's column pass strip the lines themselves.
 
 Program files and target schedules whose cell lines ``t x value`` hold
-each cell once, in any order, are read by column: numpy's parser reads
-them in one pass, each value is placed at its cell, and a program's angles
-get the one vectorized [0, pi] check of ``CoinProgram``. Any other layout,
+each cell once, in any order, are read by column: numpy's parser takes the
+lines ``str.splitlines`` made (the ``#`` lines dropped first, if the text
+holds a ``#``), strips each and skips the blank ones in one pass, each value
+is placed at its cell, and a program's angles get the one vectorized
+[0, pi] check of ``CoinProgram``. Any other layout,
 any repeated or missing cell, and any token numpy's parser rejects send the
 file to the line reader, which reads a dict of ``CoinOp``s keyed by cell
 and alone names errors, so every message is the same whichever layout the
 file has. Program cells must be exactly those of the header's step count.
 A target schedule's rows must lie in 0..T, T being its largest step; one
-read by column is a row schedule (``DistributionSchedule.from_rows``),
-checked once as a whole when it is built. The pulse CSV is also read by
+read by column is a row schedule of the parsed values themselves, checked
+once as a whole when it is built. The pulse CSV is also read by
 column: one split per line, then each field column converted in one pass
 into the schedule's columns; a CSV that pass cannot take whole goes to the
 line reader, which names the bad line.
@@ -44,6 +47,7 @@ from .state import (
     CoinProgram,
     DistributionSchedule,
     GeneralCoinOp,
+    _row_stack,
     cell_at,
     localized_state,
 )
@@ -67,12 +71,17 @@ def _bad(what: str, exc: Exception, ln: str | None = None) -> ParseError:
     return ParseError(f"bad {what} line {_clip(ln)!r}: {reason}")
 
 
-def _kept(text: str) -> list[str]:
-    """Each line stripped, without the blank and ``#`` comment lines."""
+def _text_lines(text: str) -> list[str]:
+    """The lines of ``text`` as str.splitlines gives them, without its ``#`` comment lines."""
     if not isinstance(text, str):
         raise ParseError(f"text must be a str, got a {type(text).__name__}")
-    kept = list(filter(None, map(str.strip, text.splitlines())))
-    return [ln for ln in kept if ln[0] != "#"] if "#" in text else kept
+    lines = text.splitlines()
+    return [ln for ln in lines if ln.lstrip()[:1] != "#"] if "#" in text else lines
+
+
+def _kept(text: str) -> list[str]:
+    """Each line stripped, without the blank and ``#`` comment lines."""
+    return list(filter(None, map(str.strip, _text_lines(text))))
 
 
 def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]:
@@ -85,21 +94,25 @@ def _lines(text: str, sep: str | None = None) -> Iterator[tuple[str, list[str]]]
     return zip(kept, map(str.split, kept, repeat(sep)))
 
 
-def _cell_column(kept: list[str], rows: int) -> np.ndarray | None:
-    """The values of ``kept`` in (t, x) order if it holds each cell ``t x value`` of steps t < rows
-    once, in any order; else None or numpy's ValueError (it takes no token int or float rejects)."""
-    if rows < 1 or len(kept) != rows * (rows + 1) // 2:  # before anything that size
+def _cell_column(lines: list[str]) -> np.ndarray | None:
+    """The values of the cell lines ``t x value`` in (t, x) order if they hold each cell of
+    steps 0..T once, in any order, T + 1 being the rows their count fills; else None or
+    numpy's ValueError (it takes no token int or float rejects)."""
+    if not any(map(str.strip, lines)):  # numpy warns of a text without a cell line
         return None
     with warnings.catch_warnings():  # older numpy reads an int such as 1.0 through float
         warnings.simplefilter("error", DeprecationWarning)  # and warns: then a ValueError
-        t, x, value = np.loadtxt(kept, dtype=[("t", "i8"), ("x", "i8"), ("value", "f8")],
+        t, x, value = np.loadtxt(lines, dtype=[("t", "i8"), ("x", "i8"), ("value", "f8")],
                                  comments=None, ndmin=1, unpack=True)
+    rows, edge = cell_at(t.size)
+    if rows < 1 or edge != -rows:  # no whole rows 0..rows-1
+        return None
     if not ((0 <= t) & (t < rows) & (-t <= x) & (x <= t) & ((t ^ x) & 1 == 0)).all():
         return None  # tested before any index arithmetic, which would wrap in int64
     i = t * (t + 1) // 2 + (t + x) // 2
-    if np.count_nonzero(np.bincount(i, minlength=len(kept))) < len(kept):  # a cell repeated
+    if np.count_nonzero(np.bincount(i, minlength=t.size)) < t.size:  # a cell repeated
         return None
-    values = np.empty(len(kept))
+    values = np.empty(t.size)
     values[i] = value
     return values
 
@@ -156,17 +169,23 @@ def _add_final_coin(final: dict[int, GeneralCoinOp], parts: list[str]) -> None:
 def _program_by_column(text: str) -> CoinProgram | None:
     """A program file whose cell lines hold each cell once, in any order,
     all before the final layer's T + 1 ``F`` lines if it has one; else None."""
-    kept = _kept(text)
-    steps, a, b = _program_header(kept[:4])
-    theta = _cell_column(kept[4:4 + steps * (steps + 1) // 2], steps)
-    if theta is None:
+    lines = _text_lines(text)
+    head = list(islice(((h, ln) for h, ln in enumerate(map(str.strip, lines)) if ln), 4))
+    steps, a, b = _program_header([ln for _, ln in head])
+    start = head[-1][0] + 1
+    end = len(lines)  # the cell lines end at the blank and F lines that end the file
+    while end > start and lines[end - 1].lstrip()[:1] in ("", "F"):
+        end -= 1
+    cells = steps * (steps + 1) // 2  # counted before numpy reads a line
+    theta = _cell_column(lines[start:end]) if end - start >= cells else None
+    if theta is None or theta.size != cells:
         return None
     final: dict[int, GeneralCoinOp] = {}
-    for parts in map(str.split, kept[4 + theta.size:]):
+    for parts in filter(None, map(str.split, lines[end:])):
         if parts[0] != "F":
             return None
         _add_final_coin(final, parts)
-    return CoinProgram(steps=steps, cells=AngleRows(theta),
+    return CoinProgram(steps=steps, cells=AngleRows._of(theta),
                        initial=localized_state(a, b), final_layer=final or None)
 
 
@@ -236,9 +255,9 @@ def distribution_from_text(text: str) -> dict[int, float]:
 def _schedule_by_column(text: str) -> DistributionSchedule | None:
     """A target schedule as ``t x p`` cell lines of every step 0..T, each
     cell once, in any order; else None."""
-    kept = _kept(text)
-    probs = _cell_column(kept, cell_at(len(kept))[0])  # None unless rows 0.. are full
-    return None if probs is None else DistributionSchedule.from_rows(probs)
+    probs = _cell_column(_text_lines(text))
+    return None if probs is None else DistributionSchedule._of(
+        _row_stack(probs, cell_at(probs.size)[0]))
 
 
 def _schedule_by_line(text: str) -> DistributionSchedule:

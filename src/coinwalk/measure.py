@@ -33,7 +33,7 @@ def similarity(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     if xp != xq:  # a range and its equal list too: their masks keep every position
         both = set(xp) & set(xq)  # the positions both hold, kept in ascending x on each side
         pv, qv = pv[[x in both for x in xp]], qv[[x in both for x in xq]]
-    return float(_similarity_rows(pv[None], qv)[0])
+    return float(_similarity_rows(pv, qv))
 
 
 def shannon_entropy(p: Mapping[int, float]) -> float:
@@ -44,9 +44,9 @@ def shannon_entropy(p: Mapping[int, float]) -> float:
 
 
 def _similarity_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """similarity of every row of a matrix against ``q``, whose columns are
-    the same positions in ascending x, bit for bit, without the checks:
-    IEEE sqrt terms, as math.sqrt gives, added by ``_left_sums``."""
+    """similarity of a row, or of every row of a matrix, against ``q``, whose
+    columns are the same positions in ascending x, bit for bit, without the
+    checks: IEEE sqrt terms, as math.sqrt gives, added by ``_left_sums``."""
     return np.minimum(_left_sums(np.sqrt(np.maximum(rows, 0.0) * np.maximum(q, 0.0))), 1.0)
 
 

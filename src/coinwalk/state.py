@@ -37,6 +37,7 @@ from .errors import DomainError, IncompleteLayerError, NormalizationError, _clip
 
 CONSTRUCTION_TOL = 1e-9
 EVOLUTION_TOL = 1e-12
+_PLAN_BLOCK = 64  # steps per 2-D pass: row_stack's checks, the plan sweep and synthesis
 _FMAX = sys.float_info.max
 
 AmplitudePair = tuple[complex, complex]
@@ -130,10 +131,13 @@ def _left_sum(values: list) -> float:
 
 
 def _left_sums(rows: np.ndarray) -> np.ndarray:
-    """_left_sum of each row of a matrix, bit for bit: one cumsum (add.accumulate)
-    after a leading zero column."""
-    padded = np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
-    return np.add.accumulate(padded, axis=1)[:, -1]
+    """_left_sum of a row, or of each row of a matrix, bit for bit: one cumsum (add.accumulate),
+    then + 0.0, which turns the one total that a start from 0.0 changes, -0.0, into 0.0. A
+    sum of finite values that overflows is inf, as with Python's +."""
+    if rows.shape[-1] == 0:
+        return np.zeros(rows.shape[:-1])
+    with np.errstate(over="ignore"):
+        return np.add.accumulate(rows, axis=-1)[..., -1] + 0.0
 
 
 def _mapping(v, name: str) -> Mapping:
@@ -181,9 +185,7 @@ def _passing(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and each row's sum. Zeros after a row's entries change neither the test nor the sum."""
     bad = ~np.isfinite(rows) | (rows < -CONSTRUCTION_TOL)
     # A bad entry fails its row anyway, so it is added as 0.0: inf + -inf would warn.
-    # Finite entries can still overflow: that total is inf, as with Python's +.
-    with np.errstate(over="ignore"):
-        totals = _left_sums(np.where(bad, 0.0, rows))
+    totals = _left_sums(np.where(bad, 0.0, rows))
     return ~bad.any(axis=1) & (abs(totals - 1.0) <= CONSTRUCTION_TOL), totals
 
 
@@ -296,13 +298,25 @@ def row_stack(values) -> list[Row]:
     return _row_stack(values, n)
 
 
+def _row_views(flat: np.ndarray, n: int) -> list[np.ndarray]:
+    """Rows 0..n-1 of ``flat``, held end to end in (t, x) order, as views; all made read-only."""
+    flat.flags.writeable = False
+    starts = [t * (t + 1) // 2 for t in range(n + 1)]
+    return [flat[i:j] for i, j in zip(starts, starts[1:])]
+
+
 def _row_stack(values: np.ndarray, n: int) -> list[Row]:
-    """row_stack of the read-only floats of rows 0..n-1 that the package made, not read again."""
-    triangle = np.zeros((n, n))
-    triangle[np.tri(n, dtype=bool)] = values  # row t: its t+1 values, then zeros
-    rows = [Row(t, (values[t * (t + 1) // 2:(t + 1) * (t + 2) // 2],)) for t in range(n)]
-    for row, passing in zip(rows, _passing(triangle)[0].tolist()):
-        row._checked = passing
+    """row_stack of the floats of rows 0..n-1 that the package made, not read again:
+    ``_passing`` checks blocks of ``_PLAN_BLOCK`` rows, each block one matrix padded
+    with zeros to its longest row."""
+    rows = [Row(t, (row,)) for t, row in enumerate(_row_views(values, n))]
+    for t0 in range(0, n, _PLAN_BLOCK):
+        t1 = min(t0 + _PLAN_BLOCK, n)
+        block = np.zeros((t1 - t0, t1))
+        lo, hi = t0 * (t0 + 1) // 2, t1 * (t1 + 1) // 2
+        block[np.arange(t1) <= np.arange(t0, t1)[:, None]] = values[lo:hi]
+        for row, passing in zip(rows[t0:t1], _passing(block)[0].tolist()):
+            row._checked = passing
     return rows
 
 
@@ -492,11 +506,8 @@ class AngleRows(Mapping):
         return angles
 
     def _hold(self, theta: np.ndarray) -> None:
-        theta.flags.writeable = False
         self.theta = theta
-        steps = cell_at(theta.size)[0]  # whole rows; CoinProgram checks the count
-        starts = [t * (t + 1) // 2 for t in range(steps + 1)]
-        self.rows = tuple(theta[i:j] for i, j in zip(starts, starts[1:]))
+        self.rows = tuple(_row_views(theta, cell_at(theta.size)[0]))  # CoinProgram checks size
 
     def __getitem__(self, key: tuple[int, int]) -> CoinOp:
         try:
@@ -642,5 +653,9 @@ class DistributionSchedule:
     def from_rows(cls, values) -> DistributionSchedule:
         """The schedule whose rows t = 0..T are ``values`` laid end to end in
         (t, x) order, row t holding the t+1 probabilities at x = 2i - t."""
-        rows = row_stack(values)
+        return cls._of(row_stack(values))
+
+    @classmethod
+    def _of(cls, rows: list[Row]) -> DistributionSchedule:
+        """The schedule of the rows of a stack, checked when the stack was built."""
         return cls(steps=len(rows) - 1, rows=dict(enumerate(rows)))

@@ -7,10 +7,11 @@ amplitudes obey flux conservation:
     a^2(x+1, t+1) + b^2(x-1, t+1) = a^2(x, t) + b^2(x, t) = P(x, t).
 
 That identity forces a unique nonnegative amplitude plan for any feasible
-schedule. Rows are dense arrays indexed by i = (x + t) / 2, swept in
+schedule. Rows are dense arrays indexed by i = (x + t) / 2, the rows of
+each amplitude views of one array that holds them end to end, swept in
 blocks of steps with one 2-D cumsum per block: each row of b^2 is its own
-left-to-right prefix sum of target differences, and the coin angles of all
-cells follow from one arctan2. The built-in Gaussian (binomial) and uniform programs are
+left-to-right prefix sum of target differences, and the coin angles of a
+block's cells follow from one arctan2. The built-in Gaussian (binomial) and uniform programs are
 synthesized from their schedules like any other, and every schedule
 program ends in a disentangling layer that factors the coin out to |0>.
 """
@@ -38,10 +39,13 @@ from .state import (
     GeneralCoinOp,
     Row,
     WalkerState,
+    _PLAN_BLOCK,
     _at_least,
     _column,
     _iterable,
     _require_finite_rows,
+    _row_stack,
+    _row_views,
     cell_at,
     localized_state,
     support,
@@ -50,7 +54,6 @@ from .state import (
 PLAN_TOL = 1e-12
 CLOSURE_TOL = 1e-9
 PYTHAGOREAN_TOL = 1e-6
-_PLAN_BLOCK = 64  # steps per 2-D pass of plan_amplitudes
 
 # Coin assigned to cells carrying zero probability: any unitary acts
 # trivially there, a fixed choice keeps outputs byte-stable.
@@ -60,7 +63,8 @@ ZERO_CELL_ANGLE = math.pi / 4
 @dataclass(frozen=True)
 class AmplitudePlan:
     """Real amplitude rows a[t][i], b[t][i] at x = 2i - t, t = 0..steps,
-    with a^2 + b^2 = P(x, t)."""
+    with a^2 + b^2 = P(x, t). The rows of each amplitude are read-only
+    views of one array that holds them end to end in (t, x) order."""
 
     steps: int
     a: tuple[np.ndarray, ...]
@@ -74,16 +78,16 @@ class AmplitudePlan:
             if [r.size for r in rows] != list(range(1, self.steps + 2)):
                 raise DomainError(f"plan rows must have lengths 1..{self.steps + 1}")
             object.__setattr__(self, n, rows)
-        _require_finite_rows(np.concatenate(self.a), np.concatenate(self.b))
+        a, b = np.concatenate(self.a), np.concatenate(self.b)
+        _require_finite_rows(a, b)
+        vars(self).update(vars(AmplitudePlan._of(self.steps, a, b)))  # the rows as views of a, b
 
     @classmethod
-    def _of(cls, steps: int, a: list[np.ndarray], b: list[np.ndarray]) -> AmplitudePlan:
-        """The plan of the rows plan_amplitudes made: read-only, checked finite, not read again."""
-        for row in (*a, *b):
-            row.flags.writeable = False
-        _require_finite_rows(np.concatenate(a), np.concatenate(b))
+    def _of(cls, steps: int, a: np.ndarray, b: np.ndarray) -> AmplitudePlan:
+        """The plan of the rows end to end that ``_plan`` made and checked, not read again."""
         plan = object.__new__(cls)
-        vars(plan).update(steps=steps, a=tuple(a), b=tuple(b))  # frozen: no __setattr__
+        rows = (tuple(_row_views(flat, steps + 1)) for flat in (a, b))
+        vars(plan).update(zip("ab", rows), steps=steps, _flat=(a, b))  # frozen: no __setattr__
         return plan
 
     def pair(self, t: int, x: int) -> tuple[float, float]:
@@ -120,9 +124,16 @@ def plan_amplitudes(sched: DistributionSchedule) -> AmplitudePlan:
     InfeasibleScheduleError at the first negative square in (t, x)
     order, or ClosureError if the right edge misses the target row.
     """
+    return AmplitudePlan._of(sched.steps, *_plan(sched))
+
+
+def _plan(sched: DistributionSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a, b of plan_amplitudes laid end to end, checked finite: new, writable arrays."""
+    n = (sched.steps + 1) * (sched.steps + 2) // 2
+    a, b = np.empty(n), np.zeros(n)
     # Step 0 is localized at x = 0 with the coin in |0>; the entry angle
     # theta(0, 0) absorbs any split, so a = sqrt(P(0,0)) = 1, b = 0.
-    a_rows, b_rows = [np.sqrt(_row(sched, 0))], [np.zeros(1)]
+    np.sqrt(_row(sched, 0), out=a[:1])
     for t0 in range(1, sched.steps + 1, _PLAN_BLOCK):
         ts = np.arange(t0 - 1, min(t0 + _PLAN_BLOCK, sched.steps + 1))
         inside = np.arange(ts[-1] + 1) <= ts[:, None]  # the cells of each step's row
@@ -159,18 +170,18 @@ def plan_amplitudes(sched: DistributionSchedule) -> AmplitudePlan:
                 f"a^2({t},{t}) = {float(a_pos[-1])!r} but P = {float(q[-1])!r}",
                 cell=(t, t),
             )
-        a, b = np.sqrt(a_pos), np.sqrt(np.maximum(b_sq, 0.0))
-        rows = list(map(slice, starts.tolist(), ends.tolist()))
-        a_rows += [a[row] for row in rows]
-        b_rows += [b[row] for row in rows]
-    return AmplitudePlan._of(sched.steps, a_rows, b_rows)
+        cells = slice(t0 * (t0 + 1) // 2, t0 * (t0 + 1) // 2 + a_pos.size)  # steps ts, end to end
+        np.sqrt(a_pos, out=a[cells])
+        np.sqrt(np.maximum(b_sq, 0.0), out=b[cells])
+    _require_finite_rows(a, b)
+    return a, b
 
 
 def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
     """Coin program reproducing an amplitude plan under the forward walk.
 
     Each cell angle follows from the plan and its two child amplitudes,
-    one vectorized formula over every cell:
+    one vectorized formula over the cells of each block of steps:
 
         cos theta = (a a' - b b'') / (a^2 + b^2),
         sin theta = (b a' + a b'') / (a^2 + b^2),
@@ -179,40 +190,44 @@ def synthesize_coins(plan: AmplitudePlan) -> CoinProgram:
     every pair satisfy cos^2 + sin^2 = 1; a violation beyond 1e-6 means
     the plan is inconsistent and raises InconsistentPlanError.
     """
-    return _synthesized(plan, None)
+    return _synthesized(plan.steps, *plan._flat, None)
 
 
-def _synthesized(plan: AmplitudePlan, final_layer: dict[int, GeneralCoinOp] | None) -> CoinProgram:
-    """synthesize_coins, its program ending in ``final_layer``: built and checked once."""
-    a0, b0 = plan.pair(0, 0)
-    initial = localized_state(a0, b0)
-    # Every cell of steps 0..steps-1 next to its children, row after row.
-    a, b = np.concatenate(plan.a[:-1]), np.concatenate(plan.b[:-1])
-    a_child = np.concatenate([row[1:] for row in plan.a[1:]])
-    b_child = np.concatenate([row[:-1] for row in plan.b[1:]])
-    m = a * a + b * b
-    empty = m < 1e-15
-    m[empty] = 1.0
-    c = (a * a_child - b * b_child) / m
-    s = (b * a_child + a * b_child) / m
-    r = c * c + s * s
-    orphan = empty & ((np.abs(a_child) > 1e-9) | (np.abs(b_child) > 1e-9))
-    bad = orphan | (~empty & (np.abs(r - 1.0) > PYTHAGOREAN_TOL))
-    if bad.any():
-        i = int(np.argmax(bad))
-        t, x = cell_at(i)
-        if orphan[i]:
-            raise ZeroCellError(
-                f"cell ({t},{x}) carries no probability but feeds "
-                f"nonzero children"
-            )
-        raise InconsistentPlanError(
-            f"cell ({t},{x}): cos^2 + sin^2 = {float(r[i])!r}; the plan "
-            f"violates flux conservation"
-        )
-    theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
-    theta[empty] = ZERO_CELL_ANGLE
-    return CoinProgram(plan.steps, AngleRows._of(theta), initial, final_layer)
+def _synthesized(steps: int, a: np.ndarray, b: np.ndarray, final_layer: dict | None,
+                 theta: np.ndarray | None = None) -> CoinProgram:
+    """synthesize_coins of the plan rows a, b laid end to end, its program ending in
+    ``final_layer``, built and checked once. The angles go into a new array or into ``theta``,
+    which may be ``a``: each block of rows is read before its angles are written there."""
+    initial = localized_state(float(a[0]), float(b[0]))
+    n = steps * (steps + 1) // 2
+    theta = np.empty(n) if theta is None else theta[:n]
+    for t0 in range(0, steps, _PLAN_BLOCK):
+        t1 = min(t0 + _PLAN_BLOCK, steps)
+        lo, hi = t0 * (t0 + 1) // 2, t1 * (t1 + 1) // 2
+        # Cell k of step t has its children b'' = b(x-1, t+1) at k + t + 1 and a' = a(x+1, t+1)
+        # next to it.
+        k = np.arange(lo, hi) + np.repeat(np.arange(t0 + 1, t1 + 1), np.arange(t0 + 1, t1 + 1))
+        pa, pb, a_child, b_child = a[lo:hi], b[lo:hi], a[k + 1], b[k]
+        m = pa * pa + pb * pb
+        empty = m < 1e-15
+        m[empty] = 1.0
+        c = (pa * a_child - pb * b_child) / m
+        s = (pb * a_child + pa * b_child) / m
+        r = c * c + s * s
+        orphan = empty & ((np.abs(a_child) > 1e-9) | (np.abs(b_child) > 1e-9))
+        bad = orphan | (~empty & (np.abs(r - 1.0) > PYTHAGOREAN_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            t, x = cell_at(lo + i)
+            if orphan[i]:
+                raise ZeroCellError(f"cell ({t},{x}) carries no probability but feeds "
+                                    "nonzero children")
+            raise InconsistentPlanError(f"cell ({t},{x}): cos^2 + sin^2 = {float(r[i])!r}; "
+                                        "the plan violates flux conservation")
+        angles = theta[lo:hi]
+        np.clip(np.arctan2(s, c), 0.0, math.pi, out=angles)
+        angles[empty] = ZERO_CELL_ANGLE
+    return CoinProgram(steps, AngleRows._of(theta), initial, final_layer)
 
 
 def disentangle_layer(s: WalkerState) -> dict[int, GeneralCoinOp]:
@@ -242,9 +257,10 @@ def disentangle_layer(s: WalkerState) -> dict[int, GeneralCoinOp]:
 def schedule_program(sched: DistributionSchedule) -> CoinProgram:
     """Synthesized program realizing a schedule, ending in the
     disentangling layer that leaves walker amplitudes sqrt(P(x, steps))."""
-    plan = plan_amplitudes(sched)
-    last = Row(plan.steps, (plan.a[-1].astype(complex), plan.b[-1].astype(complex)))
-    return _synthesized(plan, disentangle_layer(WalkerState._of(last)))
+    t, (a, b) = sched.steps, _plan(sched)
+    last = Row(t, (a[-t - 1:].astype(complex), b[-t - 1:].astype(complex)))
+    # The angles overwrite the rows of a as synthesis reads them: no second array that size.
+    return _synthesized(t, a, b, disentangle_layer(WalkerState._of(last)), a)
 
 
 def binomial_schedule(steps: int) -> DistributionSchedule:
@@ -263,7 +279,7 @@ def uniform_schedule(steps: int) -> DistributionSchedule:
     """Rows P(x, t) = 1/(t+1) over the t+1 admissible positions."""
     steps = _at_least(steps, 1, "steps")
     n = np.arange(1, steps + 2)
-    return DistributionSchedule.from_rows(np.repeat(1.0 / n, n))
+    return DistributionSchedule._of(_row_stack(np.repeat(1.0 / n, n), steps + 1))
 
 
 def gaussian_program(steps: int) -> CoinProgram:

@@ -28,6 +28,7 @@ from .state import (
     _masses,
     _require_finite_rows,
     _row_stack,
+    _row_views,
     localized_state,
     position_distribution,
     support,
@@ -127,11 +128,16 @@ def run_program(p: CoinProgram) -> list[StepReport]:
             m00, m01, m10, m11 = np.array([(c.m00, c.m01, c.m10, c.m11) for c in coins]).T
             x, y = a[-p.steps - 1:], b[-p.steps - 1:]
             x[:], y[:] = m00 * x + m01 * y, m10 * x + m11 * y
-    a.flags.writeable = b.flags.writeable = False
-    starts = [t * (t + 1) // 2 for t in range(p.steps + 2)]
-    rows = [(a[i:j], b[i:j]) for i, j in zip(starts, starts[1:])]
-    _require_finite_rows(a, b)  # names the first amplitude that overflowed
-    dists = _row_stack(_masses(a, b), p.steps + 1)
+    rows = list(zip(_row_views(a, p.steps + 1), _row_views(b, p.steps + 1)))
+    # An amplitude that is not finite is named before one whose square overflows.
+    try:
+        masses = _masses(a, b)
+    except DomainError:
+        _require_finite_rows(a, b)
+        raise
+    if not np.isfinite(masses).all():
+        _require_finite_rows(a, b)
+    dists = _row_stack(masses, p.steps + 1)
     return [StepReport(0, p.initial, position_distribution(p.initial))] + [
         StepReport(t, WalkerState._of(Row(t, rows[t])), dists[t]) for t in range(1, p.steps + 1)]
 

@@ -6,6 +6,7 @@ line-by-line readers."""
 
 import cmath
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -189,17 +190,40 @@ def outcome(read, text):
         return type(exc), str(exc)
 
 
+FILLER_LINES = ["", "  ", "\t", "\u3000", "# comment", "  # indented comment", "#"]
+PADS = ["", " ", "\t ", "\u3000"]
+
+
+@st.composite
+def respaced(draw, text):
+    """``text`` as it is, or with blank, whitespace-only and ``#`` lines put in before, inside
+    or after a program's header and anywhere else, lines padded with leading and trailing
+    spaces, and ``\\r\\n`` line ends."""
+    if draw(st.booleans()):
+        return text
+    lines = text.splitlines()
+    for head in (True, False, False):
+        i = draw(st.integers(0, min(5, len(lines)) if head else len(lines)))
+        lines.insert(i, draw(st.sampled_from(FILLER_LINES)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(PADS)) + lines[i] + draw(st.sampled_from(PADS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
 @st.composite
 def program_files(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     text = random_program_text(rng, draw(st.integers(1, 30)), draw(st.booleans()))
-    return draw(mutated(text.splitlines(), 4))
+    return draw(respaced(draw(mutated(text.splitlines(), 4))))
 
 
 @st.composite
 def schedule_files(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return draw(mutated(random_schedule_text(rng, draw(st.integers(1, 30))).splitlines(), 0))
+    text = random_schedule_text(rng, draw(st.integers(1, 30)))
+    return draw(respaced(draw(mutated(text.splitlines(), 0))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,6 +253,39 @@ def test_written_files_are_read_by_column(monkeypatch, final):
     got = (fileio.program_from_text(padded(program)),
            fileio.schedule_targets_from_text(padded(schedule)))
     assert got == expected
+
+
+class Text(str):
+    """A str that keeps the list its splitlines returned."""
+
+    def splitlines(self, keepends=False):
+        self.lines = super().splitlines(keepends)
+        return self.lines
+
+
+@pytest.mark.parametrize("final", [False, True], ids=["cells", "final-layer"])
+def test_written_files_reach_numpy_as_their_own_lines(monkeypatch, final):
+    program = Text(random_program_text(np.random.default_rng(1), 12, final))
+    schedule = Text(random_schedule_text(np.random.default_rng(2), 12))
+    expected = fileio._program_by_line(program), fileio._schedule_by_line(schedule)
+    read, loadtxt = [], fileio.np.loadtxt
+
+    def recorded(lines, **kwargs):
+        read.append(lines)
+        return loadtxt(lines, **kwargs)
+
+    def kept(text):
+        raise AssertionError("a written file was stripped line by line")
+
+    monkeypatch.setattr(fileio.np, "loadtxt", recorded)
+    monkeypatch.setattr(fileio, "_kept", kept)
+    got = fileio.program_from_text(program), fileio.schedule_targets_from_text(schedule)
+    assert got == expected
+    cells, rows = read
+    # The 78 cell lines are the program's own line objects, after its 4 header lines; the
+    # schedule's lines are the very list splitlines returned.
+    assert len(cells) == 78 and all(map(operator.is_, cells, program.lines[4:]))
+    assert rows is schedule.lines
 
 
 EDGES = [str(2**63), str(-2**63), str(2**63 - 1), str(10**20)]  # int64's edges and past them
@@ -285,13 +342,14 @@ def reordered(draw, lines, body):
 def reordered_program_files(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     text = random_program_text(rng, draw(st.integers(1, 30)), draw(st.booleans()))
-    return draw(reordered(text.splitlines(), 4))
+    return draw(respaced(draw(reordered(text.splitlines(), 4))))
 
 
 @st.composite
 def reordered_schedule_files(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return draw(reordered(random_schedule_text(rng, draw(st.integers(1, 30))).splitlines(), 0))
+    text = random_schedule_text(rng, draw(st.integers(1, 30)))
+    return draw(respaced(draw(reordered(text.splitlines(), 0))))
 
 
 @settings(max_examples=150, deadline=None)

@@ -546,3 +546,87 @@ def test_a_byte_buffer_is_no_column_of_numbers(make, message):
     # column either.
     with pytest.raises(DomainError, match=message):
         make()
+
+
+def square_left_sums(rows):
+    """_left_sums as it was: one cumsum after a leading zero column."""
+    padded = np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
+    return np.add.accumulate(padded, axis=1)[:, -1]
+
+
+def square_passing(values, n):
+    """_row_stack's verdicts and totals as they were: rows 0..n-1 on one dense n x n square,
+    zero-padded, checked by _passing on the padded left sums."""
+    triangle = np.zeros((n, n))
+    triangle[np.tri(n, dtype=bool)] = values
+    bad = ~np.isfinite(triangle) | (triangle < -state.CONSTRUCTION_TOL)
+    with np.errstate(over="ignore"):
+        totals = square_left_sums(np.where(bad, 0.0, triangle))
+    return ~bad.any(axis=1) & (abs(totals - 1.0) <= state.CONSTRUCTION_TOL), totals
+
+
+def stack_values(n, rng):
+    """Rows 0..n-1 laid end to end: random distributions, and where the stack reaches them a
+    NaN, opposite infinities, a -2e-9 entry, a sum that overflows, rows off 1 by +-1.1e-9 and
+    +-0.9e-9 on both sides of the block edges at 64 and 128, and a last row of -0.0."""
+    rows = [rng.random(t + 1) for t in range(n)]
+    rows = [r / r.sum() for r in rows]
+    faults = {1: [math.nan], 2: [math.inf, -math.inf], 3: [-2e-9], 4: [1e308, 1e308]}
+    for t, entries in faults.items():
+        if t < n - 1:
+            rows[t][:len(entries)] = entries
+    for edge in (64, 128):
+        offsets = {edge - 2: 0.9e-9, edge - 1: 1.1e-9, edge: -1.1e-9, edge + 1: -0.9e-9}
+        for t, off in offsets.items():
+            if t < n - 1:
+                rows[t][-1] += off
+    rows[-1][:] = -0.0
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300])
+def test_row_stack_blocks_give_the_square_verdicts_and_totals(monkeypatch, n):
+    values = stack_values(n, np.random.default_rng(n))
+    passing, totals = [], []
+    real_passing = state._passing
+
+    def recorded(rows):
+        verdicts, sums = real_passing(rows)
+        passing.append(verdicts)
+        totals.append(sums)
+        return verdicts, sums
+
+    monkeypatch.setattr(state, "_passing", recorded)
+    rows = state._row_stack(values.copy(), n)
+    expected, expected_totals = square_passing(values, n)
+    assert np.concatenate(passing).tobytes() == expected.tobytes()
+    assert np.concatenate(totals).tobytes() == expected_totals.tobytes()
+    assert [row._checked for row in rows] == expected.tolist()
+    assert len(passing) == -(-n // state._PLAN_BLOCK)  # one block of rows per 64 steps
+    if n > 1:
+        assert not expected[-1] and expected_totals[-1].tobytes() == np.float64(0.0).tobytes()
+
+
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 1e308, -1e308,
+                          math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(SIGNED | st.floats(), min_size=width, max_size=width),
+                           min_size=1, max_size=5)))
+def test_left_sums_are_the_padded_cumsum_and_the_left_to_right_sum(rows):
+    rows = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = square_left_sums(rows)
+    # inf + -inf warns; the package's callers never add it. An overflow to inf does not warn.
+    with np.errstate(invalid="ignore"):
+        assert state._left_sums(rows).tobytes() == expected.tobytes()
+        for row, total in zip(rows, expected.tolist()):
+            assert state._left_sums(row).tobytes() == np.float64(total).tobytes()
+            assert repr(state._left_sum(row.tolist())) == repr(total)  # NaN payloads aside
+
+
+def test_left_sums_of_rows_without_values_are_zero():
+    assert state._left_sums(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert state._left_sums(np.zeros(0)) == 0.0

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from coinwalk import walk
 from coinwalk.errors import DomainError, IncompleteLayerError
 from coinwalk.noise import lossy_distribution
 from coinwalk.state import (
     HADAMARD,
+    AngleRows,
     CoinOp,
     CoinProgram,
     GeneralCoinOp,
@@ -149,6 +151,46 @@ class TestRunProgram:
                 run_program(p)
             with pytest.raises(DomainError, match="is too large"):
                 lossy_distribution(p, 6, 0.0)
+
+    @pytest.mark.parametrize("entries, plain, final", [
+        ({("a", 1): math.nan, ("a", 4): 1e200},
+         "amplitude a(-1,1) must have finite components, got (nan+0j)",
+         "amplitude a(-1,1) must have finite components, got (nan+0j)"),
+        ({("a", 1): 1e200, ("b", 4): math.nan},
+         "amplitude b(0,2) must have finite components, got (nan+0j)",
+         "amplitude a(0,2) must have finite components, got (nan+nanj)"),
+        ({("b", 4): math.nan},
+         "amplitude b(0,2) must have finite components, got (nan+0j)",
+         "amplitude a(0,2) must have finite components, got (nan+nanj)"),
+        ({("b", 2): 1e200},
+         "amplitude (1e+200+0j) is too large: its squared magnitude overflows a float",
+         "amplitude (1e+200+0j) is too large: its squared magnitude overflows a float"),
+        ({("a", 5): 1.2e154, ("b", 5): 1.2e154},
+         None, "amplitude (1.68e+154+0j) is too large: its squared magnitude overflows a float"),
+    ], ids=["nan-then-overflow", "overflow-then-nan", "nan-alone", "overflow-alone", "sum-overflow"])
+    def test_an_amplitude_that_is_not_finite_is_named_before_a_square_that_overflows(
+            self, monkeypatch, entries, plain, final):
+        """The amplitudes of a T = 2 run, laid end to end in (t, x) order, set entry by entry;
+        the final layer mixes the last row's a and b."""
+        def rows(p, steps, right_damping=1.0):
+            a, b = np.zeros((2, 6), dtype=complex)
+            a[0] = 1.0
+            for (name, i), value in entries.items():
+                (a if name == "a" else b)[i] = value
+            return a, b
+
+        monkeypatch.setattr(walk, "_rows", rows)
+        layer = {x: GeneralCoinOp(0.6, 0.8, 0.8, -0.6) for x in (-2, 0, 2)}
+        for message, final_layer in ((plain, None), (final, layer)):
+            p = CoinProgram(2, AngleRows([math.pi / 4] * 3), localized_state(1, 0), final_layer)
+            if message is None:  # only a sum overflows: the row is inf there and not checked
+                reports = run_program(p)
+                assert reports[-1].distribution == {-2: 0.0, 0: 0.0, 2: math.inf}
+                assert not reports[-1].distribution._checked
+                continue
+            with pytest.raises(DomainError) as info:
+                run_program(p)
+            assert str(info.value) == message
 
     def test_a_final_layer_of_rotations_and_reflections_is_applied_entry_by_entry(self):
         # Rotations [[c, -s], [s, c]] tell m01 from m10, which the disentangling
