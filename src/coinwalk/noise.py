@@ -3,9 +3,9 @@
 Losses in the loop are position-independent to first order, so they
 rescale the event budget rather than the distribution shape; the optional
 asymmetric right-move loss knob models the residual long/short path
-imbalance. Expected counts always come from one walk, damped only when
-the right-move loss is positive, renormalized at detection. All
-randomness flows through explicit seeds.
+imbalance. Expected counts always come from one walk on two rolling rows,
+damped only when the right-move loss is positive, renormalized at
+detection. All randomness flows through explicit seeds.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ def detected_event_budget(nm: NoiseModel, launches: float, step: int) -> float:
 
 def lossy_distribution(p: CoinProgram, step: int, right_move_loss: float) -> dict[int, float]:
     """Distribution at a step with amplitude damping on every right-move,
-    renormalized at detection."""
+    renormalized at detection: the walk keeps two rows, not every step's."""
     if not 0 <= (step := _integer(step, "step")) <= p.steps:
         raise DomainError(f"step must lie in [0, {p.steps}], got {_quote(step)}")
     loss = _real(right_move_loss, "right_move_loss", 0.0, 1.0, "lie in [0, 1]")
     if norm(p.initial) == 0.0:
         raise DomainError("initial state has zero norm")
-    a, b = _rows(p, step, math.sqrt(1.0 - loss))
+    a, b = _rows(p, step, math.sqrt(1.0 - loss), True)  # two rows, the last at the end
     raw = _masses(a[-step - 1:], b[-step - 1:]).tolist()  # the last row
     total = _left_sum(raw)
     if total == 0.0:

@@ -37,7 +37,7 @@ from .errors import DomainError, IncompleteLayerError, NormalizationError, _clip
 
 CONSTRUCTION_TOL = 1e-9
 EVOLUTION_TOL = 1e-12
-_PLAN_BLOCK = 64  # steps per 2-D pass: row_stack's checks, the plan sweep and synthesis
+_PLAN_BLOCK = 64  # rows per block of ``_blocks``, the one loop of every pass over the rows
 _FMAX = sys.float_info.max
 
 AmplitudePair = tuple[complex, complex]
@@ -305,15 +305,20 @@ def _row_views(flat: np.ndarray, n: int) -> list[np.ndarray]:
     return [flat[i:j] for i, j in zip(starts, starts[1:])]
 
 
+def _blocks(n: int, first: int = 0) -> Iterator[tuple[int, int, int, int]]:
+    """Blocks of rows first..n-1, (t0, t1, lo, hi): rows t0..t1-1 are cells lo..hi-1 end to end."""
+    for t0 in range(first, n, _PLAN_BLOCK):
+        t1 = min(t0 + _PLAN_BLOCK, n)
+        yield t0, t1, t0 * (t0 + 1) // 2, t1 * (t1 + 1) // 2
+
+
 def _row_stack(values: np.ndarray, n: int) -> list[Row]:
     """row_stack of the floats of rows 0..n-1 that the package made, not read again:
-    ``_passing`` checks blocks of ``_PLAN_BLOCK`` rows, each block one matrix padded
-    with zeros to its longest row."""
+    ``_passing`` checks each block of ``_blocks`` as one matrix padded with zeros to its
+    longest row."""
     rows = [Row(t, (row,)) for t, row in enumerate(_row_views(values, n))]
-    for t0 in range(0, n, _PLAN_BLOCK):
-        t1 = min(t0 + _PLAN_BLOCK, n)
+    for t0, t1, lo, hi in _blocks(n):
         block = np.zeros((t1 - t0, t1))
-        lo, hi = t0 * (t0 + 1) // 2, t1 * (t1 + 1) // 2
         block[np.arange(t1) <= np.arange(t0, t1)[:, None]] = values[lo:hi]
         for row, passing in zip(rows[t0:t1], _passing(block)[0].tolist()):
             row._checked = passing

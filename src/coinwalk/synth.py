@@ -8,12 +8,13 @@ amplitudes obey flux conservation:
 
 That identity forces a unique nonnegative amplitude plan for any feasible
 schedule. Rows are dense arrays indexed by i = (x + t) / 2, the rows of
-each amplitude views of one array that holds them end to end, swept in
-blocks of steps with one 2-D cumsum per block: each row of b^2 is its own
-left-to-right prefix sum of target differences, and the coin angles of a
-block's cells follow from one arctan2. The built-in Gaussian (binomial) and uniform programs are
-synthesized from their schedules like any other, and every schedule
-program ends in a disentangling layer that factors the coin out to |0>.
+each amplitude views of one array that holds them end to end, swept in the
+row blocks of ``state._blocks``: per block, one 2-D cumsum in which each row
+of b^2 is its own left-to-right prefix sum of target differences, and one
+arctan2 for the coin angles of its cells. The built-in Gaussian (binomial)
+and uniform programs are synthesized from their schedules like any other,
+and every schedule program ends in a disentangling layer that factors the
+coin out to |0>.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .state import (
     GeneralCoinOp,
     Row,
     WalkerState,
-    _PLAN_BLOCK,
     _at_least,
+    _blocks,
     _column,
     _iterable,
     _require_finite_rows,
@@ -119,8 +120,8 @@ def plan_amplitudes(sched: DistributionSchedule) -> AmplitudePlan:
         b^2 = cumsum(q - [0, p]),   a^2 = [0, p - b^2[:-1]]
 
     with p, q the target rows of steps t and t+1. The steps are swept in
-    row blocks of ``_PLAN_BLOCK``, each one zero-padded matrix and one 2-D
-    cumsum, in which every row is its own left-to-right sum. Raises
+    the row blocks of ``state._blocks``, each one zero-padded matrix and one
+    2-D cumsum, in which every row is its own left-to-right sum. Raises
     InfeasibleScheduleError at the first negative square in (t, x)
     order, or ClosureError if the right edge misses the target row.
     """
@@ -134,8 +135,8 @@ def _plan(sched: DistributionSchedule) -> tuple[np.ndarray, np.ndarray]:
     # Step 0 is localized at x = 0 with the coin in |0>; the entry angle
     # theta(0, 0) absorbs any split, so a = sqrt(P(0,0)) = 1, b = 0.
     np.sqrt(_row(sched, 0), out=a[:1])
-    for t0 in range(1, sched.steps + 1, _PLAN_BLOCK):
-        ts = np.arange(t0 - 1, min(t0 + _PLAN_BLOCK, sched.steps + 1))
+    for t0, t1, lo, hi in _blocks(sched.steps + 1, 1):
+        ts = np.arange(t0 - 1, t1)
         inside = np.arange(ts[-1] + 1) <= ts[:, None]  # the cells of each step's row
         # Target rows t0-1.. after a zero column, zero-padded on the right.
         m = np.zeros((ts.size, ts[-1] + 2))
@@ -170,9 +171,8 @@ def _plan(sched: DistributionSchedule) -> tuple[np.ndarray, np.ndarray]:
                 f"a^2({t},{t}) = {float(a_pos[-1])!r} but P = {float(q[-1])!r}",
                 cell=(t, t),
             )
-        cells = slice(t0 * (t0 + 1) // 2, t0 * (t0 + 1) // 2 + a_pos.size)  # steps ts, end to end
-        np.sqrt(a_pos, out=a[cells])
-        np.sqrt(np.maximum(b_sq, 0.0), out=b[cells])
+        np.sqrt(a_pos, out=a[lo:hi])
+        np.sqrt(np.maximum(b_sq, 0.0), out=b[lo:hi])
     _require_finite_rows(a, b)
     return a, b
 
@@ -201,9 +201,7 @@ def _synthesized(steps: int, a: np.ndarray, b: np.ndarray, final_layer: dict | N
     initial = localized_state(float(a[0]), float(b[0]))
     n = steps * (steps + 1) // 2
     theta = np.empty(n) if theta is None else theta[:n]
-    for t0 in range(0, steps, _PLAN_BLOCK):
-        t1 = min(t0 + _PLAN_BLOCK, steps)
-        lo, hi = t0 * (t0 + 1) // 2, t1 * (t1 + 1) // 2
+    for t0, t1, lo, hi in _blocks(steps):
         # Cell k of step t has its children b'' = b(x-1, t+1) at k + t + 1 and a' = a(x+1, t+1)
         # next to it.
         k = np.arange(lo, hi) + np.repeat(np.arange(t0 + 1, t1 + 1), np.arange(t0 + 1, t1 + 1))

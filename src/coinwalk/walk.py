@@ -4,8 +4,9 @@ Shift convention: the coin-|0> amplitude a(x, t) feeds position x+1 and the
 coin-|1> amplitude b(x, t) feeds x-1. The mirror convention (a moves left)
 is available through :func:`mirror_program`. States, coin layers, shifts
 and whole programs all run on the dense rows at x = 2i - t; ``_rows`` is
-the one kernel that steps a program, on one preallocated triangle each for
-the a and b rows of every step.
+the one kernel that steps a program, one block of angles at a time, into a
+preallocated triangle each for the a and b rows of every step, or into two
+rolling rows when only the last one is read.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .state import (
     Row,
     WalkerState,
     _at_least,
+    _blocks,
     _mapping,
     _masses,
     _require_finite_rows,
@@ -96,19 +98,26 @@ def step(s: WalkerState, coins_at_t: dict[int, CoinOp]) -> WalkerState:
     return apply_shift(apply_coin_layer(s, coins_at_t))
 
 
-def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Rows a, b at x = 2i - t for t = 0..steps, laid end to end in one
-    triangle each, every right-move scaled by ``right_damping``."""
-    a, b = np.zeros((2, (steps + 1) * (steps + 2) // 2), dtype=complex)
-    a[:1], b[:1] = p.initial.rows
-    theta = p.cells.theta[:steps * (steps + 1) // 2]
-    cos, sin = np.cos(theta), np.sin(theta)
-    for t in range(steps):
-        i, j, k = t * (t + 1) // 2, (t + 1) * (t + 2) // 2, (t + 2) * (t + 3) // 2
-        c, s, x, y = cos[i:j], sin[i:j], a[i:j], b[i:j]
-        # Each step is written straight into row t+1; the product with 1.0 sets signed zeros.
-        np.multiply(right_damping, c * x + s * y, out=a[j + 1:k])
-        np.subtract(s * x, c * y, out=b[j:k - 1])
+def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0,
+          rolling: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Rows a, b at x = 2i - t for t = 0..steps, every right-move scaled by ``right_damping``,
+    each array ending in row ``steps``: all rows laid end to end in one triangle each, or, if
+    ``rolling``, rows 0..steps in turn in two rows of steps + 1 cells."""
+    width = steps + 1
+    # Row t's first cell. Rolling, row 0 lies one cell in: row 2 must find its leftmost a zero.
+    starts = ([(t + width) % 2 * width + (t == 0) for t in range(width)] if rolling
+              else [t * (t + 1) // 2 for t in range(width)])
+    a, b = np.zeros((2, starts[-1] + width), dtype=complex)
+    a[starts[0]], b[starts[0]] = (row[0] for row in p.initial.rows)
+    for t0, t1, lo, hi in _blocks(steps):
+        cos, sin, j = np.cos(p.cells.theta[lo:hi]), np.sin(p.cells.theta[lo:hi]), 0
+        for t in range(t0, t1):  # the angles of row t are cells i..j-1 of the block's
+            i, j, k, m = j, j + t + 1, starts[t], starts[t + 1]
+            c, s, x, y = cos[i:j], sin[i:j], a[k:k + t + 1], b[k:k + t + 1]
+            # Each step is written straight into row t+1; the product with 1.0 sets signed zeros.
+            np.multiply(right_damping, c * x + s * y, out=a[m + 1:m + t + 2])
+            np.subtract(s * x, c * y, out=b[m:m + t + 1])
+        del cos, sin, c, s  # c and s are views: else this block's angles outlive it
     return a, b
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -152,6 +153,17 @@ class TestExpectedCounts:
         counts = expected_counts(prog, NoiseModel(right_move_loss=loss), 5, 1000)
         assert len(walks) == 1
         assert counts == {x: v * 1000 for x, v in expected.items()}
+
+    def test_lossy_distribution_keeps_two_rows_not_every_step(self):
+        prog = uniform_program(2000)
+        tracemalloc.start()
+        try:
+            lossy_distribution(prog, 2000, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every step's a and b rows would take 64 MB; the two rolling rows take 128 kB.
+        assert peak < 5 << 20
 
     def test_unnormalized_initial_state_counts_sum_to_total(self):
         initial = WalkerState(step=0, amplitudes={0: (0.5, 0.5j)}, require_normalized=False)

@@ -228,6 +228,20 @@ class TestRunProgram:
                 s = step(s, p.layer(s.step))
 
 
+class TestRollingRows:
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 63, 64, 65, 128, 129])
+    def test_two_rolling_rows_end_in_the_triangles_last_row_bit_for_bit(self, steps):
+        # Row 2 takes the cells of row 0, whose initial a must not be left under
+        # row 2's leftmost a, which is zero.
+        p = replace(uniform_program(max(steps, 1)), initial=circular_initial())
+        whole = walk._rows(p, steps, 0.9)
+        rolling = walk._rows(p, steps, 0.9, True)
+        assert whole[0].size == (steps + 1) * (steps + 2) // 2
+        for z, w in zip(whole, rolling):
+            assert w.size <= 2 * (steps + 1) + 1
+            assert z[-steps - 1:].tobytes() == w[-steps - 1:].tobytes()
+
+
 class TestOracleEquivalence:
     def test_hadamard_matches_direct_recursion(self):
         steps = 11
