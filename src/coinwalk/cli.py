@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleScheduleError,
     ParseError,
 )
-from .state import CoinProgram
+from .state import CoinProgram, position_distribution
 
 DEFAULT_SEED = 12345
 
@@ -189,7 +189,7 @@ def _cmd_similarity(args) -> None:
 
 
 def _purity(target: str, steps: int, gamma: float) -> list[measure.PurityRecord]:
-    final = walk.run_program(_built_in_program(target, steps))[-1].state
+    final = walk._final_state(_built_in_program(target, steps))
     return measure.purity_criterion(final, gamma=gamma)
 
 
@@ -225,8 +225,8 @@ def _cmd_reproduce(args) -> None:
     for i, (name, fig) in enumerate(zip(names, ("fig2a", "fig2b", "fig2c"))):
         theory = reports[name][steps].distribution
         nm = noise.NoiseModel(coin_angle_jitter_rad=0.01, seed=seed + 10 * i)
-        noisy = walk.run_program(noise.perturb_program(programs[name], nm))
-        counts = noise.sample_counts(noisy[steps].distribution, 10_000, seed + 10 * i + 1)
+        noisy = walk._final_state(noise.perturb_program(programs[name], nm))
+        counts = noise.sample_counts(position_distribution(noisy), 10_000, seed + 10 * i + 1)
         n = sum(counts.values())
         sampled = {x: c / n for x, c in counts.items()}
         errors = noise.bootstrap_errorbars(counts, 500, seed + 10 * i + 2, theory=theory)

@@ -305,9 +305,9 @@ def _row_views(flat: np.ndarray, n: int) -> list[np.ndarray]:
     return [flat[i:j] for i, j in zip(starts, starts[1:])]
 
 
-def _blocks(n: int, first: int = 0) -> Iterator[tuple[int, int, int, int]]:
-    """Blocks of rows first..n-1, (t0, t1, lo, hi): rows t0..t1-1 are cells lo..hi-1 end to end."""
-    for t0 in range(first, n, _PLAN_BLOCK):
+def _blocks(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """Blocks of rows 0..n-1, (t0, t1, lo, hi): rows t0..t1-1 are cells lo..hi-1 end to end."""
+    for t0 in range(0, n, _PLAN_BLOCK):
         t1 = min(t0 + _PLAN_BLOCK, n)
         yield t0, t1, t0 * (t0 + 1) // 2, t1 * (t1 + 1) // 2
 

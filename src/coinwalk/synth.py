@@ -135,10 +135,10 @@ def _plan(sched: DistributionSchedule) -> tuple[np.ndarray, np.ndarray]:
     # Step 0 is localized at x = 0 with the coin in |0>; the entry angle
     # theta(0, 0) absorbs any split, so a = sqrt(P(0,0)) = 1, b = 0.
     np.sqrt(_row(sched, 0), out=a[:1])
-    for t0, t1, lo, hi in _blocks(sched.steps + 1, 1):
-        ts = np.arange(t0 - 1, t1)
+    for t0, t1, lo, hi in _blocks(sched.steps):  # parents t0..t1-1, children t0+1..t1
+        ts = np.arange(t0, t1 + 1)
         inside = np.arange(ts[-1] + 1) <= ts[:, None]  # the cells of each step's row
-        # Target rows t0-1.. after a zero column, zero-padded on the right.
+        # Target rows t0..t1 after a zero column, zero-padded on the right.
         m = np.zeros((ts.size, ts[-1] + 2))
         m[:, 1:][inside] = np.concatenate([_row(sched, t) for t in ts])
         q, p, ts, inside = m[1:, 1:], m[:-1, :-1], ts[1:], inside[1:]  # q and [0, p] of step t
@@ -171,8 +171,8 @@ def _plan(sched: DistributionSchedule) -> tuple[np.ndarray, np.ndarray]:
                 f"a^2({t},{t}) = {float(a_pos[-1])!r} but P = {float(q[-1])!r}",
                 cell=(t, t),
             )
-        np.sqrt(a_pos, out=a[lo:hi])
-        np.sqrt(np.maximum(b_sq, 0.0), out=b[lo:hi])
+        np.sqrt(a_pos, out=a[lo + t0 + 1:hi + t1 + 1])
+        np.sqrt(np.maximum(b_sq, 0.0), out=b[lo + t0 + 1:hi + t1 + 1])
     _require_finite_rows(a, b)
     return a, b
 

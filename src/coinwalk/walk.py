@@ -5,8 +5,10 @@ coin-|1> amplitude b(x, t) feeds x-1. The mirror convention (a moves left)
 is available through :func:`mirror_program`. States, coin layers, shifts
 and whole programs all run on the dense rows at x = 2i - t; ``_rows`` is
 the one kernel that steps a program, one block of angles at a time, into a
-preallocated triangle each for the a and b rows of every step, or into two
-rolling rows when only the last one is read.
+preallocated triangle each for the a and b rows of every step, for
+``run_program``, or into two rolling rows, for every read of one step
+(``_final_state`` and ``noise.lossy_distribution``). ``_final_layer`` alone
+applies a program's final layer, to the last row of either shape.
 """
 
 from __future__ import annotations
@@ -121,6 +123,22 @@ def _rows(p: CoinProgram, steps: int, right_damping: float = 1.0,
     return a, b
 
 
+def _final_layer(p: CoinProgram, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a``, ``b`` of either ``_rows`` shape, the final layer applied in place to their last row."""
+    if p.final_layer is not None:
+        coins = map(p.final_layer.__getitem__, support(p.steps))
+        m00, m01, m10, m11 = np.array([(c.m00, c.m01, c.m10, c.m11) for c in coins]).T
+        x, y = a[-p.steps - 1:], b[-p.steps - 1:]
+        x[:], y[:] = m00 * x + m01 * y, m10 * x + m11 * y
+    return a, b
+
+
+def _final_state(p: CoinProgram) -> WalkerState:
+    """``run_program(p)[-1].state`` of a finite run, bit for bit, from a walk on two rolling rows."""
+    a, b = _final_layer(p, *_rows(p, p.steps, 1.0, True))
+    return WalkerState.from_rows(p.steps, a[-p.steps - 1:], b[-p.steps - 1:])
+
+
 def run_program(p: CoinProgram) -> list[StepReport]:
     """Run a program from its initial state, reporting every step.
 
@@ -131,12 +149,7 @@ def run_program(p: CoinProgram) -> list[StepReport]:
     raises DomainError naming the first non-finite one in step order.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        a, b = _rows(p, p.steps)
-        if p.final_layer is not None:
-            coins = map(p.final_layer.__getitem__, support(p.steps))
-            m00, m01, m10, m11 = np.array([(c.m00, c.m01, c.m10, c.m11) for c in coins]).T
-            x, y = a[-p.steps - 1:], b[-p.steps - 1:]
-            x[:], y[:] = m00 * x + m01 * y, m10 * x + m11 * y
+        a, b = _final_layer(p, *_rows(p, p.steps))
     rows = list(zip(_row_views(a, p.steps + 1), _row_views(b, p.steps + 1)))
     # An amplitude that is not finite is named before one whose square overflows.
     try:

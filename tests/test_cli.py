@@ -489,6 +489,17 @@ class TestReproduce:
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_only_the_runs_read_at_every_step_walk_the_triangle(self, tmp_path, monkeypatch):
+        # The jittered fig2 runs and the purity tables read one state: they walk two rows.
+        runs, run_program = [], walk.run_program
+        monkeypatch.setattr(walk, "run_program", lambda p: runs.append(p) or run_program(p))
+        assert run("reproduce", "--out-dir", tmp_path / "r") == EXIT_OK
+        assert len(runs) == 3
+        runs.clear()
+        assert run("verify-purity", "--target", "gaussian", "--steps", "9",
+                   "-o", tmp_path / "g.txt") == EXIT_OK
+        assert runs == []
+
     def test_entropy_ordering_in_fig4(self, tmp_path):
         out = tmp_path / "r"
         run("reproduce", "--out-dir", out)

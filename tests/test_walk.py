@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from coinwalk import walk
 from coinwalk.errors import DomainError, IncompleteLayerError
-from coinwalk.noise import lossy_distribution
+from coinwalk.noise import NoiseModel, lossy_distribution, perturb_program
 from coinwalk.state import (
     HADAMARD,
     AngleRows,
@@ -20,6 +21,7 @@ from coinwalk.state import (
     WalkerState,
     localized_state,
     norm,
+    position_distribution,
 )
 from coinwalk.synth import gaussian_program, uniform_program
 from coinwalk.walk import (
@@ -240,6 +242,40 @@ class TestRollingRows:
         for z, w in zip(whole, rolling):
             assert w.size <= 2 * (steps + 1) + 1
             assert z[-steps - 1:].tobytes() == w[-steps - 1:].tobytes()
+
+
+class TestFinalState:
+    # gaussian_program raises ZeroCellError past T = 50 (ROADMAP item 1).
+    @pytest.mark.parametrize("kind, steps", [
+        (kind, steps) for kind in ("gaussian", "uniform", "hadamard", "perturbed")
+        for steps in (1, 2, 9, 11, 63, 64, 65, 128) if kind != "gaussian" or steps <= 50])
+    def test_the_two_row_final_state_is_the_runs_last_bit_for_bit(self, kind, steps):
+        p = {
+            "gaussian": gaussian_program,
+            "uniform": uniform_program,
+            "hadamard": lambda t: hadamard_program(t, circular_initial()),
+            "perturbed": lambda t: perturb_program(
+                uniform_program(t), NoiseModel(coin_angle_jitter_rad=0.01, seed=t)),
+        }[kind](steps)
+        last = run_program(p)[-1]
+        final = walk._final_state(p)
+        assert final.step == last.step == steps
+        for got, want in zip(final.rows, last.state.rows):
+            assert got.tobytes() == want.tobytes()
+        dist = position_distribution(final)
+        assert dist == last.distribution
+        assert dist.columns[0].tobytes() == last.distribution.columns[0].tobytes()
+
+    def test_the_final_state_keeps_two_rows_not_every_step(self):
+        p = uniform_program(2000)
+        tracemalloc.start()
+        try:
+            walk._final_state(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every step's a and b rows would take 64 MB; two rows and a block of angles fit in 5 MB.
+        assert peak < 5 << 20
 
 
 class TestOracleEquivalence:
